@@ -12,7 +12,20 @@ spaces) directly.
 Saturation depth t means: every pair of disjoint subsets (A, B) of the
 universe with |A|+|B| <= t has a correctly wired witness vertex.  For
 K_n-free graphs only admissible instances count (A must not contain a
-K_{n-1}, otherwise no witness can exist).  Audits are exhaustive.
+K_{n-1}, otherwise no witness can exist).
+
+Witness completion works on Python-int bitsets: bits[v] holds the vertices
+that relate positively to v (its neighbours; for tournaments, the vertices
+that beat v).  The witnesses of (A, B) are then one mask, the AND of bits[a]
+over A with the complement of every bits[b] over B, minus A and B.  A new
+witness adds no edge among old vertices, so a witnessed instance stays
+witnessed and an instance's admissibility never changes.  After a round that
+started with n vertices, every instance inside those n is witnessed or
+inadmissible, and the next round only walks the instances that touch a
+vertex added since.  It completes them in the order (|A|+|B|, |A|, A, B),
+re-checking each against the live state, so the seeded coin flips fall
+exactly as in a full rescan.  The saturation audit walks every instance of
+depth <= t on bitsets read from the finished structure.
 """
 
 from __future__ import annotations
@@ -59,17 +72,6 @@ def _symmetric_irreflexive(S: FinStructure, rel: str) -> bool:
     return True
 
 
-def _has_clique(S: FinStructure, rel: str, k: int) -> bool:
-    table = S.table(rel)
-    adj = [set() for _ in range(S.size)]
-    for a, b in table:
-        adj[a].add(b)
-    for combo in itertools.combinations(range(S.size), k):
-        if all(b in adj[a] for a, b in itertools.combinations(combo, 2)):
-            return True
-    return False
-
-
 def pure_set_class() -> FraisseClassSpec:
     sig = Signature(())
     return FraisseClassSpec("pure_set", sig, lambda S: S.signature == sig, witnessable=True)
@@ -92,7 +94,7 @@ def kn_free_graph_class(n: int) -> FraisseClassSpec:
         return (
             S.signature == sig
             and _symmetric_irreflexive(S, "E")
-            and not _has_clique(S, "E", n)
+            and not _clique_in(_bits_of(S), (1 << S.size) - 1, n)
         )
 
     return FraisseClassSpec(f"kn_free_graph:{n}", sig, member, witnessable=True, params=(n,))
@@ -277,11 +279,17 @@ def chain_to_json(chain: StructureChain) -> dict:
 
 
 def chain_from_json(obj: dict) -> StructureChain:
-    return StructureChain(
-        class_name=obj["class"],
-        levels=tuple(structure_from_json(o) for o in obj["levels"]),
-        saturation=tuple(int(x) for x in obj["saturation"]),
-    )
+    """Rebuild a chain; missing keys and wrong shapes raise ValidationError."""
+    try:
+        return StructureChain(
+            class_name=obj["class"],
+            levels=tuple(structure_from_json(o) for o in obj["levels"]),
+            saturation=tuple(int(x) for x in obj["saturation"]),
+        )
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed chain JSON: {type(exc).__name__}: {exc}") from None
 
 
 def chain_dumps(chain: StructureChain) -> str:
@@ -289,191 +297,145 @@ def chain_dumps(chain: StructureChain) -> str:
 
 
 def chain_loads(text: str) -> StructureChain:
-    return chain_from_json(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"chain file is not JSON: {exc}") from None
+    return chain_from_json(obj)
 
 
 # --- witness completion ------------------------------------------------------
 
 
-def _instances(n: int, t: int):
-    """All pairs of disjoint subsets (A, B) of {0..n-1} with |A|+|B| <= t."""
-    elems = range(n)
-    for total in range(t + 1):
-        for size_a in range(total + 1):
-            size_b = total - size_a
-            for a_set in itertools.combinations(elems, size_a):
-                rest = [x for x in elems if x not in a_set]
-                for b_set in itertools.combinations(rest, size_b):
-                    yield a_set, b_set
+def _members(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-class _GraphState:
-    """Mutable adjacency during witness completion (graph / K_n-free)."""
+def _clique_in(bits: list[int], mask: int, k: int) -> bool:
+    """Whether the vertices in mask hold a k-clique of the symmetric bits."""
+    if k <= 0:
+        return True
+    while mask.bit_count() >= k:
+        low = mask & -mask
+        mask ^= low
+        if _clique_in(bits, mask & bits[low.bit_length() - 1], k - 1):
+            return True
+    return False
 
-    def __init__(self, forbid_clique: int | None):
-        self.adj: list[set[int]] = [set(), set()]
-        self.forbid = forbid_clique
+
+def _bits_of(S: FinStructure) -> list[int]:
+    """bits[b] has a for every (a, b) in the structure's binary relation."""
+    bits = [0] * S.size
+    for name, _ in S.signature.relations:  # witnessable classes have at most one
+        for a, b in S.table(name):
+            bits[b] |= 1 << a
+    return bits
+
+
+def _forbid(spec: FraisseClassSpec) -> int | None:
+    """n for K_n-free graphs, None for the other witnessable classes."""
+    if not spec.witnessable:
+        raise ValidationError(f"class {spec.name} is not witnessable")
+    return spec.params[0] if spec.name.startswith("kn_free_graph") else None
+
+
+def _witness_mask(bits: list[int], a_set, b_set) -> int:
+    """Vertices w outside A ∪ B with w in every bits[a] and in no bits[b]."""
+    cand = (1 << len(bits)) - 1
+    for a in a_set:
+        cand &= bits[a] & ~(1 << a)
+    for b in b_set:
+        cand &= ~(bits[b] | 1 << b)
+    return cand
+
+
+def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, pure: bool = False):
+    """Admissible (A, B) with |A|+|B| <= t, max(A ∪ B) >= lo, and no witness.
+
+    Elements are chosen in decreasing order and sent to A or B, so each pair
+    is reached once, and its witness mask is its prefix's mask ANDed with the
+    mask of ({x}, {}) or ({}, {x}).  lo = 0 walks every instance, the empty
+    one too.
+    """
+    n = len(bits)
+    full = _witness_mask(bits, (), ())
+    neg = [_witness_mask(bits, (), (x,)) for x in range(n)]
+    # a pure set has no relation (bits are all 0): a witness need only be new
+    pos = neg if pure else [_witness_mask(bits, (x,), ()) for x in range(n)]
+    k = forbid - 1 if forbid else 0  # A holding a k-clique is inadmissible
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def walk(a_set, b_set, a_mask, cand, low, top, room):
+        for x in range(low, top):
+            if not k or not _clique_in(bits, a_mask & pos[x], k - 1):
+                c = cand & pos[x]
+                if not c:
+                    found.append(((x, *a_set), b_set))
+                if room > 1:
+                    walk((x, *a_set), b_set, a_mask | 1 << x, c, 0, x, room - 1)
+            c = cand & neg[x]
+            if not c:
+                found.append((a_set, (x, *b_set)))
+            if room > 1:
+                walk(a_set, (x, *b_set), a_mask, c, 0, x, room - 1)
+
+    if lo == 0 and not full:
+        found.append(((), ()))
+    if t > 0:
+        walk((), (), 0, full, lo, n, t)
+    return found
+
+
+class _WitnessState:
+    """Graph, K_n-free or tournament under witness completion, as bitsets.
+
+    bits[v] holds the vertices that relate positively to v: its neighbours,
+    or for tournaments the vertices that beat v.  A new witness adds no edge
+    among old vertices, so a witnessed instance stays witnessed.
+    """
+
+    def __init__(self, spec: FraisseClassSpec):
+        self.forbid = _forbid(spec)
+        self.tournament = spec.name == "tournament"
+        self.bits = [0b10, 0] if self.tournament else [0, 0]  # 1 beats 0
 
     @property
     def size(self) -> int:
-        return len(self.adj)
-
-    def admissible(self, a_set) -> bool:
-        if self.forbid is None:
-            return True
-        k = self.forbid - 1
-        if len(a_set) < k:
-            return True
-        for combo in itertools.combinations(a_set, k):
-            if all(y in self.adj[x] for x, y in itertools.combinations(combo, 2)):
-                return False
-        return True
-
-    def has_witness(self, a_set, b_set) -> bool:
-        banned = set(a_set) | set(b_set)
-        for w in range(self.size):
-            if w in banned:
-                continue
-            if all(a in self.adj[w] for a in a_set) and not any(b in self.adj[w] for b in b_set):
-                return True
-        return False
-
-    def _creates_clique(self, nbrs: set[int]) -> bool:
-        if self.forbid is None:
-            return False
-        k = self.forbid - 1
-        if len(nbrs) < k:
-            return False
-        for combo in itertools.combinations(sorted(nbrs), k):
-            if all(y in self.adj[x] for x, y in itertools.combinations(combo, 2)):
-                return True
-        return False
+        return len(self.bits)
 
     def add_witness(self, a_set, b_set, rng: np.random.Generator) -> None:
         w = self.size
-        required = set(a_set)
-        banned = set(b_set)
-        others = [v for v in range(w) if v not in required and v not in banned]
-        nbrs: set[int] | None = None
-        for _ in range(_WIRING_RETRIES):
-            coins = rng.random(len(others)) if others else np.empty(0)
-            trial = required | {v for v, c in zip(others, coins) if c < 0.5}
-            if not self._creates_clique(trial):
-                nbrs = trial
-                break
-        if nbrs is None:
-            # minimal wiring: provably safe since the instance is admissible
-            nbrs = set(required)
-        self.adj.append(set(nbrs))
-        for v in nbrs:
-            self.adj[v].add(w)
-
-    def freeze(self, sig: Signature) -> FinStructure:
-        table = {(a, b) for a in range(self.size) for b in self.adj[a]}
-        return make_structure(sig, self.size, {"E": table})
-
-
-class _TournamentState:
-    def __init__(self):
-        self.beats: list[set[int]] = [set(), {0}]  # 1 beats 0 initially
-
-    @property
-    def size(self) -> int:
-        return len(self.beats)
-
-    def admissible(self, a_set) -> bool:
-        return True
-
-    def has_witness(self, a_set, b_set) -> bool:
-        for w in range(self.size):
-            if w in a_set or w in b_set:
-                continue
-            if all(a in self.beats[w] for a in a_set) and all(w in self.beats[b] for b in b_set):
-                return True
-        return False
-
-    def add_witness(self, a_set, b_set, rng: np.random.Generator) -> None:
-        w = self.size
-        wins = set(a_set)
+        required = sum(1 << a for a in a_set)
         others = [v for v in range(w) if v not in a_set and v not in b_set]
-        coins = rng.random(len(others)) if others else np.empty(0)
-        wins |= {v for v, c in zip(others, coins) if c < 0.5}
-        self.beats.append(wins)
-        for v in range(w):
-            if v not in wins:
-                self.beats[v].add(w)
+        for _ in range(_WIRING_RETRIES):
+            coins = rng.random(len(others))
+            wins = required | sum(1 << v for v, c in zip(others, coins) if c < 0.5)
+            if not (self.forbid and _clique_in(self.bits, wins, self.forbid - 1)):
+                break
+        else:
+            # minimal wiring: provably safe since the instance is admissible
+            wins = required
+        self.bits.append(~wins & ((1 << w) - 1) if self.tournament else wins)
+        for v in _members(wins):
+            self.bits[v] |= 1 << w
 
     def freeze(self, sig: Signature) -> FinStructure:
-        table = {(a, b) for a in range(self.size) for b in self.beats[a]}
-        return make_structure(sig, self.size, {"A": table})
-
-
-class _PureSetState:
-    def __init__(self):
-        self.n = 1
-
-    @property
-    def size(self) -> int:
-        return self.n
-
-    def admissible(self, a_set) -> bool:
-        return True
-
-    def has_witness(self, a_set, b_set) -> bool:
-        return self.n > len(a_set) + len(b_set)
-
-    def add_witness(self, a_set, b_set, rng) -> None:
-        self.n += 1
-
-    def freeze(self, sig: Signature) -> FinStructure:
-        return make_structure(sig, self.n, {})
-
-
-def _new_state(spec: FraisseClassSpec):
-    base = spec.name.split(":")[0]
-    if base == "graph":
-        return _GraphState(None)
-    if base == "kn_free_graph":
-        return _GraphState(spec.params[0])
-    if base == "tournament":
-        return _TournamentState()
-    if base == "pure_set":
-        return _PureSetState()
-    raise ValidationError(f"class {spec.name} is not witnessable")
+        pairs = {(a, b) for b in range(self.size) for a in _members(self.bits[b])}
+        return make_structure(sig, self.size, {sig.relations[0][0]: pairs})
 
 
 def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     """Largest depth t' <= t at which every admissible instance is witnessed.
 
-    Exhaustive: walks all disjoint (A, B) with |A|+|B| <= t.
+    Exhaustive: walks all disjoint (A, B) with |A|+|B| <= t on bitsets read
+    from S itself, independent of how S was built.  S must be in spec.
     """
-    state = _new_state(spec)
-    base = spec.name.split(":")[0]
-    if base in ("graph", "kn_free_graph"):
-        state.adj = [set() for _ in range(S.size)]
-        for a, b in S.table("E"):
-            state.adj[a].add(b)
-    elif base == "tournament":
-        state.beats = [set() for _ in range(S.size)]
-        for a, b in S.table("A"):
-            state.beats[a].add(b)
-    else:
-        state.n = S.size
-    best = -1
-    for depth in range(t + 1):
-        ok = True
-        for a_set, b_set in _instances(S.size, depth):
-            if len(a_set) + len(b_set) != depth:
-                continue  # lower depths already audited
-            if not state.admissible(a_set):
-                continue
-            if not state.has_witness(a_set, b_set):
-                ok = False
-                break
-        if not ok:
-            break
-        best = depth
-    return max(best, 0)
+    found = _open_instances(_bits_of(S), t, 0, _forbid(spec), spec.name == "pure_set")
+    return max(min((len(a) + len(b) for a, b in found), default=t + 1) - 1, 0)
 
 
 def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> StructureChain:
@@ -489,35 +451,36 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
     if not spec.witnessable:
         raise ValidationError(f"class {spec.name} is not witnessable")
     rng = np.random.default_rng(seed)
-    state = _new_state(spec)
-    base = spec.name.split(":")[0]
 
-    if base == "pure_set":
+    if spec.name == "pure_set":
         # trivially saturated once the size clears the depth
-        state.n = cap
-        level = state.freeze(spec.signature)
+        level = make_structure(spec.signature, cap, {})
         return StructureChain(spec.name, (level,), (audit_saturation(level, spec, t),))
 
+    state = _WitnessState(spec)
     if state.size > cap:
         raise SaturationInfeasibleError(f"cap {cap} below the initial structure")
     levels = [state.freeze(spec.signature)]
+    done = 0  # instances inside the first `done` vertices are witnessed or inadmissible
     while True:
-        frontier = list(_instances(state.size, t))
-        added = 0
+        start = state.size
+        # the order of a full rescan, so the coin flips fall as they always did
+        frontier = sorted(
+            _open_instances(state.bits, t, done, state.forbid),
+            key=lambda ab: (len(ab[0]) + len(ab[1]), len(ab[0]), ab),
+        )
         for a_set, b_set in frontier:
-            if not state.admissible(a_set):
-                continue
-            if state.has_witness(a_set, b_set):
+            if _witness_mask(state.bits, a_set, b_set):
                 continue
             if state.size >= cap:
                 raise SaturationInfeasibleError(
                     f"saturation infeasible at cap {cap} (depth {t}, size {state.size})"
                 )
             state.add_witness(a_set, b_set, rng)
-            added += 1
-        if added == 0:
+        if state.size == start:
             break
         levels.append(state.freeze(spec.signature))
+        done = start
     sat = tuple(audit_saturation(S, spec, t) for S in levels)
     chain = StructureChain(spec.name, tuple(levels), sat)
     for S in chain.levels:

@@ -1,9 +1,10 @@
 """Automorphism groups, orbit partitions, closure profiles, invariant congruences.
 
-Orbit computations use the finite structure's actual automorphisms, found by
-backtracking with invariant pruning.  No homogeneity is assumed: when the
-finite level is less symmetric than the limit it approximates, the orbit
-partition properly refines the type partition and callers see the gap.
+Orbit computations use the finite structure's actual automorphisms: the
+isomorphisms from the structure to itself, enumerated by the backtracker in
+`structures.isomorphisms`.  No homogeneity is assumed: when the finite level
+is less symmetric than the limit it approximates, the orbit partition
+properly refines the type partition and callers see the gap.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .builders import StructureChain
 from .errors import ResourceLimitError, ValidationError
-from .structures import FinStructure, _element_invariant
+from .structures import FinStructure, isomorphisms
 
 _GROUP_BOUND = 1_000_000
 _TUPLE_BOUND = 1_000_000
@@ -35,58 +36,10 @@ class AutGroup:
 
 def automorphisms(S: FinStructure, bound: int = _GROUP_BOUND) -> AutGroup:
     """Enumerate Aut(S) by backtracking.  Stops (complete=False) at bound."""
-    n = S.size
-    if n == 0:
-        return AutGroup(S, ((),))
-    inv = [_element_invariant(S, x) for x in range(n)]
-    candidates = [[y for y in range(n) if inv[y] == inv[x]] for x in range(n)]
-    order = sorted(range(n), key=lambda x: len(candidates[x]))
-    rels = S.signature.relations
-    tables = S.tables
-    found: list[tuple[int, ...]] = []
-    image: list[int | None] = [None] * n
-    used = [False] * n
-
-    def consistent(x: int, y: int) -> bool:
-        dom = {a for a in range(n) if image[a] is not None} | {x}
-        trial = {a: image[a] for a in range(n) if image[a] is not None}
-        trial[x] = y
-        img = set(trial.values())
-        inverse = {b: a for a, b in trial.items()}
-        for name, _ in rels:
-            table = tables[name]
-            for tup in table:
-                if x in tup and all(p in dom for p in tup):
-                    if tuple(trial[p] for p in tup) not in table:
-                        return False
-                if y in tup and all(q in img for q in tup):
-                    if tuple(inverse[q] for q in tup) not in table:
-                        return False
-        return True
-
-    def extend(depth: int) -> bool:
-        """Returns False when the bound tripped and search must unwind."""
-        if depth == n:
-            found.append(tuple(image[x] for x in range(n)))  # type: ignore[misc]
-            return len(found) <= bound
-        x = order[depth]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            if consistent(x, y):
-                image[x] = y
-                used[y] = True
-                ok = extend(depth + 1)
-                image[x] = None
-                used[y] = False
-                if not ok:
-                    return False
-        return True
-
-    finished = extend(0)
-    if not finished:
-        return AutGroup(S, tuple(found[:bound]), complete=False)
-    return AutGroup(S, tuple(found))
+    found = tuple(itertools.islice(isomorphisms(S, S), bound + 1))
+    if len(found) > bound:
+        return AutGroup(S, found[:bound], complete=False)
+    return AutGroup(S, found)
 
 
 @dataclass(frozen=True)

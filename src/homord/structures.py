@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError, ValidationError
@@ -187,80 +188,79 @@ def type_code_str(code: TypeCode) -> str:
     return code.decode("ascii")
 
 
-def _element_invariant(S: FinStructure, x: int):
-    """Cheap per-element invariant for isomorphism pruning."""
-    counts = []
+def _element_invariants(S: FinStructure) -> list[tuple]:
+    """Per-element (sort label, incidence count per relation position)."""
+    width = sum(arity for _, arity in S.signature.relations)
+    counts = [[0] * width for _ in range(S.size)]
+    offset = 0
     for name, arity in S.signature.relations:
-        for pos in range(arity):
-            counts.append(sum(1 for tup in S.tables[name] if tup[pos] == x))
-    return (S.sort_of(x), tuple(counts))
+        for tup in S.tables[name]:
+            for pos, x in enumerate(tup):
+                counts[x][offset + pos] += 1
+        offset += arity
+    return [(S.sort_of(x), tuple(counts[x])) for x in range(S.size)]
+
+
+def _incidence(S: FinStructure) -> list[list[tuple[tuple[int, ...], str]]]:
+    """For each element, the (tuple, relation name) pairs whose tuple holds it."""
+    inc: list[list] = [[] for _ in range(S.size)]
+    for name, _ in S.signature.relations:
+        for tup in S.tables[name]:
+            for x in set(tup):
+                inc[x].append((tup, name))
+    return inc
+
+
+def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
+    """Yield every isomorphism S -> T as an image tuple, in a fixed order.
+
+    Backtracking over elements, most constrained first, with candidates
+    pruned by element invariants (sort label, incidence counts per relation
+    position).  Extending a partial map by x -> y checks only the tuples of
+    S through x and of T through y whose points are all mapped already.
+    """
+    if S.size != T.size or S.signature != T.signature:
+        return
+    n = S.size
+    inv_s = _element_invariants(S)
+    inv_t = inv_s if T is S else _element_invariants(T)
+    if sorted(inv_s) != sorted(inv_t):
+        return
+    candidates = [[y for y in range(n) if inv_t[y] == inv_s[x]] for x in range(n)]
+    order = sorted(range(n), key=lambda x: len(candidates[x]))
+    inc_s, inc_t = _incidence(S), _incidence(T)
+    image, inverse = [-1] * n, [-1] * n
+
+    def fits(x: int, y: int) -> bool:
+        for tup, name in inc_s[x]:
+            mapped = tuple(map(image.__getitem__, tup))
+            if -1 not in mapped and mapped not in T.tables[name]:
+                return False
+        for tup, name in inc_t[y]:
+            mapped = tuple(map(inverse.__getitem__, tup))
+            if -1 not in mapped and mapped not in S.tables[name]:
+                return False
+        return True
+
+    def extend(depth: int):
+        if depth == n:
+            yield tuple(image)
+            return
+        x = order[depth]
+        for y in candidates[x]:
+            if inverse[y] < 0:
+                image[x], inverse[y] = y, x
+                if fits(x, y):
+                    yield from extend(depth + 1)
+                image[x], inverse[y] = -1, -1
+
+    yield from extend(0)
 
 
 def find_isomorphism(S: FinStructure, T: FinStructure) -> list[int] | None:
-    """Backtracking isomorphism search; returns image list or None.
-
-    Prunes on element invariants (sort label, incidence counts per relation
-    position) and checks partial maps in both directions.
-    """
-    if S.size != T.size or S.signature != T.signature:
-        return None
-    n = S.size
-    if n == 0:
-        return []
-    inv_s = [_element_invariant(S, x) for x in range(n)]
-    inv_t = [_element_invariant(T, x) for x in range(n)]
-    if sorted(inv_s) != sorted(inv_t):
-        return None
-
-    candidates = [[y for y in range(n) if inv_t[y] == inv_s[x]] for x in range(n)]
-    # most constrained first
-    order = sorted(range(n), key=lambda x: len(candidates[x]))
-    image: list[int | None] = [None] * n
-    used = [False] * n
-
-    rels = S.signature.relations
-
-    def consistent(x: int, y: int) -> bool:
-        # check all tuples fully inside the assigned domain that touch x / y
-        assigned = [(a, image[a]) for a in range(n) if image[a] is not None]
-        dom = {a for a, _ in assigned}
-        dom.add(x)
-        img = {b for _, b in assigned}
-        img.add(y)
-        trial = dict(assigned)
-        trial[x] = y
-        inverse = {b: a for a, b in trial.items()}
-        for name, arity in rels:
-            ts, tt = S.tables[name], T.tables[name]
-            for tup in ts:
-                if x in tup and all(p in dom for p in tup):
-                    if tuple(trial[p] for p in tup) not in tt:
-                        return False
-            for tup in tt:
-                if y in tup and all(q in img for q in tup):
-                    if tuple(inverse[q] for q in tup) not in ts:
-                        return False
-        return True
-
-    def extend(depth: int) -> bool:
-        if depth == n:
-            return True
-        x = order[depth]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            if consistent(x, y):
-                image[x] = y
-                used[y] = True
-                if extend(depth + 1):
-                    return True
-                image[x] = None
-                used[y] = False
-        return False
-
-    if extend(0):
-        return [image[x] for x in range(n)]  # type: ignore[misc]
-    return None
+    """First isomorphism S -> T as an image list, or None."""
+    found = next(isomorphisms(S, T), None)
+    return None if found is None else list(found)
 
 
 def enumerate_types(S: FinStructure, k: int) -> set[TypeCode]:
