@@ -443,6 +443,8 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValidationError("--config needs a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
     if not rest:

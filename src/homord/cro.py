@@ -410,10 +410,12 @@ def dirac_solutions(
     for sol in solutions:
         codes = set(sol)
         x = [Fraction(1 if v.code in codes else 0) for v in system.variables]
-        assert len([v for v in x if v == 1]) == len(codes)
+        if sum(1 for v in x if v == 1) != len(codes):
+            raise RuntimeError("a Dirac solution names a code outside the system")
         if satisfies(system, x):
             verified.append(sol)
-    assert len(verified) == len(solutions), "pruned search admitted a bad solution"
+    if len(verified) != len(solutions):
+        raise RuntimeError("pruned search admitted a bad solution")
     return tuple(verified)
 
 

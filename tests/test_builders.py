@@ -160,6 +160,8 @@ class TestBuildGeneric:
     def test_pure_set_trivial(self):
         chain = build_generic(pure_set_class(), 3, 7, seed=0)
         assert chain.top.size == 7
+        assert chain.saturation == (3,)
+        assert build_generic(pure_set_class(), 3, 3, seed=0).saturation == (2,)
 
     def test_cap_exceeded(self):
         with pytest.raises(SaturationInfeasibleError):
@@ -342,3 +344,17 @@ class TestChainIO:
         b = graph(3, [])  # prefix no longer has the edge
         with pytest.raises(ValidationError):
             StructureChain("graph", (a, b), (0, 0))
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        "[]",
+        '{"class": "graph", "saturation": [0]}',
+        '{"class": "graph", "levels": 5, "saturation": [0]}',
+        '{"class": "graph", "levels": [5], "saturation": [0]}',
+        '{"class": "graph", "levels": [{"sig": [["E", 2]], "size": 2, "rel": []}],'
+        ' "saturation": [0]}',
+        '{"class": "graph", "levels": [{"sig": [["E", 2]], "size": 2}], "saturation": ["x"]}',
+    ])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ValidationError):
+            chain_loads(text)

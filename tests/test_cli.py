@@ -92,6 +92,20 @@ class TestOrbits:
         assert len(tuples) == m * (m - 1)
         assert len(set(tuples)) == len(tuples)
 
+    def test_chain_missing_keys_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"class": "graph", "saturation": [0]}))
+        r = run("orbits", "--in", str(bad), "--k", "2")
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+    def test_chain_not_json_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("level 0: 0-1 1-2\n")
+        r = run("orbits", "--in", str(bad), "--k", "2")
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "Traceback" not in r.stderr
+
 
 class TestAcl:
     def test_shape(self, chain_file):
@@ -265,3 +279,8 @@ class TestConfig:
         assert run("orbits", "--in", "/nonexistent.json", "--k", "2").returncode == 2
         r = run("--config", "/nonexistent.cfg", "cro", "--class", "graph", "--n", "2")
         assert r.returncode == 2
+
+    def test_config_without_value_exits_2(self):
+        r = run("cro", "--class", "graph", "--n", "2", "--config")
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "Traceback" not in r.stderr

@@ -238,3 +238,12 @@ class TestDirac:
 
     def test_graph_has_none(self, cro_graph3):
         assert dirac_solutions(cro_graph3) == ()
+
+    def test_failed_recheck_raises(self, monkeypatch):
+        # the exact re-check is a runtime error, not an assert `python -O` drops
+        import homord.cro
+
+        sys = build_cro_system("linear_order", 3)
+        monkeypatch.setattr(homord.cro, "satisfies", lambda system, x: False)
+        with pytest.raises(RuntimeError, match="admitted a bad solution"):
+            dirac_solutions(sys)
