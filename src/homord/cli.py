@@ -37,7 +37,11 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 def _load_chain(path: str) -> builders.StructureChain:
     with open(path) as fh:
-        return builders.chain_loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"chain file is not text: {exc}") from None
+    return builders.chain_loads(text)
 
 
 def _pick_level(chain: builders.StructureChain, level: int) -> FinStructure:

@@ -99,9 +99,10 @@ class TestOrbits:
         assert r.returncode == 2
         assert "error:" in r.stderr and "Traceback" not in r.stderr
 
-    def test_chain_not_json_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"level 0: 0-1 1-2\n", b"\xff\xfe\x00"])
+    def test_chain_not_json_exits_2(self, tmp_path, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("level 0: 0-1 1-2\n")
+        bad.write_bytes(content)
         r = run("orbits", "--in", str(bad), "--k", "2")
         assert r.returncode == 2
         assert "error:" in r.stderr and "Traceback" not in r.stderr
