@@ -464,7 +464,7 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
     done = 0  # instances inside the first `done` vertices are witnessed or inadmissible
     while True:
         start = state.size
-        # the order of a full rescan, so the coin flips fall as they always did
+        # the order a full rescan meets them in, which fixes the seeded coin flips
         frontier = sorted(
             _open_instances(state.bits, t, done, state.forbid),
             key=lambda ab: (len(ab[0]) + len(ab[1]), len(ab[0]), ab),
