@@ -279,11 +279,16 @@ def chain_to_json(chain: StructureChain) -> dict:
 
 
 def chain_from_json(obj: dict) -> StructureChain:
-    """Rebuild a chain; missing keys and wrong shapes raise ValidationError."""
+    """Rebuild a chain; missing keys, wrong shapes, an unknown class and a
+    level outside the class raise ValidationError."""
     try:
+        spec = class_by_name(obj["class"])
+        levels = tuple(structure_from_json(o) for o in obj["levels"])
+        for level in levels:
+            spec.validate(level)
         return StructureChain(
             class_name=obj["class"],
-            levels=tuple(structure_from_json(o) for o in obj["levels"]),
+            levels=levels,
             saturation=tuple(int(x) for x in obj["saturation"]),
         )
     except ValidationError:

@@ -340,7 +340,6 @@ def cmd_cro(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, *, seed=0) -> None:
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--json", action="store_true", help="machine output only")
     p.add_argument("--out", default=None, help="write output to this file")
 
 

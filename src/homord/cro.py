@@ -24,6 +24,7 @@ Everything here is exact; no floats."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,12 +161,18 @@ def enumerate_base_classes(spec: FraisseClassSpec, k: int) -> list[FinStructure]
         raise ValidationError(f"class {spec.name!r} has no member enumerator")
     if not (1 <= k <= cap):
         raise ValidationError(f"level {k} outside [1, {cap}] for {spec.name}")
+    # Codes name positions, so a member whose identity-order code is among
+    # the codes of an earlier class is isomorphic to it.  Each new class is
+    # stored under its least code; its first member stays the representative.
+    known: set[TypeCode] = set()
     seen: dict[TypeCode, FinStructure] = {}
     perms = list(itertools.permutations(range(k)))
     for S in _all_members(spec, k):
-        canon = min(canonical_type(S, p) for p in perms)
-        if canon not in seen:
-            seen[canon] = S
+        if canonical_type(S, perms[0]) in known:
+            continue
+        codes = {canonical_type(S, p) for p in perms}
+        known |= codes
+        seen[min(codes)] = S
     return [seen[c] for c in sorted(seen)]
 
 
@@ -273,58 +280,63 @@ def satisfies(system: CroSystem, x: list[Fraction]) -> bool:
 # --- exact linear algebra ------------------------------------------------------
 
 
-def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (matrix, pivot columns)."""
-    if not matrix:
-        return matrix, []
-    ncols = len(matrix[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c] != 0), None)
-        if pivot is None:
+Row = dict[int, Fraction]
+
+
+def sparse_rref(rows: Iterable[Row]) -> dict[int, Row]:
+    """Reduced row echelon form of sparse rows, as pivot column -> row.
+
+    Gauss-Jordan with rows inserted one at a time: reduce the new row against
+    the pivots so far, normalise what is left on its leading column, and
+    clear that column from the older pivot rows.  Each pivot row holds 1 at
+    its pivot, nothing left of it and nothing at any other pivot column.  The
+    RREF of a matrix is unique, so this equals the dense column-by-column
+    elimination."""
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        for c in [c for c in row if c in pivots]:
+            _axpy(row, -row[c], pivots[c])
+        if not row:
             continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = 1 / matrix[r][c]
-        matrix[r] = [v * inv for v in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    return matrix, pivots
+        lead = min(row)
+        inv = Fraction(1) / row[lead]
+        row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _axpy(other, -other[lead], row)
+        pivots[lead] = row
+    return pivots
+
+
+def _axpy(target: Row, factor: Fraction, source: Row) -> None:
+    """target += factor * source, dropping entries that cancel."""
+    for c, v in source.items():
+        x = target.get(c, 0) + factor * v
+        if x:
+            target[c] = x
+        else:
+            del target[c]
 
 
 def kernel_basis(system: CroSystem) -> list[list[Fraction]]:
-    """Basis of the homogeneous solution space of the row coefficient matrix."""
+    """Basis of the homogeneous solution space of the row coefficient matrix,
+    one vector per free column in column order."""
     n = len(system.variables)
-    dense = []
-    for row in system.rows:
-        vec = [Fraction(0)] * n
-        for i, c in row.coeffs:
-            vec[i] = c
-        dense.append(vec)
-    reduced, pivots = rref(dense)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
+    pivots = sparse_rref(dict(row.coeffs) for row in system.rows)
+    zero = Fraction(0)
+    basis = {c: [zero] * n for c in range(n) if c not in pivots}
+    for pc, row in pivots.items():
+        for c, v in row.items():
+            if c != pc:
+                basis[c][pc] = -v
+    for c, vec in basis.items():
+        vec[c] = Fraction(1)
+    return list(basis.values())
 
 
 def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref([row[:] for row in rows])
-    return len(pivots)
+    return len(sparse_rref(dict(enumerate(row)) for row in rows))
 
 
 def projected_dimension(system: CroSystem, keep: set[TypeCode]) -> int:

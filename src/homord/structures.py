@@ -17,6 +17,7 @@ import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -146,12 +147,9 @@ def induced_substructure(S: FinStructure, points: tuple[int, ...]) -> FinStructu
     k = len(points)
     tables: dict[str, frozenset[tuple[int, ...]]] = {}
     for name, arity in S.signature.relations:
-        table = S.tables[name]
-        rows = set()
-        for idx in itertools.product(range(k), repeat=arity):
-            if tuple(points[i] for i in idx) in table:
-                rows.add(idx)
-        tables[name] = frozenset(rows)
+        holds = map(S.tables[name].__contains__, itertools.product(points, repeat=arity))
+        indices = itertools.product(range(k), repeat=arity)
+        tables[name] = frozenset(itertools.compress(indices, holds))
     sorts = None
     if S.sorts is not None:
         sorts = tuple(S.sorts[p] for p in points)
@@ -164,7 +162,8 @@ def canonical_type(S: FinStructure, points: tuple[int, ...]) -> TypeCode:
     Serializes k, the per-position sort labels, and for each relation the
     sorted set of index tuples that hold on the tuple.  No canonical labeling
     search is needed: positions are named, so the induced tables are already
-    a complete invariant.
+    a complete invariant.  `itertools.product` walks the index tuples in
+    lexicographic order, so the hits come out sorted.
     """
     points = tuple(points)
     _check_points(S, points)
@@ -173,14 +172,15 @@ def canonical_type(S: FinStructure, points: tuple[int, ...]) -> TypeCode:
     if S.sorts is not None:
         parts.append("s" + ",".join(S.sorts[p] for p in points))
     for name, arity in S.signature.relations:
-        table = S.tables[name]
-        hits = []
-        for idx in itertools.product(range(k), repeat=arity):
-            if tuple(points[i] for i in idx) in table:
-                hits.append(idx)
-        hits.sort()
-        parts.append(name + "=" + ";".join(",".join(map(str, h)) for h in hits))
+        holds = map(S.tables[name].__contains__, itertools.product(points, repeat=arity))
+        parts.append(name + "=" + ";".join(itertools.compress(_index_labels(k, arity), holds)))
     return "|".join(parts).encode("ascii")
+
+
+@lru_cache(maxsize=64)
+def _index_labels(k: int, arity: int) -> tuple[str, ...]:
+    """The "i,j,..." label of every index tuple over range(k), in product order."""
+    return tuple(",".join(map(str, idx)) for idx in itertools.product(range(k), repeat=arity))
 
 
 def type_code_str(code: TypeCode) -> str:
@@ -279,58 +279,10 @@ def enumerate_types(S: FinStructure, k: int) -> set[TypeCode]:
     return {canonical_type(S, tup) for tup in itertools.permutations(range(S.size), k)}
 
 
-# --- text format and JSON mirror ------------------------------------------
+# --- JSON form ---------------------------------------------------------------
 #
-# sig E:2 R:1
-# size 4
-# sorts M M Mp Mp        (optional)
-# rel E 0 1
-#
-# The JSON mirror uses keys sig/size/sorts/rel with the same content.
-
-
-def structure_to_text(S: FinStructure) -> str:
-    lines = ["sig " + " ".join(f"{name}:{arity}" for name, arity in S.signature.relations)]
-    lines[0] = lines[0].rstrip()
-    lines.append(f"size {S.size}")
-    if S.sorts is not None:
-        lines.append("sorts " + " ".join(S.sorts))
-    for name, _ in S.signature.relations:
-        for tup in sorted(S.tables[name]):
-            lines.append("rel " + name + " " + " ".join(map(str, tup)))
-    return "\n".join(lines) + "\n"
-
-
-def structure_from_text(text: str) -> FinStructure:
-    sig: Signature | None = None
-    size: int | None = None
-    sorts: tuple[str, ...] | None = None
-    tables: dict[str, set[tuple[int, ...]]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, *rest = line.split()
-        if head == "sig":
-            rels = []
-            for item in rest:
-                if ":" not in item:
-                    raise ValidationError(f"bad sig item {item!r}")
-                name, arity = item.rsplit(":", 1)
-                rels.append((name, int(arity)))
-            sig = Signature(tuple(rels))
-        elif head == "size":
-            size = int(rest[0])
-        elif head == "sorts":
-            sorts = tuple(rest)
-        elif head == "rel":
-            name = rest[0]
-            tables.setdefault(name, set()).add(tuple(int(x) for x in rest[1:]))
-        else:
-            raise ValidationError(f"unknown line {line!r}")
-    if sig is None or size is None:
-        raise ValidationError("missing sig or size line")
-    return make_structure(sig, size, tables, sorts)
+# {"sig": [["E", 2], ...], "size": 4, "sorts": ["M", ...] | null,
+#  "rel": {"E": [[0, 1], ...], ...}}
 
 
 def structure_to_json(S: FinStructure) -> dict:

@@ -28,10 +28,12 @@ from homord.builders import (
     kn_free_graph_class,
     linear_order_class,
     paley_graph,
+    pure_set_chain,
     pure_set_class,
     tournament_class,
     two_predicate_class,
 )
+from homord.cli import main
 from homord.errors import SaturationInfeasibleError, ValidationError
 from homord.structures import Signature, induced_substructure, make_structure
 
@@ -358,3 +360,42 @@ class TestChainIO:
     def test_malformed_json_rejected(self, text):
         with pytest.raises(ValidationError):
             chain_loads(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"class": "frobnicator", "levels": [{"sig": [], "size": 1}], "saturation": [0]}',
+        '{"class": "kn_free_graph:x", "levels": [{"sig": [], "size": 1}], "saturation": [0]}',
+        '{"class": 7, "levels": [{"sig": [], "size": 1}], "saturation": [0]}',
+        '{"class": "graph", "levels": [{"sig": [["E", 2]], "size": 2, "rel": {"E": [[0, 1]]}}],'
+        ' "saturation": [0]}',
+        '{"class": "graph", "levels": [{"sig": [["A", 2]], "size": 1}], "saturation": [0]}',
+        '{"class": "kn_free_graph:3", "levels": [{"sig": [["E", 2]], "size": 3, "rel": {"E":'
+        ' [[0, 1], [1, 0], [0, 2], [2, 0], [1, 2], [2, 1]]}}], "saturation": [0]}',
+    ])
+    def test_level_outside_class_rejected(self, text):
+        with pytest.raises(ValidationError):
+            chain_loads(text)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda cls=cls, t=t: build_generic(class_by_name(cls), t, 64, 3)
+          for cls, t in (("graph", 2), ("kn_free_graph:3", 1), ("kn_free_graph:4", 1),
+                         ("tournament", 2), ("pure_set", 2))),
+        lambda: hypercube_chain(3),
+        lambda: pure_set_chain([1, 3, 4]),
+        lambda: involution_order_chain([2, 3], 1),
+    ], ids=["graph", "k3_free", "k4_free", "tournament", "pure_set", "hypercube",
+            "pure_set_chain", "involution"])
+    def test_builder_chains_roundtrip(self, make):
+        chain = make()
+        assert chain_loads(chain_dumps(chain)) == chain
+
+    @pytest.mark.parametrize("argv", [
+        ["--class", "two_predicate_PQ", "--size-p", "2", "--size-q", "3"],
+        ["--class", "bipartite_deg2", "--m", "4", "--seed", "1"],
+        ["--class", "f2_vector_space:2"],
+        ["--class", "f2_vector_space"],
+    ], ids=lambda argv: argv[1])
+    def test_cli_one_level_chains_roundtrip(self, tmp_path, argv):
+        out = tmp_path / "chain.json"
+        assert main(["build", *argv, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert chain_dumps(chain_loads(text)) + "\n" == text

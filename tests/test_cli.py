@@ -2,10 +2,18 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import homord
+
+# The child process runs the same homord these tests import.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(homord.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run(*argv, cwd=None):
@@ -14,6 +22,7 @@ def run(*argv, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=ENV,
         timeout=300,
     )
 
@@ -95,6 +104,19 @@ class TestOrbits:
     def test_chain_missing_keys_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"class": "graph", "saturation": [0]}))
+        r = run("orbits", "--in", str(bad), "--k", "2")
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("cls", ["graph", "frobnicator"])
+    def test_chain_outside_class_exits_2(self, tmp_path, cls):
+        # a lone arc (0, 1) is not a graph's symmetric edge relation
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "class": cls,
+            "levels": [{"sig": [["E", 2]], "size": 2, "rel": {"E": [[0, 1]]}}],
+            "saturation": [0],
+        }))
         r = run("orbits", "--in", str(bad), "--k", "2")
         assert r.returncode == 2
         assert "error:" in r.stderr and "Traceback" not in r.stderr

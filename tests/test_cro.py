@@ -8,6 +8,7 @@ any drift is a bug.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,8 @@ from homord.cro import (
     enumerate_ordered_types,
     kernel_basis,
     projected_dimension,
-    rref,
     satisfies,
+    sparse_rref,
     uniform_point,
     uniqueness_report,
 )
@@ -28,6 +29,53 @@ from homord.errors import ValidationError
 from homord.groups import automorphisms
 from homord.builders import class_by_name
 from homord.structures import find_isomorphism
+
+
+def dense_rref(matrix):
+    """Reference: dense column-by-column Gauss-Jordan over Fractions.
+
+    Returns (reduced rows, pivot columns); the matrix is reduced in place."""
+    if not matrix:
+        return matrix, []
+    ncols = len(matrix[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c] != 0), None)
+        if pivot is None:
+            continue
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        inv = 1 / matrix[r][c]
+        matrix[r] = [v * inv for v in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][c] != 0:
+                f = matrix[i][c]
+                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(matrix):
+            break
+    return matrix, pivots
+
+
+def dense_kernel(system):
+    """Reference kernel basis, one vector per free column of the dense RREF."""
+    n = len(system.variables)
+    dense = []
+    for row in system.rows:
+        vec = [Fraction(0)] * n
+        for i, c in row.coeffs:
+            vec[i] = c
+        dense.append(vec)
+    reduced, pivots = dense_rref(dense)
+    basis = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis
 
 
 class TestBaseClasses:
@@ -136,7 +184,7 @@ class TestKernel:
 
     def test_independent(self, cro_graph3):
         basis = kernel_basis(cro_graph3)
-        mat, pivots = rref([list(v) for v in basis])
+        mat, pivots = dense_rref([list(v) for v in basis])
         assert len(pivots) == len(basis)
 
     def test_kernel_directions_stay_feasible(self, cro_graph3):
@@ -149,16 +197,37 @@ class TestKernel:
             assert satisfies(cro_graph3, moved)
 
 
+    @pytest.mark.parametrize("cls,level", [
+        *((c, lv) for c in ("graph", "tournament", "kn_free_graph:3", "linear_order", "pure_set")
+          for lv in (2, 3, 4)),
+        ("linear_order", 5),
+    ])
+    def test_matches_dense_reference(self, cls, level):
+        system = build_cro_system(cls, level)
+        assert kernel_basis(system) == dense_kernel(system)
+
+
 class TestRref:
     def test_hand_case(self):
-        M = [
-            [Fraction(2), Fraction(4), Fraction(2)],
-            [Fraction(1), Fraction(2), Fraction(3)],
-        ]
-        R, pivots = rref(M)
-        assert pivots == [0, 2]
-        assert R[0] == [Fraction(1), Fraction(2), Fraction(0)]
-        assert R[1] == [Fraction(0), Fraction(0), Fraction(1)]
+        R = sparse_rref([
+            {0: Fraction(2), 1: Fraction(4), 2: Fraction(2)},
+            {0: Fraction(1), 1: Fraction(2), 2: Fraction(3)},
+        ])
+        assert sorted(R) == [0, 2]
+        assert R[0] == {0: Fraction(1), 1: Fraction(2)}
+        assert R[2] == {2: Fraction(1)}
+
+    def test_matches_dense_on_random_matrices(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            M = [[Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3))) for _ in range(cols)]
+                 for _ in range(rows)]
+            R = sparse_rref(dict(enumerate(row)) for row in M)
+            reduced, pivots = dense_rref([row[:] for row in M])
+            assert sorted(R) == pivots
+            for r, pc in enumerate(pivots):
+                assert R[pc] == {c: v for c, v in enumerate(reduced[r]) if v}
 
 
 class TestRegressionBaselines:
@@ -203,6 +272,12 @@ class TestRegressionBaselines:
     def test_tournament_dimension(self):
         rep = uniqueness_report(build_cro_system("tournament", 4))
         assert rep.nullspace_dim == 27
+
+    def test_graph_level5(self):
+        rep = uniqueness_report(build_cro_system("graph", 5))
+        assert (rep.num_variables, rep.num_rows) == (1099, 1150)
+        assert (rep.nullspace_dim, rep.dirac_count) == (375, 0)
+        assert rep.uniform_feasible
 
 
 class TestProjection:

@@ -7,6 +7,11 @@ with a walk over every permutation.  Random members this small rarely reach
 depth 2, so the audit also sees three saturated fixtures: the 3x3 rook's
 graph (depth 2), the quadratic-residue tournament on 7 vertices (depth 2)
 and the triangle-free Clebsch graph (depth 3).
+
+Type codes are checked against their definition on random structures with
+binary, ternary and unary relations and optional sorts: two tuples get equal
+codes exactly when the position map between them preserves every relation
+and every sort label.
 """
 
 import itertools
@@ -15,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from homord.builders import audit_saturation, class_by_name
 from homord.groups import automorphisms
-from homord.structures import find_isomorphism, make_structure
+from homord.structures import Signature, canonical_type, find_isomorphism, make_structure
 
 KINDS = ("graph", "tournament", "kn_free_graph:3")
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -132,3 +137,68 @@ def test_find_isomorphism_matches_brute_force(pair, data):
     else:
         assert S.size != other.size or not any(
             is_isomorphism(S, other, p) for p in itertools.permutations(range(S.size)))
+
+
+MIXED = Signature((("E", 2), ("T", 3), ("P", 1)))
+
+
+@st.composite
+def mixed_structures(draw, n, sorted_):
+    """Random tables over MIXED on n points, repeated points allowed."""
+    tables = {}
+    for name, arity in MIXED.relations:
+        cells = list(itertools.product(range(n), repeat=arity))
+        coins = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        tables[name] = {cell for cell, on in zip(cells, coins) if on}
+    sorts = draw(st.lists(st.sampled_from("xy"), min_size=n, max_size=n)) if sorted_ else None
+    return make_structure(MIXED, n, tables, sorts)
+
+
+def one_flips(T, q):
+    """Every copy of T with one sort label of q's points or one table cell
+    over q's points flipped."""
+    sorts = T.sorts
+    for x in q if sorts is not None else ():
+        flipped = list(sorts)
+        flipped[x] = "y" if sorts[x] == "x" else "x"
+        yield make_structure(MIXED, T.size, T.tables, flipped)
+    for name, arity in MIXED.relations:
+        for cell in itertools.product(q, repeat=arity):
+            tables = dict(T.tables)
+            tables[name] = T.tables[name] ^ {cell}
+            yield make_structure(MIXED, T.size, tables, sorts)
+
+
+def positions_preserved(S, p, T, q):
+    """Does position i -> position i carry every relation and sort of p to q?"""
+    if S.sorts is not None and any(S.sorts[a] != T.sorts[b] for a, b in zip(p, q)):
+        return False
+    for name, arity in MIXED.relations:
+        for idx in itertools.product(range(len(p)), repeat=arity):
+            if (tuple(p[i] for i in idx) in S.tables[name]) != (
+                    tuple(q[i] for i in idx) in T.tables[name]):
+                return False
+    return True
+
+
+@SETTINGS
+@given(st.data())
+def test_type_codes_match_definition(data):
+    n = data.draw(st.integers(1, 5))
+    sorted_ = data.draw(st.booleans())
+    S = data.draw(mixed_structures(n, sorted_))
+    k = data.draw(st.integers(0, min(n, 3)))
+    p = tuple(data.draw(st.permutations(range(n)))[:k])
+    code = canonical_type(S, p)
+    # another tuple of S, and a tuple of an unrelated structure
+    for T in (S, data.draw(mixed_structures(n, sorted_))):
+        q = tuple(data.draw(st.permutations(range(n)))[:k])
+        assert (code == canonical_type(T, q)) == positions_preserved(S, p, T, q)
+    # p's image under an isomorphism, then every one-flip near miss of it
+    perm = data.draw(st.permutations(range(n)))
+    T, q = relabel(S, perm), tuple(perm[x] for x in p)
+    assert positions_preserved(S, p, T, q)
+    assert code == canonical_type(T, q)
+    for U in one_flips(T, q):
+        assert not positions_preserved(S, p, U, q)
+        assert code != canonical_type(U, q)

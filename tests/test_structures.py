@@ -16,9 +16,7 @@ from homord.structures import (
     make_structure,
     structure_dumps,
     structure_from_json,
-    structure_from_text,
     structure_to_json,
-    structure_to_text,
     type_code_str,
 )
 
@@ -193,13 +191,6 @@ class TestEnumerateTypes:
 
 
 class TestSerialization:
-    def test_text_roundtrip_byte_identical(self):
-        S = graph(4, [(0, 3), (1, 2)])
-        text = structure_to_text(S)
-        T = structure_from_text(text)
-        assert T == S
-        assert structure_to_text(T) == text
-
     def test_json_roundtrip(self):
         sig = Signature((("R", 3), ("P", 1)))
         S = make_structure(
@@ -209,10 +200,6 @@ class TestSerialization:
         assert structure_dumps(S) == structure_dumps(
             structure_from_json(structure_to_json(S))
         )
-
-    def test_malformed_text(self):
-        with pytest.raises(ValidationError):
-            structure_from_text("sig E:2\n")  # no size line
 
     def test_frozen(self):
         S = graph(2, [])
