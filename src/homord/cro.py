@@ -335,10 +335,6 @@ def kernel_basis(system: CroSystem) -> list[list[Fraction]]:
     return list(basis.values())
 
 
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    return len(sparse_rref(dict(enumerate(row)) for row in rows))
-
-
 def projected_dimension(system: CroSystem, keep: set[TypeCode]) -> int:
     """Dimension of the solution polytope's image on the kept coordinates.
 
@@ -349,7 +345,7 @@ def projected_dimension(system: CroSystem, keep: set[TypeCode]) -> int:
     if not cols:
         raise ValidationError("no kept variables")
     basis = kernel_basis(system)
-    return _matrix_rank([[vec[c] for c in cols] for vec in basis])
+    return len(sparse_rref(dict(enumerate(vec[c] for c in cols)) for vec in basis))
 
 
 # --- deterministic solutions ---------------------------------------------------
