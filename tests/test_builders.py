@@ -33,7 +33,6 @@ from homord.builders import (
     tournament_class,
     two_predicate_class,
 )
-from homord.cli import main
 from homord.errors import SaturationInfeasibleError, ValidationError
 from homord.structures import Signature, induced_substructure, make_structure
 
@@ -387,15 +386,3 @@ class TestChainIO:
     def test_builder_chains_roundtrip(self, make):
         chain = make()
         assert chain_loads(chain_dumps(chain)) == chain
-
-    @pytest.mark.parametrize("argv", [
-        ["--class", "two_predicate_PQ", "--size-p", "2", "--size-q", "3"],
-        ["--class", "bipartite_deg2", "--m", "4", "--seed", "1"],
-        ["--class", "f2_vector_space:2"],
-        ["--class", "f2_vector_space"],
-    ], ids=lambda argv: argv[1])
-    def test_cli_one_level_chains_roundtrip(self, tmp_path, argv):
-        out = tmp_path / "chain.json"
-        assert main(["build", *argv, "--out", str(out)]) == 0
-        text = out.read_text()
-        assert chain_dumps(chain_loads(text)) + "\n" == text

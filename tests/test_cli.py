@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import homord
+from homord.builders import chain_dumps, chain_loads
 
 # The child process runs the same homord these tests import.
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -39,7 +40,7 @@ def chain_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def tiny_path_chain(tmp_path_factory):
     """Hand-built one-level chain: the path graph 0-1-2."""
-    from homord.builders import StructureChain, chain_dumps
+    from homord.builders import StructureChain
     from homord.structures import Signature, make_structure
 
     S = make_structure(
@@ -81,7 +82,8 @@ class TestBuild:
             r = run("build", "--class", name, *extra, "--seed", "1",
                     "--out", str(out))
             assert r.returncode == 0, (name, r.stderr)
-            assert json.loads(out.read_text())["class"]
+            text = out.read_text()
+            assert chain_dumps(chain_loads(text)) + "\n" == text  # loads back, class-checked
 
     def test_unknown_class_exits_2(self):
         r = run("build", "--class", "frobnicator", "--seed", "1")
