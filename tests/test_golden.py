@@ -1,5 +1,5 @@
-"""Golden digests: witness completion, automorphism search and the exact
-layer's output, pinned.
+"""Golden digests: witness completion, automorphism search, the exact
+layer's output and the sampler streams, pinned.
 
 Any change to the builders' RNG draw order, the chain JSON layout, the
 audited saturation depths, the infeasibility message, the order in which
@@ -12,17 +12,32 @@ import hashlib
 import pytest
 
 from homord.builders import (
+    build_bipartite_deg2,
     build_f2_vector_space,
     build_generic,
     build_involution_order,
+    build_two_predicate_PQ,
     chain_dumps,
     class_by_name,
+    graph_class,
     hypercube_graph,
     paley_graph,
 )
+from homord.cli import main
 from homord.cro import build_cro_system, kernel_basis
 from homord.errors import SaturationInfeasibleError
 from homord.groups import automorphisms
+from homord.samplers import (
+    AtomOrderSampler,
+    AtomSpec,
+    BipartiteMinSampler,
+    ConditionedAtomSampler,
+    DualFunctionalSampler,
+    FixedOrder,
+    InvolutionOrderSampler,
+    PQOrderSampler,
+    UniformOrderSampler,
+)
 from homord.structures import enumerate_types, structure_dumps
 
 
@@ -160,3 +175,88 @@ KERNELS = {
 def test_kernel_basis_digest(cls, level):
     basis = kernel_basis(build_cro_system(cls, level))
     assert sha256(repr(basis)) == KERNELS[cls, level]
+
+
+# --- sampler streams and the CLI sample output ----------------------------------
+#
+# Any change to a sampler's RNG draw order, its per-sample values, the tie
+# rule, the chunking or the CSV written by `homord sample` shows up here.
+# 5000 samples cross the 4096-sample chunk edge.
+
+def _graph_top():
+    return build_generic(graph_class(), 2, 24, 0).top
+
+
+def _asc(S):
+    return FixedOrder("asc", tuple(S.elements))
+
+
+def _desc(S):
+    return FixedOrder("desc", tuple(reversed(S.elements)))
+
+
+def _one_atom():
+    S = _graph_top()
+    return AtomOrderSampler(S, AtomSpec(((0.5, 0.5),), {0.5: _asc(S)}))
+
+
+def _two_atoms():
+    S = _graph_top()
+    spec = AtomSpec(((0.75, 0.3), (0.25, 0.2)), {0.75: _asc(S), 0.25: _desc(S)})
+    return AtomOrderSampler(S, spec)
+
+
+SAMPLERS = {
+    "uniform": lambda: UniformOrderSampler(_graph_top()),
+    "atoms1": _one_atom,
+    "atoms2": _two_atoms,
+    "conditioned": lambda: ConditionedAtomSampler(_one_atom(), 0.5, (3, 11)),
+    "pq": lambda: PQOrderSampler(build_two_predicate_PQ(3, 4)),
+    "bimin": lambda: BipartiteMinSampler(build_bipartite_deg2(5, seed=0)),
+    "involution": lambda: InvolutionOrderSampler(build_involution_order(6, seed=2)),
+    "dual": lambda: DualFunctionalSampler(build_f2_vector_space(3)),
+}
+
+STREAMS = {
+    ("uniform", 0): "bd5d3b366fd0c4eda4dcee622b6549407c05f1ee14697ebb9da6ef69181897d3",
+    ("uniform", 3): "f447686c4b6449b9856fab87f57bd31f7dfa4cb83ebe522bcf622d9c9786d015",
+    ("atoms1", 0): "53f4c5d6111ba25f22bfbbb09e170fc1fd8f1e223e35419bdc0764619718a2b8",
+    ("atoms1", 3): "b0fb17f40428ca5689a32d7316b158506043314fbcf6ea4e8f41c83a6090dac4",
+    ("atoms2", 0): "899b9c2fd43e19ba49b53e88c2fc77f7df1a3411273e386035e99b63e5124aa7",
+    ("atoms2", 3): "b7c67130022277a26378c813b641d9b1a42f210ce87ed99fbad6c1fe03ac8a4c",
+    ("conditioned", 0): "237be378cf77583b978ab0e1e4cd65961ef6dacdb11b1a22e53467370bd9b23c",
+    ("conditioned", 3): "a402684200bb35072dd104ec406755fb2a1e49333330bbc8278b41647834f2f7",
+    ("pq", 0): "4f41b037dd56b491670cdecd86a3036d5b6102a1c6229c10cc8a91270af4b41f",
+    ("pq", 3): "f0dd58eac501886f998b68c005a6a7dcc5926b35f19f4a8d22e6dedadc005667",
+    ("bimin", 0): "9a4fe5c01106cccf6e4918eaa84241b0495635929b84ecd99ee892f554d2a73d",
+    ("bimin", 3): "296daf8fed92f670316bec77df1345d502e3476a81193a006afd4b6f70b3c189",
+    ("involution", 0): "2be168a9745c37eb5d2ad013b0c431d25a898dfff8651c2424c3a6dff70c40d6",
+    ("involution", 3): "3b35edf722c298cb4c78f17e3176c7f0f435d4aa0e2130b3655333a38417a873",
+    ("dual", 0): "af3430fc335aeab8c3cc04c11aa4d72e6bbe6b298b1ba4c2173439d62bea8564",
+    ("dual", 3): "bae7619d94470b8e9fa54d67b2021f26660e9b7f210314a559d1817256b687c7",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(STREAMS), ids=lambda v: str(v))
+def test_stream_digest(name, seed):
+    samples = list(SAMPLERS[name]().stream(seed, 5000))
+    assert len(samples) == 5000
+    assert sha256(repr(samples)) == STREAMS[name, seed]
+
+
+CLI_SAMPLES = {
+    (): "3e4ccaa1c6711cdb3dcabb307f2655479fef81945b7d7f6f5a703b520d671e3f",
+    (5, 2, 11): "b08f82589844fd946bb41877e6a2b88b87a57ce6c36da1547e36dcba412b5304",
+}
+
+
+@pytest.mark.parametrize("points", sorted(CLI_SAMPLES), ids=lambda v: ",".join(map(str, v)) or "all")
+def test_cli_sample_digest(points, tmp_path):
+    chain, out = tmp_path / "chain.json", tmp_path / "samples.csv"
+    chain.write_text(chain_dumps(build_generic(graph_class(), 2, 24, 0)))
+    argv = ["sample", "--sampler", "uniform", "--in", str(chain), "--n", "5000",
+            "--seed", "0", "--out", str(out)]
+    if points:
+        argv += ["--points", ",".join(map(str, points))]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_SAMPLES[points]
