@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import ValidationError
 from .samplers import CHUNK, OrderSamplerBase, OrderSample, _chunk_rngs, derive_seed
@@ -107,6 +106,8 @@ def _pattern_counts(sampler, points: tuple[int, ...], seed: int, n: int) -> dict
 
 
 def _two_sample_pvalue(ca: dict, cb: dict) -> float:
+    from scipy import stats as sps
+
     pats = sorted(set(ca) | set(cb))
     if len(pats) <= 1:
         return 1.0
@@ -179,6 +180,8 @@ def _joint_chi2_pvalue(cols: list[np.ndarray]) -> float:
 
     dof = prod(r_i) - 1 - sum(r_i - 1), the multiway mutual-independence
     count; for two columns this is the usual (r-1)(c-1)."""
+    from scipy import stats as sps
+
     n = len(cols[0])
     binned = [_bin_column(c) for c in cols]
     sizes = [int(b.max()) + 1 for b in binned]
@@ -200,6 +203,8 @@ def _joint_chi2_pvalue(cols: list[np.ndarray]) -> float:
 
 
 def _corr_pvalue(x: np.ndarray, y: np.ndarray) -> float:
+    from scipy import stats as sps
+
     n = len(x)
     if np.std(x) == 0 or np.std(y) == 0:
         return 1.0
