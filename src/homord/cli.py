@@ -201,6 +201,7 @@ def cmd_sample(args) -> int:
     S = _pick_level(chain, args.level)
     sampler = _make_sampler(args.sampler, S, args.atoms)
     points = _csv_ints(args.points) if args.points else tuple(sampler.elements)
+    keep = frozenset(points)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -208,7 +209,7 @@ def cmd_sample(args) -> int:
         for i, s in enumerate(sampler.stream(args.seed, args.n)):
             ordered = getattr(s, "order", None)
             if ordered is not None:
-                ordered = tuple(p for p in ordered if p in points)
+                ordered = tuple(p for p in ordered if p in keep)
             eta = s.eta or {}
             if first:
                 head = ["sampleIndex"]

@@ -197,11 +197,12 @@ class UniformOrderSampler(OrderSamplerBase):
     def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
         k = len(self.elements)
         z = rng.random((m, k))
+        ranks = np.argsort(z, axis=1, kind="stable").tolist()
+        pick = self.elements.__getitem__
         out = []
-        for row in z:
-            latent = dict(zip(self.elements, row.tolist()))
-            order = tuple(self.elements[i] for i in np.argsort(row, kind="stable"))
-            out.append(OrderSample(order=order, latent=latent, eta=latent))
+        for row, idx in zip(z.tolist(), ranks):
+            latent = dict(zip(self.elements, row))
+            out.append(OrderSample(order=tuple(map(pick, idx)), latent=latent, eta=latent))
         return out
 
 
@@ -220,39 +221,35 @@ class AtomOrderSampler(OrderSamplerBase):
                 raise ValidationError(f"tie order misses elements {sorted(missing)}")
         self._locs = [loc for loc, _ in spec.atoms]
         self._cum = np.cumsum([mass for _, mass in spec.atoms])
+        self._tie_pos = [
+            {a: r for r, a in enumerate(spec.tie_break[loc].ranking)} for loc in self._locs
+        ]
 
     def _draw_tagged(self, rng: np.random.Generator, m: int):
-        """Yields (latent_values, atom_index_per_element) with -1 = continuous."""
-        k = len(self.elements)
-        branch = rng.random((m, k))
-        out = []
-        for row in branch:
-            values: dict[int, float] = {}
-            hits: dict[int, int] = {}
-            for a, u in zip(self.elements, row):
-                idx = int(np.searchsorted(self._cum, u, side="right"))
-                if idx < len(self._locs):
-                    values[a] = self._locs[idx]
-                    hits[a] = idx
-                else:
-                    values[a] = float(rng.random())
-                    hits[a] = -1
-            out.append((values, hits))
-        return out
+        """(latent_values, atom_index_per_element) per sample, -1 = continuous.
 
-    def _order(self, values: dict[int, float]) -> tuple[int, ...]:
-        loc_set = set(self._locs)
-        tie_rank: dict[int, int] = {}
-        for a, v in values.items():
-            if v in loc_set:
-                tie_rank[a] = self.spec.tie_break[v].position(a)
+        One branch uniform per element picks its atom; the continuous hits
+        then draw their values in row-major order."""
+        k = len(self.elements)
+        idx = np.searchsorted(self._cum, rng.random((m, k)), side="right")
+        cont = idx == len(self._locs)
+        values = np.array([*self._locs, None], dtype=object)[idx]
+        values[cont] = rng.random(int(cont.sum()))
+        idx[cont] = -1
+        return [
+            (dict(zip(self.elements, row)), dict(zip(self.elements, tags)))
+            for row, tags in zip(values.tolist(), idx.tolist())
+        ]
+
+    def _order(self, values: dict[int, float], hits: dict[int, int]) -> tuple[int, ...]:
+        tie_rank = {a: self._tie_pos[i][a] for a, i in hits.items() if i >= 0}
         return order_from_latents(values, tie_rank)
 
     def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
-        out = []
-        for values, _hits in self._draw_tagged(rng, m):
-            out.append(OrderSample(order=self._order(values), latent=values, eta=values))
-        return out
+        return [
+            OrderSample(order=self._order(values, hits), latent=values, eta=values)
+            for values, hits in self._draw_tagged(rng, m)
+        ]
 
 
 class ConditionedAtomSampler(OrderSamplerBase):
@@ -304,7 +301,7 @@ class ConditionedAtomSampler(OrderSamplerBase):
                     if remaining is not None:
                         remaining -= 1
                     yield OrderSample(
-                        order=self.base._order(values), latent=values, eta=values
+                        order=self.base._order(values, hits), latent=values, eta=values
                     )
 
 

@@ -197,6 +197,15 @@ class TestAtomSampler:
                     assert 0.0 <= v < 1.0
         assert hits > 0
 
+    def test_ties_ranked_by_branch_tag(self):
+        # A continuous draw that equals an atom's location is not on the
+        # atom: only the tagged hit takes the atom's tie rank.
+        desc = FixedOrder("desc", (2, 1, 0))
+        sampler = AtomOrderSampler(K3, AtomSpec(atoms=((0.5, 0.5),), tie_break={0.5: desc}))
+        values = {0: 0.5, 1: 0.5, 2: 0.5}
+        assert sampler._order(values, {0: 0, 1: -1, 2: 0}) == (1, 2, 0)
+        assert sampler._order(values, {0: 0, 1: 0, 2: 0}) == (2, 1, 0)
+
     def test_two_atoms_ordered_by_location(self):
         spec = AtomSpec(
             atoms=((0.2, 0.5), (0.9, 0.5)),
