@@ -134,6 +134,7 @@ def invariant_equivalences(
     S: FinStructure,
     sort: str | None = None,
     max_pair_orbits: int = _PAIR_ORBIT_BOUND,
+    aut: AutGroup | None = None,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All Aut(S)-invariant equivalence relations on the (sorted) universe.
 
@@ -141,7 +142,8 @@ def invariant_equivalences(
     under reflexivity/symmetry/transitivity (the closure of an invariant
     relation is invariant, so nothing is missed), and deduplicates.  Returns
     partitions as sorted block tuples; always contains the two trivial ones
-    when the carrier has >= 2 elements.
+    when the carrier has >= 2 elements.  A caller holding Aut(S) passes it
+    as aut to skip the search.
     """
     if sort is None:
         carrier = list(S.elements)
@@ -149,7 +151,8 @@ def invariant_equivalences(
         carrier = list(S.elements_of_sort(sort))
     if not carrier:
         raise ValidationError("empty carrier")
-    aut = automorphisms(S)
+    if aut is None:
+        aut = automorphisms(S)
     if not aut.complete:
         raise ResourceLimitError("invariant equivalence search needs the full group")
     pairs = [(a, b) for a in carrier for b in carrier if a != b]

@@ -182,3 +182,14 @@ class TestInvariantEquivalences:
     def test_empty_carrier_rejected(self, pq22):
         with pytest.raises((ValidationError, KeyError)):
             invariant_equivalences(pq22, sort="nope")
+
+    def test_reuses_callers_group(self, pq22, bip5):
+        view, _ = bipartite_m_view(bip5)
+        for S in (pq22, view):
+            assert invariant_equivalences(S, aut=automorphisms(S)) == invariant_equivalences(S)
+
+    def test_incomplete_group_rejected(self, pq22):
+        partial = automorphisms(pq22, bound=1)
+        assert not partial.complete
+        with pytest.raises(ResourceLimitError):
+            invariant_equivalences(pq22, aut=partial)
