@@ -309,3 +309,47 @@ class TestConfig:
         r = run("cro", "--class", "graph", "--n", "2", "--config")
         assert r.returncode == 2
         assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+
+# Runs `python -m homord ARGS` inside this child through runpy, then reports
+# the exit code and whether scipy.stats was imported along the way.
+STARTUP_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("homord", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    print(done.code, "scipy.stats" in sys.modules)
+"""
+
+
+class TestStartup:
+    """scipy.stats costs about a second to import and only the p-value
+    suites (exchangeability, independence) use it; everything else must
+    start without it."""
+
+    def probe(self, *argv, tmp_path):
+        r = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, *argv, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=ENV, timeout=300,
+        )
+        return r.stdout.splitlines()[-1].split()
+
+    def test_import_skips_scipy_stats(self):
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, homord; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=ENV, timeout=300,
+        )
+        assert r.stdout.strip() == "False", r.stderr
+
+    def test_monotone_and_cro_skip_scipy_stats(self, chain_file, tmp_path):
+        assert self.probe("test", "--suite", "monotone", "--sampler", "uniform",
+                          "--in", str(chain_file), "--n", "200", "--seed", "1",
+                          tmp_path=tmp_path) == ["0", "False"]
+        assert self.probe("cro", "--class", "graph", "--n", "2",
+                          tmp_path=tmp_path) == ["0", "False"]
+
+    def test_independence_loads_scipy_stats(self, chain_file, tmp_path):
+        assert self.probe("test", "--suite", "independence", "--sampler", "uniform",
+                          "--in", str(chain_file), "--level", "0", "--n", "200",
+                          "--seed", "3", "--tuples", "0,1",
+                          tmp_path=tmp_path) == ["0", "True"]
