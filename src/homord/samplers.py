@@ -197,12 +197,12 @@ class UniformOrderSampler(OrderSamplerBase):
     def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
         k = len(self.elements)
         z = rng.random((m, k))
-        ranks = np.argsort(z, axis=1, kind="stable").tolist()
+        ranks = np.argsort(z, axis=1, kind="stable")
         pick = self.elements.__getitem__
         out = []
-        for row, idx in zip(z.tolist(), ranks):
-            latent = dict(zip(self.elements, row))
-            out.append(OrderSample(order=tuple(map(pick, idx)), latent=latent, eta=latent))
+        for row, idx in zip(z, ranks):
+            latent = dict(zip(self.elements, row.tolist()))
+            out.append(OrderSample(order=tuple(map(pick, idx.tolist())), latent=latent, eta=latent))
         return out
 
 
@@ -237,8 +237,8 @@ class AtomOrderSampler(OrderSamplerBase):
         values[cont] = rng.random(int(cont.sum()))
         idx[cont] = -1
         return [
-            (dict(zip(self.elements, row)), dict(zip(self.elements, tags)))
-            for row, tags in zip(values.tolist(), idx.tolist())
+            (dict(zip(self.elements, row.tolist())), dict(zip(self.elements, tags.tolist())))
+            for row, tags in zip(values, idx)
         ]
 
     def _order(self, values: dict[int, float], hits: dict[int, int]) -> tuple[int, ...]:
