@@ -202,7 +202,8 @@ class UniformOrderSampler(OrderSamplerBase):
         out = []
         for row, idx in zip(z, ranks):
             latent = dict(zip(self.elements, row.tolist()))
-            out.append(OrderSample(order=tuple(map(pick, idx.tolist())), latent=latent, eta=latent))
+            order = tuple(map(pick, idx.tolist()))
+            out.append(OrderSample(order=order, latent=latent, eta=latent))
         return out
 
 

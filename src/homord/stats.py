@@ -19,6 +19,10 @@ failing verdict means a real defect at these sample sizes, not noise.
 BiasedEdgeOrderSampler and BrokenCouplingSampler are deliberately defective
 samplers used to prove the harness has power against its target failure
 modes; their effect sizes have closed forms, derived in the tests.
+
+scipy.stats is imported inside the three p-value helpers, not here: it takes
+about a second to import and only the exchangeability and independence
+suites need it, so `import homord` and every other command skip it.
 """
 
 from __future__ import annotations
