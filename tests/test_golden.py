@@ -1,10 +1,11 @@
 """Golden digests: witness completion, automorphism search, the exact
-layer's output and the sampler streams, pinned.
+layer's output, the sampler streams and the stats results, pinned.
 
 Any change to the builders' RNG draw order, the chain JSON layout, the
 audited saturation depths, the infeasibility message, the order in which
-the backtracker lists automorphisms, the type-code bytes, the CRO systems or
-their kernel bases shows up here as a digest mismatch.
+the backtracker lists automorphisms, the type-code bytes, the CRO systems,
+their kernel bases, the sampler streams or the stats results shows up here
+as a digest mismatch.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from homord.builders import (
 )
 from homord.cli import main
 from homord.cro import build_cro_system, kernel_basis
-from homord.errors import SaturationInfeasibleError
+from homord.errors import ResourceLimitError, SaturationInfeasibleError
 from homord.groups import automorphisms
 from homord.samplers import (
     AtomOrderSampler,
@@ -37,6 +38,15 @@ from homord.samplers import (
     InvolutionOrderSampler,
     PQOrderSampler,
     UniformOrderSampler,
+)
+from homord.stats import (
+    BiasedEdgeOrderSampler,
+    BrokenCouplingSampler,
+    estimate_eta_covariance,
+    estimate_order_event,
+    test_exchangeability as exchangeability_verdict,
+    test_independence as independence_verdict,
+    test_monotone_coupling as monotone_verdict,
 )
 from homord.structures import enumerate_types, structure_dumps
 
@@ -260,3 +270,140 @@ def test_cli_sample_digest(points, tmp_path):
         argv += ["--points", ",".join(map(str, points))]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_SAMPLES[points]
+
+
+# --- stats verdicts and estimates -----------------------------------------------
+#
+# Any change to what a reducer counts, the samples it reads, the p-values or
+# the `details` it reports shows up here.  Every sampler runs at n=5000, so
+# each reduction crosses the 4096-sample chunk edge.
+
+STATS_SAMPLERS = {
+    **SAMPLERS,
+    "biased": lambda: BiasedEdgeOrderSampler(_graph_top(), 0.2),
+    "broken": lambda: BrokenCouplingSampler(_graph_top()),
+}
+
+
+def _stats_runs(sampler):
+    el = sampler.elements
+    pts, target = (el[1], el[3], el[0]), (el[3], el[0], el[1])
+    pairs = [(el[0], el[1]), (el[2], el[3])]
+    runs = {
+        "independence_pair": lambda: independence_verdict(sampler, [(el[1], el[2])], 21, 5000),
+        "independence_triple": lambda: independence_verdict(sampler, [el[1:4]], 22, 5000),
+        "covariance": lambda: estimate_eta_covariance(sampler, (el[1], el[2]), 23, 5000),
+    }
+    if not isinstance(sampler, DualFunctionalSampler):
+        runs.update({
+            "estimate": lambda: estimate_order_event(sampler, pts, target, 5000, 24),
+            "monotone_all": lambda: monotone_verdict(sampler, 25, 5000),
+            "monotone_pairs": lambda: monotone_verdict(sampler, 26, 5000, pairs=pairs),
+            "exchangeability": lambda: exchangeability_verdict(
+                sampler, [tuple(pairs)], 27, 5000, require_equal_types=False),
+        })
+    return runs
+
+
+STATS = {
+    ("atoms1", "covariance"): "649fda1d93e9cc0aacb8e4e88571330316d721f09692ee2140f63313b8e8f4d5",
+    ("atoms1", "estimate"): "5883b58e786b3154e6ab933119ac007c5d8a999aefd3bc44e2609f6f086b559d",
+    ("atoms1", "exchangeability"): "2bb6555865bbecaf89d0634d377599dd7534d7df9ea14d87e6f2153e1dac1bec",
+    ("atoms1", "independence_pair"): "2a52172d90350ebff282b4c2fa364870b5c3a742812933ca85987ad0427bb6b3",
+    ("atoms1", "independence_triple"): "e58d0f84750f4c631bc943bd8b10498c2b3089862aa8dfd13af194f790ed72fe",
+    ("atoms1", "monotone_all"): "22a0bd11f5f737c4c93b7b7c85b2cf0ec89f9897b50304e4b6a6fc7a5abf8a0f",
+    ("atoms1", "monotone_pairs"): "5c63968c815840270c726d6fec55cd4bd7be40ee33e86385abfd7dc9ef0e620f",
+    ("atoms2", "covariance"): "8b72f9941c9702467f43f2a856d274032c5b37159728dffe57531f3e4d2bc7ff",
+    ("atoms2", "estimate"): "4adfb61b72eafbacfdc7e93d7babbfc15304e7d233fe82f9e90cc283b7de225f",
+    ("atoms2", "exchangeability"): "923412efc24b2f5ab403eadbcaa0c8e3aafc8204c5145475bb99cf806f85c0e6",
+    ("atoms2", "independence_pair"): "94852e934dc7530a9258bc8f354fb22d5cd3e22e7e9ad4f1742eca6ceb73d7ee",
+    ("atoms2", "independence_triple"): "8d0ffb83d332854e1a5bda08840ec93570ccb89a4bdd956d4f18559623e6d851",
+    ("atoms2", "monotone_all"): "22a0bd11f5f737c4c93b7b7c85b2cf0ec89f9897b50304e4b6a6fc7a5abf8a0f",
+    ("atoms2", "monotone_pairs"): "5c63968c815840270c726d6fec55cd4bd7be40ee33e86385abfd7dc9ef0e620f",
+    ("biased", "covariance"): "5fed8ed56de6a299c069cef5dfa5bd7c10c94bdbd1f9e2d8a3ba0d000910059b",
+    ("biased", "estimate"): "be8bc67c8664bb1a8235b2346f359d1a0ff00424d38fb35a702435e42bab0280",
+    ("biased", "exchangeability"): "a3204380f0863c3a9bb63fddad663bdcd68e2ae638f4f48444ed4db5ee2f6c3f",
+    ("biased", "independence_pair"): "6eda0e47852b968979e6b3f572963931caac8811e9ad0f1c1c1906839a8b20f3",
+    ("biased", "independence_triple"): "ed30aecee7ca066cf038e4791c66436515aae99fc39bbc9fe1dcaa8e954a1a5e",
+    ("biased", "monotone_all"): "22a0bd11f5f737c4c93b7b7c85b2cf0ec89f9897b50304e4b6a6fc7a5abf8a0f",
+    ("biased", "monotone_pairs"): "5c63968c815840270c726d6fec55cd4bd7be40ee33e86385abfd7dc9ef0e620f",
+    ("bimin", "covariance"): "2dbdf46b769b374c6b310fe24a6545c016f20d73de70654c95c80fa6cb2376f5",
+    ("bimin", "estimate"): "08fefc27140cb85b430667e892aba2250d8d0cba7025ba55dbf1a640e8ae7bba",
+    ("bimin", "exchangeability"): "af96685fc262b4432e7a774547dd80c21591e2624ec435ade4e1aef46ae4e729",
+    ("bimin", "independence_pair"): "dea64e1fcaffe8add871a1ef82fc49c90270813161496f0d2dd2344ec3fd6791",
+    ("bimin", "independence_triple"): "987796e2803b5dd143ac80857998eee5138bbdaffbc24729684a6a1443a05eb6",
+    ("bimin", "monotone_all"): "710fdffd48f49dcb83b28221d68ea2aef2c0bcb0a465023638584b2e17719635",
+    ("bimin", "monotone_pairs"): "5c63968c815840270c726d6fec55cd4bd7be40ee33e86385abfd7dc9ef0e620f",
+    ("broken", "covariance"): "ffa4bd71ec0219489a3c09ffd2baff9d97581cfacc0d75730e4369ce44123694",
+    ("broken", "estimate"): "97cd80bb7698714f431e2c787037b0be9075927badd3be95c9ba7da70d812ca0",
+    ("broken", "exchangeability"): "a1c2817b84afbf10955d49809ed909b309dfb7201ae9925276d38fd2dadd6515",
+    ("broken", "independence_pair"): "c494cf9c7e4dc92cb4499bdbd99f512fd177e7be7547c9ea5a3b37c55c437712",
+    ("broken", "independence_triple"): "85654b9a6032c19e4c4db52498b97920c428b8660705aeed9aa11a2da3f5af24",
+    ("broken", "monotone_all"): "3370fe29b0364aac8ef98283759bea677803770ca4f787929e2032d9ff3ccb21",
+    ("broken", "monotone_pairs"): "79101304a9931271a7016648b475c49cc42b81b93b3f99c9872fca53e4990bc0",
+    ("conditioned", "covariance"): "757b586980d14dfb13afe946489bcabcd498c213cc81ff07700fbc9e323a0ba6",
+    ("conditioned", "estimate"): "6a24fc29ec0dc6588d47e1e7293da1cfad5b13965b0eca78c618ece9d15888ec",
+    ("conditioned", "exchangeability"): "e0d6316e7c3ce01b4a801c4c55c7ce76cf7985b98f84f3734de507464dea1f5b",
+    ("conditioned", "independence_pair"): "8429cdc20f5a43386f62dc5d7fa34a3c04884dda0aefecc70c4ac1f5943150d9",
+    ("conditioned", "independence_triple"): "d41fb5df34164ac9fea02ea684751e20e6fb2bf98a8a9221b0518d02b9414c09",
+    ("conditioned", "monotone_all"): "22a0bd11f5f737c4c93b7b7c85b2cf0ec89f9897b50304e4b6a6fc7a5abf8a0f",
+    ("conditioned", "monotone_pairs"): "5c63968c815840270c726d6fec55cd4bd7be40ee33e86385abfd7dc9ef0e620f",
+    ("dual", "covariance"): "c88c8d84694682cfa6fbeff1a3065ad4e983d2a4d4bc285e0d30818df9d3a00f",
+    ("dual", "independence_pair"): "3e40fbc1ffd8c3221be946d954c1ba660dc100771fef7fb2c80ee424363ac467",
+    ("dual", "independence_triple"): "987796e2803b5dd143ac80857998eee5138bbdaffbc24729684a6a1443a05eb6",
+    ("involution", "covariance"): "67b0b2289c90fc0fb1964b43c7da6ed8d24faaeb777503a231f0af85207de9ad",
+    ("involution", "estimate"): "fb4b30276d571db3d7b50a465d0158c5c6ca8707833a33a2367e1fd9ccfe7ad9",
+    ("involution", "exchangeability"): "a3204380f0863c3a9bb63fddad663bdcd68e2ae638f4f48444ed4db5ee2f6c3f",
+    ("involution", "independence_pair"): "0c872c4cb7263437b6538ae17230670dc1df1632f1cc658cf761e5a38b86657b",
+    ("involution", "independence_triple"): "68f6dfc6d1104a60c4853b8ecd17b8bfe37ff04593d2364995a55aace2d0ec18",
+    ("involution", "monotone_all"): "5c028dd1cea418f2be2df68578c5eeb873083a6250e0b6f4d997581a0c660b18",
+    ("involution", "monotone_pairs"): "ae17b0c157651e26901cddc8c8405671760aaa43841742be006bca90e22bf4fb",
+    ("pq", "covariance"): "f220f28c0b22e382a13f98230f45ead4496d25f9533d131b292351ce96c7bfe1",
+    ("pq", "estimate"): "be8bc67c8664bb1a8235b2346f359d1a0ff00424d38fb35a702435e42bab0280",
+    ("pq", "exchangeability"): "a3204380f0863c3a9bb63fddad663bdcd68e2ae638f4f48444ed4db5ee2f6c3f",
+    ("pq", "independence_pair"): "250b7f963cc45f269a072fd644dae50fd8ebf6e2d948b795076849eed186d94a",
+    ("pq", "independence_triple"): "416cc4f961420724886c02a1f12d6f70f52dbcd865132a118e4a436bf94be12b",
+    ("pq", "monotone_all"): "deee277762c1676a3a8c9f2f412cbb6c8fc4e803c081f6b5264bc2fed2bc0694",
+    ("pq", "monotone_pairs"): "c0d72de7ff5f575b51eca09c9148aeace67d7c5e72129843db358e5e6f0a9977",
+    ("uniform", "covariance"): "0b2874994f19f0d0c3911dba60ec75f7159f457e3b77a4b6cc6d130e873189b3",
+    ("uniform", "estimate"): "97cd80bb7698714f431e2c787037b0be9075927badd3be95c9ba7da70d812ca0",
+    ("uniform", "exchangeability"): "a1c2817b84afbf10955d49809ed909b309dfb7201ae9925276d38fd2dadd6515",
+    ("uniform", "independence_pair"): "1e5de367cbb9dcc1431a760accc4fa82949930b69605d2c5bacbd32cb3ff8666",
+    ("uniform", "independence_triple"): "ed30aecee7ca066cf038e4791c66436515aae99fc39bbc9fe1dcaa8e954a1a5e",
+    ("uniform", "monotone_all"): "22a0bd11f5f737c4c93b7b7c85b2cf0ec89f9897b50304e4b6a6fc7a5abf8a0f",
+    ("uniform", "monotone_pairs"): "5c63968c815840270c726d6fec55cd4bd7be40ee33e86385abfd7dc9ef0e620f",
+}
+
+
+@pytest.mark.parametrize("name,run", sorted(STATS), ids=lambda v: str(v))
+def test_stats_digest(name, run):
+    result = _stats_runs(STATS_SAMPLERS[name]())[run]()
+    assert sha256(repr(result) + repr(getattr(result, "details", None))) == STATS[name, run]
+
+
+# Seed 2 accepts 1035 of the first chunk's 4096 draws, the last one at row
+# 4095; so n=1035 needs exactly 4096 tries and n=1036 needs more.
+CONDITIONED_BUDGET = {
+    (1034, 40): "rejection sampler exceeded 40 tries (observed acceptance rate 0.39)",
+    (1034, 4095): "963891b3dbf30a00b548e091c81a8a8dccfd97d20edc4b889a3466aef5e8af36",
+    (1034, 4096): "963891b3dbf30a00b548e091c81a8a8dccfd97d20edc4b889a3466aef5e8af36",
+    (1034, 4097): "963891b3dbf30a00b548e091c81a8a8dccfd97d20edc4b889a3466aef5e8af36",
+    (1035, 40): "rejection sampler exceeded 40 tries (observed acceptance rate 0.39)",
+    (1035, 4095): "rejection sampler exceeded 4095 tries (observed acceptance rate 0.252)",
+    (1035, 4096): "3aeac60f216f22667b75bf61b5b26eb77baf57947e7f304fb815d23e12d6fb26",
+    (1035, 4097): "3aeac60f216f22667b75bf61b5b26eb77baf57947e7f304fb815d23e12d6fb26",
+    (1036, 40): "rejection sampler exceeded 40 tries (observed acceptance rate 0.39)",
+    (1036, 4095): "rejection sampler exceeded 4095 tries (observed acceptance rate 0.252)",
+    (1036, 4096): "rejection sampler exceeded 4096 tries (observed acceptance rate 0.253)",
+    (1036, 4097): "rejection sampler exceeded 4097 tries (observed acceptance rate 0.253)",
+}
+
+
+@pytest.mark.parametrize("n,max_tries", sorted(CONDITIONED_BUDGET), ids=lambda v: str(v))
+def test_conditioned_try_budget(n, max_tries):
+    cond = ConditionedAtomSampler(_one_atom(), 0.5, (3, 11), max_tries=max_tries)
+    try:
+        outcome = sha256(repr(list(cond.stream(2, n))))
+    except ResourceLimitError as exc:
+        outcome = str(exc)
+    assert outcome == CONDITIONED_BUDGET[n, max_tries]
