@@ -1,6 +1,7 @@
 """Every random-order construction as a seedable sampler.
 
-Each sampler streams OrderSample records: the order itself, the latent
+Each sampler draws one OrderBatch of arrays per chunk (`batches`) and
+streams the same draws as OrderSample records: the order itself, the latent
 randomness behind it, and the per-element statistic eta when one exists.
 Frequencies below sit next to their exact values.
 """
@@ -9,6 +10,7 @@ from homord import (
     AtomOrderSampler,
     AtomSpec,
     BipartiteMinSampler,
+    ConditionedAtomSampler,
     DualFunctionalSampler,
     FixedOrder,
     InvolutionOrderSampler,
@@ -19,7 +21,6 @@ from homord import (
     build_generic,
     build_involution_order,
     build_two_predicate_PQ,
-    condition_on_atom,
     estimate_order_event,
     find_involution_pattern_pair,
     graph_class,
@@ -39,7 +40,7 @@ atoms = AtomOrderSampler(S, spec)
 e = estimate_order_event(atoms, (0, 1), (0, 1), n=N, seed=2)
 print(f"atom sampler,    P(0<1)   = {e.value:.4f}   (exact 5/8 = 0.6250)")
 
-cond = condition_on_atom(atoms, 0.5, (0, 1))
+cond = ConditionedAtomSampler(atoms, 0.5, (0, 1))
 e = estimate_order_event(cond, (0, 1), (0, 1), n=2000, seed=3)
 print(f"conditioned on both hitting the atom, P(0<1) = {e.value:.4f}   (exact 1)")
 

@@ -76,18 +76,12 @@ from .samplers import (
     FieldSample,
     FixedOrder,
     InvolutionOrderSampler,
+    OrderBatch,
     OrderSample,
     PQOrderSampler,
     UniformOrderSampler,
-    condition_on_atom,
     derive_seed,
     order_from_latents,
-    sample_atom_order,
-    sample_bipartite_min_field,
-    sample_dual_functional,
-    sample_involution_order,
-    sample_pq_order,
-    sample_uniform_order,
     structure_order,
 )
 from .stats import (

@@ -17,6 +17,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import builders, cro, groups, samplers, stats, taupaths
 from .errors import (
     ResourceLimitError,
@@ -32,7 +34,10 @@ _SAMPLERS = ("uniform", "atoms", "pq", "bimin", "involution", "dual")
 def _csv_ints(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _load_chain(path: str) -> builders.StructureChain:
@@ -59,8 +64,10 @@ def _parse_atoms(text: str, S: FinStructure) -> samplers.AtomSpec:
     ties = {}
     asc = samplers.FixedOrder("asc", tuple(S.elements))
     for part in text.split(","):
-        loc_s, _, mass_s = part.partition(":")
-        loc, mass = float(loc_s), float(mass_s)
+        try:
+            loc, mass = map(float, part.split(":"))
+        except ValueError:
+            raise ValidationError(f"bad atom {part!r}; expected loc:mass") from None
         atoms.append((loc, mass))
         ties[loc] = asc
     return samplers.AtomSpec(atoms=tuple(atoms), tie_break=ties)
@@ -201,28 +208,25 @@ def cmd_sample(args) -> int:
     S = _pick_level(chain, args.level)
     sampler = _make_sampler(args.sampler, S, args.atoms)
     points = _csv_ints(args.points) if args.points else tuple(sampler.elements)
-    keep = frozenset(points)
+    cols = [sampler.column(p) for p in points]
+    element = np.array(sampler.elements)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
-        first = True
-        for i, s in enumerate(sampler.stream(args.seed, args.n)):
-            ordered = getattr(s, "order", None)
-            if ordered is not None:
-                ordered = tuple(p for p in ordered if p in keep)
-            eta = s.eta or {}
-            if first:
-                head = ["sampleIndex"]
-                if ordered is not None:
-                    head += [f"pos{j}" for j in range(len(ordered))]
-                head += [f"eta_{p}" for p in points if p in eta]
-                writer.writerow(head)
-                first = False
-            row = [i]
-            if ordered is not None:
-                row += list(ordered)
-            row += [eta[p] for p in points if p in eta]
-            writer.writerow(row)
+        start = 0
+        for b in sampler.batches(args.seed, args.n):
+            eta = b.eta[:, cols]
+            # each row's order restricted to the points, as element ids
+            ordered = np.empty((len(b), 0), dtype=int)
+            if b.order is not None:
+                ordered = element[b.order[np.isin(b.order, cols)]].reshape(len(b), -1)
+            if start == 0:
+                writer.writerow(["sampleIndex"]
+                                + [f"pos{j}" for j in range(ordered.shape[1])]
+                                + [f"eta_{p}" for p in points])
+            for i in range(len(b)):
+                writer.writerow([start + i, *ordered[i].tolist(), *eta[i].tolist()])
+            start += len(b)
     finally:
         if args.out:
             out.close()

@@ -1,10 +1,12 @@
 """Seedable samplers for invariant random linear orders.
 
-Each sampler owns the elements it orders and yields OrderSample objects from
-`stream(seed, n)`.  Streams draw in fixed chunks of 4096 samples; chunk c is
-seeded by SeedSequence([seed, c]), so any partition of whole chunks across
-workers reproduces the identical sample set and estimates merge by counting.
-Same seed, same platform or not: the stream is bit-for-bit reproducible.
+Each sampler owns the elements it orders and draws one OrderBatch of arrays
+per chunk from `batches(seed, n)`; `stream(seed, n)` yields the same draws
+row by row as OrderSample (or FieldSample) objects.  Draws come in fixed
+chunks of 4096 samples; chunk c is seeded by SeedSequence([seed, c]), so any
+partition of whole chunks across workers reproduces the identical sample set
+and estimates merge by counting.  Same seed, same platform or not: the draws
+are bit-for-bit reproducible.
 
 The constructions:
 
@@ -35,10 +37,8 @@ from typing import Iterator
 import numpy as np
 
 from .builders import (
-    bipartite_deg2_class,
     bipartite_m_view,
     involution_m_view,
-    involution_order_class,
     linear_order_class,
     two_predicate_class,
 )
@@ -59,6 +59,30 @@ def derive_seed(seed: int, *tags: int) -> int:
     """Stable derived stream seed for fan-out (independent substreams)."""
     ss = np.random.SeedSequence([seed, *tags])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+@dataclass(frozen=True, eq=False)
+class OrderBatch:
+    """One chunk of draws, one row per sample.
+
+    order holds column indices into the sampler's elements, least to
+    greatest, or None for a sampler that draws no order; latent is the raw
+    randomness, one column per latent key; eta, when present, the
+    per-element statistic (often the latent array itself); tiebreak the
+    auxiliary uniforms, one column per element."""
+
+    order: np.ndarray | None
+    latent: np.ndarray
+    eta: np.ndarray | None
+    tiebreak: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.latent)
+
+    def __getitem__(self, rows) -> OrderBatch:
+        """The same batch cut to some rows (a slice or an index array)."""
+        arrays = (self.order, self.latent, self.eta, self.tiebreak)
+        return OrderBatch(*(None if a is None else a[rows] for a in arrays))
 
 
 @dataclass(frozen=True)
@@ -152,37 +176,75 @@ def order_from_latents(
     return tuple(sorted(latent, key=lambda a: (latent[a], ranks.get(a, 0), a)))
 
 
+def _row(keys: tuple[int, ...], arr: np.ndarray | None, i: int) -> dict | None:
+    return None if arr is None else dict(zip(keys, arr[i].tolist()))
+
+
 class OrderSamplerBase:
-    """Common stream plumbing; subclasses implement _draw(rng, m)."""
+    """Common chunk plumbing; subclasses implement _draw(rng, m), which
+    returns one OrderBatch of m rows.  Orders come from stable sorts, so
+    ties fall to the lower column: the lower element id wherever a
+    construction can tie."""
 
     structure: FinStructure
     elements: tuple[int, ...]
+    # structure whose element i is column i, for samplers whose pattern
+    # types live on a view rather than on the structure itself
+    _view: FinStructure | None = None
 
-    def _draw(self, rng: np.random.Generator, m: int) -> list:
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
         raise NotImplementedError
 
-    def stream(self, seed: int, n: int | None = None) -> Iterator:
-        """Yield samples; n=None streams forever.
+    @property
+    def latent_keys(self) -> tuple[int, ...]:
+        """The elements behind a batch's latent columns."""
+        return self.elements
 
-        Chunks always draw the full 4096 internally so that sample i is the
-        same object no matter what n was requested; a short final chunk just
-        discards the tail.
+    def column(self, p: int) -> int:
+        """Column of point p in a batch's order indices and eta."""
+        try:
+            return self.elements.index(p)
+        except ValueError:
+            raise ValidationError(f"point {p} is not drawn by this sampler") from None
+
+    def batches(self, seed: int, n: int | None = None) -> Iterator[OrderBatch]:
+        """Yield one OrderBatch per chunk; n=None draws forever.
+
+        Chunks always draw the full 4096 rows so that row i is the same
+        no matter what n was requested; the last batch is cut to n rows.
         """
         remaining = n
         for rng in _chunk_rngs(seed):
             if remaining is not None and remaining <= 0:
                 return
             batch = self._draw(rng, CHUNK)
-            if remaining is None:
-                yield from batch
-            else:
-                take = min(CHUNK, remaining)
-                yield from batch[:take]
-                remaining -= take
+            if remaining is not None:
+                batch = batch[:remaining]
+                remaining -= len(batch)
+            yield batch
+
+    def stream(self, seed: int, n: int | None = None) -> Iterator:
+        """Yield the rows of `batches(seed, n)` one by one: OrderSample, or
+        FieldSample for a sampler that draws no order."""
+        pick = self.elements.__getitem__
+        for b in self.batches(seed, n):
+            for i in range(len(b)):
+                eta = _row(self.elements, b.eta, i)
+                if b.order is None:
+                    yield FieldSample(eta=eta)
+                    continue
+                yield OrderSample(
+                    order=tuple(map(pick, b.order[i].tolist())),
+                    latent=_row(self.latent_keys, b.latent, i),
+                    eta=eta,
+                    tiebreak=_row(self.elements, b.tiebreak, i),
+                )
 
     def pattern_type(self, points: tuple[int, ...]) -> TypeCode:
         """Type code governing exchangeability comparisons for this sampler."""
-        return canonical_type(self.structure, points)
+        if self._view is None:
+            return canonical_type(self.structure, points)
+        return canonical_type(self._view, tuple(map(self.column, points)))
 
 
 class UniformOrderSampler(OrderSamplerBase):
@@ -194,17 +256,9 @@ class UniformOrderSampler(OrderSamplerBase):
         if not self.elements:
             raise ValidationError("empty structure")
 
-    def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
-        k = len(self.elements)
-        z = rng.random((m, k))
-        ranks = np.argsort(z, axis=1, kind="stable")
-        pick = self.elements.__getitem__
-        out = []
-        for row, idx in zip(z, ranks):
-            latent = dict(zip(self.elements, row.tolist()))
-            order = tuple(map(pick, idx.tolist()))
-            out.append(OrderSample(order=order, latent=latent, eta=latent))
-        return out
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
+        z = rng.random((m, len(self.elements)))
+        return OrderBatch(np.argsort(z, axis=1, kind="stable"), z, z)
 
 
 class AtomOrderSampler(OrderSamplerBase):
@@ -222,43 +276,43 @@ class AtomOrderSampler(OrderSamplerBase):
                 raise ValidationError(f"tie order misses elements {sorted(missing)}")
         self._locs = [loc for loc, _ in spec.atoms]
         self._cum = np.cumsum([mass for _, mass in spec.atoms])
-        self._tie_pos = [
-            {a: r for r, a in enumerate(spec.tie_break[loc].ranking)} for loc in self._locs
-        ]
+        # tie rank of each element on each atom; the last row, read by the
+        # continuous tag -1, is all zero
+        self._tie_rank = np.array(
+            [[spec.tie_break[loc].position(a) for a in self.elements] for loc in self._locs]
+            + [[0] * len(self.elements)]
+        )
 
-    def _draw_tagged(self, rng: np.random.Generator, m: int):
-        """(latent_values, atom_index_per_element) per sample, -1 = continuous.
+    def _draw_tagged(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(latent values, atom index) as (m, k) arrays, -1 = continuous.
 
         One branch uniform per element picks its atom; the continuous hits
         then draw their values in row-major order."""
         k = len(self.elements)
         idx = np.searchsorted(self._cum, rng.random((m, k)), side="right")
         cont = idx == len(self._locs)
-        values = np.array([*self._locs, None], dtype=object)[idx]
+        values = np.append(self._locs, 0.0)[idx]
         values[cont] = rng.random(int(cont.sum()))
         idx[cont] = -1
-        return [
-            (dict(zip(self.elements, row.tolist())), dict(zip(self.elements, tags.tolist())))
-            for row, tags in zip(values, idx)
-        ]
+        return values, idx
 
-    def _order(self, values: dict[int, float], hits: dict[int, int]) -> tuple[int, ...]:
-        tie_rank = {a: self._tie_pos[i][a] for a, i in hits.items() if i >= 0}
-        return order_from_latents(values, tie_rank)
+    def _order(self, values: np.ndarray, tags: np.ndarray) -> np.ndarray:
+        """Order columns row by row: by value, then by the tie rank of the
+        atom a tag names (continuous draws rank 0), then by element."""
+        ranks = self._tie_rank[tags, np.arange(values.shape[1])]
+        return np.lexsort((ranks, values), axis=1)
 
-    def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
-        return [
-            OrderSample(order=self._order(values, hits), latent=values, eta=values)
-            for values, hits in self._draw_tagged(rng, m)
-        ]
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
+        values, tags = self._draw_tagged(rng, m)
+        return OrderBatch(self._order(values, tags), values, values)
 
 
 class ConditionedAtomSampler(OrderSamplerBase):
     """Rejection wrapper: keep samples whose given points all hit one atom.
 
     Atom membership is tested on the draw's branch tag, never by float
-    comparison.  Tries are counted across the whole stream; exceeding
-    max_tries raises with the observed acceptance rate.
+    comparison.  Tries are counted row by row across the whole stream;
+    exceeding max_tries raises with the observed acceptance rate.
     """
 
     def __init__(
@@ -270,49 +324,53 @@ class ConditionedAtomSampler(OrderSamplerBase):
     ):
         if location not in base._locs:
             raise ValidationError(f"{location} is not an atom of the base sampler")
-        for p in points:
-            if p not in base.elements:
-                raise ValidationError(f"point {p} not sampled by the base sampler")
         if not points:
             raise ValidationError("no points to condition on")
+        if max_tries < 1:
+            raise ValidationError(f"max_tries {max_tries} < 1")
+        self._cols = [base.column(p) for p in points]
         self.structure = base.structure
         self.elements = base.elements
         self.base = base
         self.atom_index = base._locs.index(location)
-        self.points = tuple(points)
         self.max_tries = max_tries
 
-    def stream(self, seed: int, n: int | None = None) -> Iterator[OrderSample]:
+    stream = OrderSamplerBase.stream
+
+    def batches(self, seed: int, n: int | None = None) -> Iterator[OrderBatch]:
+        """The accepted rows of each chunk of base draws, as one batch.
+
+        The budget trips at the same draw, with the same acceptance count,
+        as a loop over single rows: rows after the n-th acceptance are not
+        tried, and a chunk that would pass max_tries yields its accepted
+        rows up to the limit before raising."""
         remaining = n
-        tried = 0
-        accepted = 0
+        tried = accepted = 0
         for rng in _chunk_rngs(seed):
-            for values, hits in self.base._draw_tagged(rng, CHUNK):
-                if remaining is not None and remaining <= 0:
-                    return
-                tried += 1
-                if tried > self.max_tries:
-                    rate = accepted / tried
-                    raise ResourceLimitError(
-                        f"rejection sampler exceeded {self.max_tries} tries "
-                        f"(observed acceptance rate {rate:.3g})"
-                    )
-                if all(hits[p] == self.atom_index for p in self.points):
-                    accepted += 1
-                    if remaining is not None:
-                        remaining -= 1
-                    yield OrderSample(
-                        order=self.base._order(values, hits), latent=values, eta=values
-                    )
-
-
-def condition_on_atom(
-    base: AtomOrderSampler,
-    location: float,
-    points: tuple[int, ...],
-    max_tries: int = 10_000_000,
-) -> ConditionedAtomSampler:
-    return ConditionedAtomSampler(base, location, points, max_tries)
+            if remaining is not None and remaining <= 0:
+                return
+            values, tags = self.base._draw_tagged(rng, CHUNK)
+            rows = np.flatnonzero((tags[:, self._cols] == self.atom_index).all(axis=1))
+            used = CHUNK
+            if remaining is not None and len(rows) >= remaining:
+                rows = rows[:remaining]
+                used = int(rows[-1]) + 1
+            left = self.max_tries - tried
+            if used > left:
+                rows = rows[rows < left]
+            if len(rows):
+                kept = values[rows]
+                yield OrderBatch(self.base._order(kept, tags[rows]), kept, kept)
+            accepted += len(rows)
+            if used > left:
+                rate = accepted / (self.max_tries + 1)
+                raise ResourceLimitError(
+                    f"rejection sampler exceeded {self.max_tries} tries "
+                    f"(observed acceptance rate {rate:.3g})"
+                )
+            tried += used
+            if remaining is not None:
+                remaining -= len(rows)
 
 
 class PQOrderSampler(OrderSamplerBase):
@@ -326,55 +384,41 @@ class PQOrderSampler(OrderSamplerBase):
             raise ValidationError("every element must carry P or Q")
         self.structure = S
         self.elements = tuple(S.elements)
-        self._block = {a: (0 if a in p else 1) for a in self.elements}
+        self._block = np.array([0 if a in p else 1 for a in self.elements])
 
-    def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
-        k = len(self.elements)
-        z = rng.random((m, k))
-        out = []
-        for row in z:
-            latent = dict(zip(self.elements, row.tolist()))
-            order = tuple(
-                sorted(self.elements, key=lambda a: (self._block[a], latent[a], a))
-            )
-            out.append(OrderSample(order=order, latent=latent, eta=latent))
-        return out
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
+        z = rng.random((m, len(self.elements)))
+        block = np.broadcast_to(self._block, z.shape)
+        return OrderBatch(np.lexsort((z, block), axis=1), z, z)
 
 
 class BipartiteMinSampler(OrderSamplerBase):
     """Orders the S0 sort by min of i.i.d. uniforms on the two neighbors."""
 
     def __init__(self, S: FinStructure):
-        bipartite_deg2_class().validate(S)
         self.structure = S
-        self.elements = S.elements_of_sort("S0")
+        self._view, self.elements = bipartite_m_view(S)
         self._s1 = S.elements_of_sort("S1")
         self._nbrs = {
             a: tuple(sorted(b for x, b in S.table("R") if x == a)) for a in self.elements
         }
         if any(len(v) != 2 for v in self._nbrs.values()):
             raise ValidationError("every S0 element needs exactly 2 neighbors")
-        self._view, carrier = bipartite_m_view(S)
-        self._view_index = {a: i for i, a in enumerate(carrier)}
+        # (2, k0): latent columns of each S0 element's two neighbors
+        self._nbr_cols = np.array([[self._s1.index(u) for u in self._nbrs[a]]
+                                   for a in self.elements]).T
 
-    def pattern_type(self, points: tuple[int, ...]) -> TypeCode:
-        mapped = tuple(self._view_index[p] for p in points)
-        return canonical_type(self._view, mapped)
+    @property
+    def latent_keys(self) -> tuple[int, ...]:
+        return self._s1
 
-    def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
-        out = []
-        for _ in range(m):
-            eta_row = rng.random(len(self._s1))
-            field_vals = dict(zip(self._s1, eta_row.tolist()))
-            tie_row = rng.random(len(self.elements))
-            ties = dict(zip(self.elements, tie_row.tolist()))
-            xi = {
-                a: min(field_vals[u], field_vals[v])
-                for a, (u, v) in self._nbrs.items()
-            }
-            order = tuple(sorted(self.elements, key=lambda a: (xi[a], ties[a], a)))
-            out.append(OrderSample(order=order, latent=field_vals, eta=xi, tiebreak=ties))
-        return out
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
+        # per sample: the S1 field row, then the tie row, as one draw
+        k1 = len(self._s1)
+        z = rng.random((m, k1 + len(self.elements)))
+        field_vals, ties = z[:, :k1], z[:, k1:]
+        xi = np.minimum(field_vals[:, self._nbr_cols[0]], field_vals[:, self._nbr_cols[1]])
+        return OrderBatch(np.lexsort((ties, xi), axis=1), field_vals, xi, ties)
 
 
 class InvolutionOrderSampler(OrderSamplerBase):
@@ -382,36 +426,26 @@ class InvolutionOrderSampler(OrderSamplerBase):
     ambient order.  Images never collide, so the order is always total."""
 
     def __init__(self, S: FinStructure):
-        involution_order_class().validate(S)
-        if S.sorts is None:
-            raise ValidationError("involution structure lacks sorts")
+        # the view validates S; its carrier lists M in the ambient order
+        self._view, self.elements = involution_m_view(S)
         self.structure = S
         lt = S.table("lt")
         self._rank = {a: sum(1 for t in lt if t[1] == a) for a in S.elements}
-        self.elements = tuple(sorted(S.elements_of_sort("M"), key=self._rank.get))
-        self._partner = {a: b for a, b in S.table("f")}
-        self._view, carrier = involution_m_view(S)
-        self._view_index = {a: i for i, a in enumerate(carrier)}
+        partner = dict(S.table("f"))
+        # (2, k): ambient rank of each element's image for bit 0 and bit 1
+        self._image_rank = np.array(
+            [[self._rank[a] for a in self.elements],
+             [self._rank[partner[a]] for a in self.elements]]
+        )
 
-    def pattern_type(self, points: tuple[int, ...]) -> TypeCode:
-        mapped = tuple(self._view_index[p] for p in points)
-        return canonical_type(self._view, mapped)
-
-    def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
         k = len(self.elements)
         bits = rng.integers(0, 2, size=(m, k))
-        out = []
-        for row in bits:
-            latent = dict(zip(self.elements, (int(b) for b in row)))
-            image = {
-                a: (a if latent[a] == 0 else self._partner[a]) for a in self.elements
-            }
-            order = tuple(sorted(self.elements, key=lambda a: self._rank[image[a]]))
-            out.append(OrderSample(order=order, latent=latent, eta=dict(latent)))
-        return out
+        ranks = self._image_rank[bits, np.arange(k)]
+        return OrderBatch(np.argsort(ranks, axis=1, kind="stable"), bits, bits)
 
 
-class DualFunctionalSampler:
+class DualFunctionalSampler(OrderSamplerBase):
     """Fair bits on the bitmask basis of F2^d, extended xor-linearly."""
 
     def __init__(self, S: FinStructure):
@@ -421,75 +455,19 @@ class DualFunctionalSampler:
         self.structure = S
         self.dim = d
         self.elements = tuple(S.elements)
+        # (d, 2^d): bit i of each element
+        self._bits = (np.array(self.elements) >> np.arange(d)[:, None]) & 1
 
-    def stream(self, seed: int, n: int | None = None) -> Iterator[FieldSample]:
-        remaining = n
-        for rng in _chunk_rngs(seed):
-            if remaining is not None and remaining <= 0:
-                return
-            masks = self._masks(rng, CHUNK)
-            take = CHUNK if remaining is None else min(CHUNK, remaining)
-            for mask in masks[:take]:
-                xi = {v: _parity(v & mask) for v in self.elements}
-                yield FieldSample(eta=xi)
-            if remaining is not None:
-                remaining -= take
+    stream = OrderSamplerBase.stream
 
-    def _masks(self, rng: np.random.Generator, m: int) -> list[int]:
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
+        """latent: the functional's d basis bits; eta: its value, the
+        parity of (element & mask), on every element; no order."""
         bits = rng.integers(0, 2, size=(m, self.dim))
-        return [int(sum(int(b) << i for i, b in enumerate(row))) for row in bits]
+        return OrderBatch(None, bits, (bits @ self._bits) & 1)
 
     def field_matrix(self, seed: int, n: int) -> np.ndarray:
-        """(n, 2^d) uint8 matrix of field values; same draws as stream()."""
-        rows = np.empty((n, len(self.elements)), dtype=np.uint8)
-        vals = np.arange(len(self.elements), dtype=np.uint64)
-        done = 0
-        for rng in _chunk_rngs(seed):
-            if done >= n:
-                break
-            masks = self._masks(rng, CHUNK)
-            for mask in masks[: n - done]:
-                masked = vals & np.uint64(mask)
-                rows[done] = _parity_array(masked)
-                done += 1
-        return rows
-
-
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
-def _parity_array(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    shift = 1
-    while shift < 64:
-        out ^= out >> np.uint64(shift)
-        shift *= 2
-    return (out & np.uint64(1)).astype(np.uint8)
-
-
-# --- functional wrappers (one per construction) ------------------------------
-
-
-def sample_uniform_order(S: FinStructure, seed: int, n: int | None = None):
-    return UniformOrderSampler(S).stream(seed, n)
-
-
-def sample_atom_order(S: FinStructure, spec: AtomSpec, seed: int, n: int | None = None):
-    return AtomOrderSampler(S, spec).stream(seed, n)
-
-
-def sample_pq_order(S: FinStructure, seed: int, n: int | None = None):
-    return PQOrderSampler(S).stream(seed, n)
-
-
-def sample_bipartite_min_field(S: FinStructure, seed: int, n: int | None = None):
-    return BipartiteMinSampler(S).stream(seed, n)
-
-
-def sample_involution_order(S: FinStructure, seed: int, n: int | None = None):
-    return InvolutionOrderSampler(S).stream(seed, n)
-
-
-def sample_dual_functional(S: FinStructure, seed: int, n: int | None = None):
-    return DualFunctionalSampler(S).stream(seed, n)
+        """(n, 2^d) uint8 matrix of field values: the batches, stacked."""
+        if n <= 0:
+            raise ValidationError("n must be positive")
+        return np.vstack([b.eta.astype(np.uint8) for b in self.batches(seed, n)])

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .samplers import CHUNK, OrderSamplerBase, OrderSample, _chunk_rngs, derive_seed
+from .samplers import CHUNK, OrderBatch, OrderSamplerBase, _chunk_rngs, derive_seed
 from .structures import FinStructure
 
 
@@ -75,6 +75,47 @@ def order_pattern(order: tuple[int, ...], points: tuple[int, ...]) -> tuple[int,
     return tuple(sorted(range(len(points)), key=lambda i: pos[points[i]]))
 
 
+# --- batch readers: every reducer reads one OrderBatch (one chunk) at a time ---
+
+
+def _check_n(n: int) -> None:
+    if n <= 0:
+        raise ValidationError("n must be positive")
+
+
+def _order(b: OrderBatch) -> np.ndarray:
+    if b.order is None:
+        raise ValidationError("sampler draws no order")
+    return b.order
+
+
+def _ranks(b: OrderBatch) -> np.ndarray:
+    """(m, k) position of each column in its row's order."""
+    order = _order(b)
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(order.shape[1]), axis=1)
+    return pos
+
+
+def _eta(b: OrderBatch) -> np.ndarray:
+    if b.eta is None:
+        raise ValidationError("sampler does not expose eta")
+    return b.eta
+
+
+def _eta_columns(sampler, points, seed: int, n: int) -> dict[int, np.ndarray]:
+    """Eta at each point over the first n samples, one float column each."""
+    cols = {p: sampler.column(p) for p in points}
+    values = {p: np.empty(n) for p in points}
+    done = 0
+    for b in sampler.batches(seed, n):
+        eta = _eta(b)
+        for p, c in cols.items():
+            values[p][done:done + len(b)] = eta[:, c]
+        done += len(b)
+    return values
+
+
 def estimate_order_event(
     sampler,
     points: tuple[int, ...],
@@ -83,18 +124,16 @@ def estimate_order_event(
     seed: int,
 ) -> Estimate:
     """Frequency of the points appearing in exactly target_order."""
-    if n <= 0:
-        raise ValidationError("n must be positive")
+    _check_n(n)
     if len(set(points)) != len(points):
         raise ValidationError("points repeat")
     if sorted(target_order) != sorted(points):
         raise ValidationError("target_order is not a permutation of points")
+    cols = [sampler.column(p) for p in target_order]
     count = 0
-    for s in sampler.stream(seed, n):
-        pos = {a: i for i, a in enumerate(s.order)}
-        if all(pos[target_order[i]] < pos[target_order[i + 1]]
-               for i in range(len(target_order) - 1)):
-            count += 1
+    for b in sampler.batches(seed, n):
+        pos = _ranks(b)[:, cols]
+        count += int((pos[:, :-1] < pos[:, 1:]).all(axis=1).sum())
     return Estimate.frequency(count, n)
 
 
@@ -102,10 +141,13 @@ def estimate_order_event(
 
 
 def _pattern_counts(sampler, points: tuple[int, ...], seed: int, n: int) -> dict:
+    """How often each order_pattern of the points occurs in n samples."""
+    cols = [sampler.column(p) for p in points]
     counts: dict[tuple[int, ...], int] = {}
-    for s in sampler.stream(seed, n):
-        pat = order_pattern(s.order, points)
-        counts[pat] = counts.get(pat, 0) + 1
+    for b in sampler.batches(seed, n):
+        pats, hits = np.unique(np.argsort(_ranks(b)[:, cols], axis=1), axis=0, return_counts=True)
+        for pat, hit in zip(map(tuple, pats.tolist()), hits.tolist()):
+            counts[pat] = counts.get(pat, 0) + hit
     return counts
 
 
@@ -135,6 +177,7 @@ def test_exchangeability(
     hatch for demonstrating detection of a real asymmetry."""
     if not tuple_pairs:
         raise ValidationError("no tuple pairs")
+    _check_n(n)
     pvals = []
     details = {}
     for idx, (ta, tb) in enumerate(tuple_pairs):
@@ -231,17 +274,8 @@ def test_independence(
     invisible to every pairwise test."""
     if not point_tuples:
         raise ValidationError("no point tuples")
-    pts = sorted({p for tup in point_tuples for p in tup})
-    values = {p: np.empty(n) for p in pts}
-    got_eta = False
-    for i, s in enumerate(sampler.stream(seed, n)):
-        if s.eta is None:
-            raise ValidationError("sampler does not expose eta")
-        got_eta = True
-        for p in pts:
-            values[p][i] = s.eta[p]
-    if not got_eta:
-        raise ValidationError("empty stream")
+    _check_n(n)
+    values = _eta_columns(sampler, sorted({p for tup in point_tuples for p in tup}), seed, n)
     pvals = []
     details = {}
     for idx, tup in enumerate(point_tuples):
@@ -283,25 +317,23 @@ def test_monotone_coupling(
     With no explicit pairs all pairs are covered: a violating pair exists
     exactly when eta ever decreases along the order, so scanning adjacent
     order positions is a complete check."""
-    all_pairs = pairs is None
+    _check_n(n)
+    k = len(sampler.elements)
+    cols = [[sampler.column(p) for p in pair] for pair in pairs or ()]
+    a, b = np.array(cols, dtype=int).reshape(-1, 2).T
+    checked = k * (k - 1) // 2 if pairs is None else len(pairs)
     violations = 0
-    checked = 0
-    for s in sampler.stream(seed, n):
-        if s.eta is None:
-            raise ValidationError("sampler does not expose eta")
-        if all_pairs:
-            checked = len(s.order) * (len(s.order) - 1) // 2
-            eta_along = [s.eta[a] for a in s.order]
-            if any(x > y for x, y in zip(eta_along, eta_along[1:])):
-                violations += 1
+    for batch in sampler.batches(seed, n):
+        eta = _eta(batch)
+        if pairs is None:
+            along = np.take_along_axis(eta, _order(batch), axis=1)
+            bad = (along[:, :-1] > along[:, 1:]).any(axis=1)
         else:
-            checked = len(pairs)
-            pos = {a: i for i, a in enumerate(s.order)}
-            for a, b in pairs:
-                lo, hi = (a, b) if pos[a] < pos[b] else (b, a)
-                if s.eta[lo] > s.eta[hi]:
-                    violations += 1
-                    break
+            # a pair violates when the earlier of its two points has more eta
+            pos = _ranks(batch)
+            bad = np.where(pos[:, a] < pos[:, b], eta[:, a] > eta[:, b], eta[:, b] > eta[:, a])
+            bad = bad.any(axis=1)
+        violations += int(bad.sum())
     return TestVerdict(
         name="monotone_coupling",
         statistic=float(violations),
@@ -420,13 +452,8 @@ def estimate_eta_covariance(
     if n < 2:
         raise ValidationError("need n >= 2")
     a, b = pair
-    xs = np.empty(n)
-    ys = np.empty(n)
-    for i, s in enumerate(sampler.stream(seed, n)):
-        if s.eta is None:
-            raise ValidationError("sampler does not expose eta")
-        xs[i] = s.eta[a]
-        ys[i] = s.eta[b]
+    values = _eta_columns(sampler, (a, b), seed, n)
+    xs, ys = values[a], values[b]
     dx = xs - xs.mean()
     dy = ys - ys.mean()
     cov = float((dx * dy).sum() / (n - 1))
@@ -453,23 +480,15 @@ class BiasedEdgeOrderSampler(OrderSamplerBase):
         self.strength = strength
         self.elements = tuple(S.elements)
         edges = S.table("E")
-        self._offset = {
-            a: strength * sum(
-                (1 if a > b else -1) for x, b in edges if x == a
-            )
+        self._offset = np.array([
+            strength * sum((1 if a > b else -1) for x, b in edges if x == a)
             for a in self.elements
-        }
+        ])
 
-    def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
-        k = len(self.elements)
-        z = rng.random((m, k))
-        out = []
-        for row in z:
-            latent = dict(zip(self.elements, row.tolist()))
-            score = {a: latent[a] + self._offset[a] for a in self.elements}
-            order = tuple(sorted(self.elements, key=lambda a: (score[a], a)))
-            out.append(OrderSample(order=order, latent=latent, eta=score))
-        return out
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
+        z = rng.random((m, len(self.elements)))
+        score = z + self._offset
+        return OrderBatch(np.argsort(score, axis=1, kind="stable"), z, score)
 
 
 class BrokenCouplingSampler(OrderSamplerBase):
@@ -481,14 +500,8 @@ class BrokenCouplingSampler(OrderSamplerBase):
         self.structure = S
         self.elements = tuple(S.elements)
 
-    def _draw(self, rng: np.random.Generator, m: int) -> list[OrderSample]:
+    def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
         k = len(self.elements)
         z_order = rng.random((m, k))
         z_eta = rng.random((m, k))
-        out = []
-        for row_o, row_e in zip(z_order, z_eta):
-            latent = dict(zip(self.elements, row_o.tolist()))
-            eta = dict(zip(self.elements, row_e.tolist()))
-            order = tuple(self.elements[i] for i in np.argsort(row_o, kind="stable"))
-            out.append(OrderSample(order=order, latent=latent, eta=eta))
-        return out
+        return OrderBatch(np.argsort(z_order, axis=1, kind="stable"), z_order, z_eta)

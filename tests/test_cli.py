@@ -258,6 +258,55 @@ class TestTestSuites:
         assert r.returncode == 0, r.stderr
 
 
+@pytest.fixture(scope="module")
+def f2_chain(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli3") / "f2.json"
+    r = run("build", "--class", "f2_vector_space:3", "--out", str(path))
+    assert r.returncode == 0, r.stderr
+    return path
+
+
+# Malformed input on every flag that takes points: each must exit 2 with an
+# error line, never a traceback.  "{chain}" and "{f2}" stand for chain files.
+BAD_INPUT = {
+    "points_token": ("sample", "--sampler", "uniform", "--in", "{chain}", "--points", "0,x"),
+    "target_token": ("estimate", "--sampler", "uniform", "--in", "{chain}",
+                     "--points", "0,1", "--target", "1,x", "--n", "10"),
+    "fix_token": ("orbits", "--in", "{chain}", "--k", "1", "--fix", "0,x"),
+    "avoid_token": ("tau-path", "--in", "{chain}", "--a", "0", "--b", "1",
+                    "--tau", "edge", "--avoid", "x"),
+    "tuples_token": ("test", "--suite", "independence", "--in", "{chain}",
+                     "--n", "10", "--tuples", "0,1;2,3,4"),
+    "pairs_token": ("test", "--suite", "exchangeability", "--in", "{chain}",
+                    "--n", "10", "--pairs", "0,x;1,2"),
+    "atoms_no_mass": ("sample", "--sampler", "atoms", "--in", "{chain}", "--atoms", "0.5"),
+    "estimate_undrawn_point": ("estimate", "--sampler", "uniform", "--in", "{chain}",
+                               "--points", "0,99", "--n", "10"),
+    "independence_undrawn_point": ("test", "--suite", "independence", "--in", "{chain}",
+                                   "--n", "10", "--tuples", "0,99"),
+    "sample_undrawn_point": ("sample", "--sampler", "uniform", "--in", "{chain}",
+                             "--points", "0,99"),
+    "dual_estimate": ("estimate", "--sampler", "dual", "--in", "{f2}",
+                      "--points", "1,2", "--n", "10"),
+    "dual_monotone": ("test", "--suite", "monotone", "--sampler", "dual", "--in", "{f2}",
+                      "--n", "10"),
+    "dual_exchangeability": ("test", "--suite", "exchangeability", "--sampler", "dual",
+                             "--in", "{f2}", "--n", "10", "--pairs", "1,2;3,4"),
+    "monotone_no_samples": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "0"),
+    "exchangeability_no_samples": ("test", "--suite", "exchangeability", "--in", "{chain}",
+                                   "--n", "0", "--pairs", "0,1;2,3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2(case, chain_file, f2_chain):
+    argv = [a.format(chain=chain_file, f2=f2_chain) for a in BAD_INPUT[case]]
+    r = run(*argv)
+    assert r.returncode == 2, (r.returncode, r.stderr)
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 class TestCro:
     def test_report_matches_library(self, tmp_path):
         out = tmp_path / "cro.json"

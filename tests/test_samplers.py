@@ -26,10 +26,8 @@ from homord.samplers import (
     InvolutionOrderSampler,
     PQOrderSampler,
     UniformOrderSampler,
-    condition_on_atom,
     derive_seed,
     order_from_latents,
-    sample_uniform_order,
     structure_order,
 )
 from homord.structures import Signature, make_structure
@@ -103,12 +101,12 @@ class TestUniform:
         assert abs(got - 0.5) < four_sigma(0.5, n)
 
     def test_order_matches_latents(self):
-        for s in sample_uniform_order(K3, 2, 50):
+        for s in UniformOrderSampler(K3).stream(2, 50):
             assert s.order == order_from_latents(s.latent)
             assert s.eta == s.latent
 
     def test_all_six_orders_occur(self):
-        seen = {s.order for s in sample_uniform_order(K3, 4, 200)}
+        seen = {s.order for s in UniformOrderSampler(K3).stream(4, 200)}
         assert len(seen) == 6
 
 
@@ -202,9 +200,9 @@ class TestAtomSampler:
         # atom: only the tagged hit takes the atom's tie rank.
         desc = FixedOrder("desc", (2, 1, 0))
         sampler = AtomOrderSampler(K3, AtomSpec(atoms=((0.5, 0.5),), tie_break={0.5: desc}))
-        values = {0: 0.5, 1: 0.5, 2: 0.5}
-        assert sampler._order(values, {0: 0, 1: -1, 2: 0}) == (1, 2, 0)
-        assert sampler._order(values, {0: 0, 1: 0, 2: 0}) == (2, 1, 0)
+        values = np.full((2, 3), 0.5)
+        tags = np.array([[0, -1, 0], [0, 0, 0]])
+        assert sampler._order(values, tags).tolist() == [[1, 2, 0], [2, 1, 0]]
 
     def test_two_atoms_ordered_by_location(self):
         spec = AtomSpec(
@@ -220,7 +218,7 @@ class TestAtomSampler:
 class TestConditioning:
     def test_kept_samples_hit_the_atom(self):
         base = AtomOrderSampler(K3, HALF_ATOM)
-        cond = condition_on_atom(base, 0.5, (0, 1))
+        cond = ConditionedAtomSampler(base, 0.5, (0, 1))
         for s in cond.stream(17, 60):
             assert s.latent[0] == 0.5 and s.latent[1] == 0.5
             assert s.order.index(0) < s.order.index(1)  # ascending ties
@@ -230,7 +228,7 @@ class TestConditioning:
         # conditioned stream consumes about 4x the base draws indirectly by
         # the conditional law: point 2 stays uniform-ish, P(atom) = 1/2
         base = AtomOrderSampler(K3, HALF_ATOM)
-        cond = condition_on_atom(base, 0.5, (0, 1))
+        cond = ConditionedAtomSampler(base, 0.5, (0, 1))
         n = 4000
         third_on_atom = sum(1 for s in cond.stream(19, n) if s.latent[2] == 0.5) / n
         assert abs(third_on_atom - 0.5) < four_sigma(0.5, n)
@@ -244,11 +242,11 @@ class TestConditioning:
     def test_bad_arguments(self):
         base = AtomOrderSampler(K3, HALF_ATOM)
         with pytest.raises(ValidationError):
-            condition_on_atom(base, 0.25, (0,))
+            ConditionedAtomSampler(base, 0.25, (0,))
         with pytest.raises(ValidationError):
-            condition_on_atom(base, 0.5, (9,))
+            ConditionedAtomSampler(base, 0.5, (9,))
         with pytest.raises(ValidationError):
-            condition_on_atom(base, 0.5, ())
+            ConditionedAtomSampler(base, 0.5, ())
 
 
 class TestPQ:

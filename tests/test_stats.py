@@ -15,7 +15,7 @@ from homord.errors import ValidationError
 from homord.samplers import (
     BipartiteMinSampler,
     DualFunctionalSampler,
-    OrderSample,
+    OrderBatch,
     OrderSamplerBase,
     UniformOrderSampler,
 )
@@ -61,9 +61,7 @@ class NoEtaSampler(OrderSamplerBase):
         self.elements = (0, 1, 2)
 
     def _draw(self, rng, m):
-        return [
-            OrderSample(order=(0, 1, 2), latent={}, eta=None) for _ in range(m)
-        ]
+        return OrderBatch(order=np.tile([0, 1, 2], (m, 1)), latent=np.empty((m, 0)), eta=None)
 
 
 class TestEstimate:
@@ -177,6 +175,12 @@ class TestExchangeability:
         with pytest.raises(ValidationError):
             exchangeability_verdict(UniformOrderSampler(K3), [], seed=1, n=10)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_samples_rejected(self, n):
+        # zero samples would otherwise pass vacuously
+        with pytest.raises(ValidationError, match="n must be positive"):
+            exchangeability_verdict(UniformOrderSampler(K3), [((0, 1), (1, 2))], seed=1, n=n)
+
     def test_verdict_reproducible(self):
         args = (UniformOrderSampler(K3), [((0, 1), (1, 2))])
         a = exchangeability_verdict(*args, seed=17, n=2000)
@@ -260,6 +264,12 @@ class TestMonotoneCoupling:
     def test_missing_eta_raises(self):
         with pytest.raises(ValidationError):
             monotone_verdict(NoEtaSampler(), seed=1, n=10)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_samples_rejected(self, n):
+        # zero samples would otherwise pass vacuously
+        with pytest.raises(ValidationError, match="n must be positive"):
+            monotone_verdict(UniformOrderSampler(K3), seed=1, n=n)
 
 
 class TestShiftErgodicity:
