@@ -326,8 +326,8 @@ class ConditionedAtomSampler(OrderSamplerBase):
             raise ValidationError(f"{location} is not an atom of the base sampler")
         if not points:
             raise ValidationError("no points to condition on")
-        if max_tries < 1:
-            raise ValidationError(f"max_tries {max_tries} < 1")
+        if max_tries < 0:
+            raise ValidationError(f"max_tries {max_tries} < 0")
         self._cols = [base.column(p) for p in points]
         self.structure = base.structure
         self.elements = base.elements
@@ -397,6 +397,7 @@ class BipartiteMinSampler(OrderSamplerBase):
 
     def __init__(self, S: FinStructure):
         self.structure = S
+        # the view validates S; its carrier is the S0 sort
         self._view, self.elements = bipartite_m_view(S)
         self._s1 = S.elements_of_sort("S1")
         self._nbrs = {
