@@ -4,11 +4,15 @@ layer's output, the sampler streams and the stats results, pinned.
 Any change to the builders' RNG draw order, the chain JSON layout, the
 audited saturation depths, the infeasibility message, the order in which
 the backtracker lists automorphisms, the type-code bytes, the CRO systems,
-their kernel bases, the sampler streams or the stats results shows up here
-as a digest mismatch.
+their kernel bases, the dichotomy demo's output, the sampler streams or the
+stats results shows up here as a digest mismatch.
 """
 
+import contextlib
 import hashlib
+import io
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,9 @@ from homord.stats import (
     test_monotone_coupling as monotone_verdict,
 )
 from homord.structures import enumerate_types, structure_dumps
+
+
+DEMOS = Path(__file__).parents[1] / "demos"
 
 
 def sha256(text: str) -> str:
@@ -185,6 +192,18 @@ KERNELS = {
 def test_kernel_basis_digest(cls, level):
     basis = kernel_basis(build_cro_system(cls, level))
     assert sha256(repr(basis)) == KERNELS[cls, level]
+
+
+# The dichotomy demo prints nullities, Dirac solutions and one projected
+# dimension; its whole stdout is pinned.
+DEMO_06 = "2f1bf74b3d8f1a1b5feaecf7a56ca6b181521d8dcfc8dfabd0af90c519ef1af3"
+
+
+def test_cro_demo_stdout_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / "06_cro_dichotomy.py"), run_name="__main__")
+    assert sha256(out.getvalue()) == DEMO_06
 
 
 # --- sampler streams and the CLI sample output ----------------------------------
