@@ -219,12 +219,16 @@ def f2_vector_space_class(d: int) -> FraisseClassSpec:
 def class_by_name(name: str) -> FraisseClassSpec:
     """Parse names like 'graph', 'kn_free_graph:3', 'f2_vector_space:4'."""
     base, _, arg = name.partition(":")
+    try:
+        n = int(arg or 3)
+    except ValueError:
+        raise ValidationError(f"class {name!r}: parameter {arg!r} is not an integer") from None
     if base == "pure_set":
         return pure_set_class()
     if base == "graph":
         return graph_class()
     if base == "kn_free_graph":
-        return kn_free_graph_class(int(arg or 3))
+        return kn_free_graph_class(n)
     if base == "tournament":
         return tournament_class()
     if base == "linear_order":
@@ -236,7 +240,7 @@ def class_by_name(name: str) -> FraisseClassSpec:
     if base == "involution_order":
         return involution_order_class()
     if base == "f2_vector_space":
-        return f2_vector_space_class(int(arg or 3))
+        return f2_vector_space_class(n)
     raise ValidationError(f"unknown class {name!r}")
 
 

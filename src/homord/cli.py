@@ -128,11 +128,10 @@ def _verdict_payload(v: stats.TestVerdict) -> dict:
 
 
 def cmd_build(args) -> int:
-    base = args.klass.split(":")[0]
-    if base in ("graph", "kn_free_graph", "tournament", "pure_set"):
-        chain = builders.build_generic(
-            builders.class_by_name(args.klass), args.sat, args.cap, args.seed
-        )
+    spec = builders.class_by_name(args.klass)
+    base = spec.name.split(":")[0]
+    if spec.witnessable:
+        chain = builders.build_generic(spec, args.sat, args.cap, args.seed)
     elif base == "two_predicate_PQ":
         S = builders.build_two_predicate_PQ(args.size_p, args.size_q)
         chain = builders.StructureChain(args.klass, (S,), (0,))
@@ -142,11 +141,10 @@ def cmd_build(args) -> int:
     elif base == "involution_order":
         chain = builders.involution_order_chain(list(args.pairs), args.seed)
     elif base == "f2_vector_space":
-        dim = int(args.klass.partition(":")[2] or 3)
-        S = builders.build_f2_vector_space(dim)
+        S = builders.build_f2_vector_space(spec.params[0])
         chain = builders.StructureChain(args.klass, (S,), (0,))
     else:
-        raise ValidationError(f"unknown class {args.klass!r}")
+        raise ValidationError(f"class {args.klass!r} has no builder")
     text = builders.chain_dumps(chain)
     if args.out:
         with open(args.out, "w") as fh:
@@ -334,8 +332,6 @@ def cmd_cro(args) -> int:
             for sol in report.dirac_solutions
         ],
     }
-    if args.report:
-        args.out = args.report
     _emit(payload, args)
     return 0
 
@@ -438,14 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cro", help="exact ordering-consistency report")
     p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--n", type=int, required=True, help="truncation level")
-    p.add_argument("--report", default=None, help="report JSON path")
     _add_common(p)
     p.set_defaults(func=cmd_cro)
 
     return root
 
 
-def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     """Inject config-file values as flags right after the subcommand; later
     (user-given) flags override them."""
     if "--config" not in argv:
@@ -478,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv, parser)
+        argv = _apply_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except (

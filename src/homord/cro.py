@@ -24,6 +24,7 @@ Everything here is exact; no floats."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,6 @@ from .builders import FraisseClassSpec, class_by_name
 from .errors import ResourceLimitError, ValidationError
 from .structures import (
     FinStructure,
-    Signature,
     TypeCode,
     canonical_type,
     induced_substructure,
@@ -112,28 +112,16 @@ class CroReport:
 # --- member enumeration ------------------------------------------------------
 
 
-def _graph_structures(sig: Signature, k: int, member) -> list[FinStructure]:
+def _pair_structures(spec: FraisseClassSpec, k: int, wire) -> list[FinStructure]:
+    """Members on k points whose one binary relation is set pair by pair:
+    wire(a, b, bit) gives the pair's tuples for one bit per pair a < b."""
+    ((name, _),) = spec.signature.relations
     pairs = list(itertools.combinations(range(k), 2))
     out = []
-    for picks in itertools.product((False, True), repeat=len(pairs)):
-        edges = set()
-        for (a, b), on in zip(pairs, picks):
-            if on:
-                edges.add((a, b))
-                edges.add((b, a))
-        S = make_structure(sig, k, {"E": edges})
-        if member(S):
-            out.append(S)
-    return out
-
-
-def _tournament_structures(sig: Signature, k: int, member) -> list[FinStructure]:
-    pairs = list(itertools.combinations(range(k), 2))
-    out = []
-    for picks in itertools.product((False, True), repeat=len(pairs)):
-        arcs = {(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, picks)}
-        S = make_structure(sig, k, {"A": arcs})
-        if member(S):
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        rel = {t for (a, b), bit in zip(pairs, bits) for t in wire(a, b, bit)}
+        S = make_structure(spec.signature, k, {name: rel})
+        if spec.is_member(S):
             out.append(S)
     return out
 
@@ -147,9 +135,9 @@ def _all_members(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
         lt = {(i, j) for i in range(k) for j in range(k) if i < j}
         return [make_structure(spec.signature, k, {"lt": lt})]
     if base in ("graph", "kn_free_graph"):
-        return _graph_structures(spec.signature, k, spec.is_member)
+        return _pair_structures(spec, k, lambda a, b, on: ((a, b), (b, a)) if on else ())
     if base == "tournament":
-        return _tournament_structures(spec.signature, k, spec.is_member)
+        return _pair_structures(spec, k, lambda a, b, flip: ((b, a),) if flip else ((a, b),))
     raise ValidationError(f"class {spec.name!r} has no member enumerator")
 
 
@@ -258,10 +246,7 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
 
 
 def uniform_point(system: CroSystem) -> list[Fraction]:
-    fact = {k: Fraction(1) for k in range(0, system.max_level + 1)}
-    for k in range(2, system.max_level + 1):
-        fact[k] = fact[k - 1] * k
-    return [1 / fact[v.level] for v in system.variables]
+    return [Fraction(1, math.factorial(v.level)) for v in system.variables]
 
 
 def _violated_rows(system: CroSystem, x: list[Fraction]) -> list[int]:
@@ -280,56 +265,69 @@ def satisfies(system: CroSystem, x: list[Fraction]) -> bool:
 # --- exact linear algebra ------------------------------------------------------
 
 
-Row = dict[int, Fraction]
+Row = dict[int, int]
 
 
-def sparse_rref(rows: Iterable[Row]) -> dict[int, Row]:
-    """Reduced row echelon form of sparse rows, as pivot column -> row.
+def integer_rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, Row]:
+    """Fraction-free Gauss-Jordan over the integers, as pivot column -> row.
 
-    Gauss-Jordan with rows inserted one at a time: reduce the new row against
-    the pivots so far, normalise what is left on its leading column, and
-    clear that column from the older pivot rows.  Each pivot row holds 1 at
-    its pivot, nothing left of it and nothing at any other pivot column.  The
-    RREF of a matrix is unique, so this equals the dense column-by-column
-    elimination."""
+    Rows go in shortest first.  Each is cleared of the pivot columns so far,
+    its least column becomes its pivot, and that column is cleared from the
+    older pivot rows.  Every pivot row is primitive, holds nothing left of
+    its pivot and nothing at any other pivot column, so dividing it by its
+    pivot entry gives the unique reduced row echelon form.  Coefficients must
+    be integers; anything else is rejected, never truncated."""
     pivots: dict[int, Row] = {}
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
+    for row in sorted(map(_integer_row, rows), key=len):
         for c in [c for c in row if c in pivots]:
-            _axpy(row, -row[c], pivots[c])
+            row = _cancel(row, pivots[c], c)
         if not row:
             continue
         lead = min(row)
-        inv = Fraction(1) / row[lead]
-        row = {c: v * inv for c, v in row.items()}
-        for other in pivots.values():
+        for pc, other in pivots.items():
             if lead in other:
-                _axpy(other, -other[lead], row)
+                pivots[pc] = _cancel(other, row, lead)
         pivots[lead] = row
     return pivots
 
 
-def _axpy(target: Row, factor: Fraction, source: Row) -> None:
-    """target += factor * source, dropping entries that cancel."""
-    for c, v in source.items():
-        x = target.get(c, 0) + factor * v
+def _integer_row(coeffs: dict[int, Fraction]) -> Row:
+    bad = [v for v in coeffs.values() if getattr(v, "denominator", None) != 1]
+    if bad:
+        raise ValidationError(f"coefficient {bad[0]!r} is not an integer")
+    return _primitive({c: int(v) for c, v in coeffs.items() if v})
+
+
+def _cancel(row: Row, pivot: Row, c: int) -> Row:
+    """pivot[c] * row - row[c] * pivot, divided by the gcd of its entries;
+    column c cancels."""
+    a, b = pivot[c], row[c]
+    out = {j: a * v for j, v in row.items()}
+    for j, v in pivot.items():
+        x = out.get(j, 0) - b * v
         if x:
-            target[c] = x
+            out[j] = x
         else:
-            del target[c]
+            del out[j]
+    return _primitive(out)
+
+
+def _primitive(row: Row) -> Row:
+    g = math.gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def kernel_basis(system: CroSystem) -> list[list[Fraction]]:
     """Basis of the homogeneous solution space of the row coefficient matrix,
     one vector per free column in column order."""
     n = len(system.variables)
-    pivots = sparse_rref(dict(row.coeffs) for row in system.rows)
+    pivots = integer_rref(dict(row.coeffs) for row in system.rows)
     zero = Fraction(0)
     basis = {c: [zero] * n for c in range(n) if c not in pivots}
     for pc, row in pivots.items():
         for c, v in row.items():
             if c != pc:
-                basis[c][pc] = -v
+                basis[c][pc] = Fraction(-v, row[pc])
     for c, vec in basis.items():
         vec[c] = Fraction(1)
     return list(basis.values())
@@ -339,13 +337,16 @@ def projected_dimension(system: CroSystem, keep: set[TypeCode]) -> int:
     """Dimension of the solution polytope's image on the kept coordinates.
 
     The polytope has the strictly positive uniform point inside its affine
-    hull, so its image's dimension is the rank of the kernel basis restricted
-    to the kept columns."""
-    cols = [i for i, v in enumerate(system.variables) if v.code in keep]
-    if not cols:
+    hull, so its image's dimension is that of the kernel's projection: the
+    kernel's dimension less that of its part vanishing on the kept columns,
+    which is the kernel of the rows cut to the dropped columns.  In ranks,
+    len(kept) - rank(A) + rank(A on the dropped columns)."""
+    kept = {i for i, v in enumerate(system.variables) if v.code in keep}
+    if not kept:
         raise ValidationError("no kept variables")
-    basis = kernel_basis(system)
-    return len(sparse_rref(dict(enumerate(vec[c] for c in cols)) for vec in basis))
+    full = len(integer_rref(dict(row.coeffs) for row in system.rows))
+    cut = len(integer_rref({i: c for i, c in row.coeffs if i not in kept} for row in system.rows))
+    return len(kept) - full + cut
 
 
 # --- deterministic solutions ---------------------------------------------------
@@ -414,7 +415,6 @@ def dirac_solutions(
     walk(0)
 
     verified = []
-    n = len(system.variables)
     for sol in solutions:
         codes = set(sol)
         x = [Fraction(1 if v.code in codes else 0) for v in system.variables]
@@ -429,7 +429,7 @@ def dirac_solutions(
 
 def uniqueness_report(system: CroSystem) -> CroReport:
     uniform_ok = satisfies(system, uniform_point(system))
-    nullity = len(kernel_basis(system))
+    nullity = len(system.variables) - len(integer_rref(dict(row.coeffs) for row in system.rows))
     diracs = dirac_solutions(system)
     return CroReport(
         class_name=system.class_name,

@@ -295,6 +295,9 @@ BAD_INPUT = {
     "monotone_no_samples": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "0"),
     "exchangeability_no_samples": ("test", "--suite", "exchangeability", "--in", "{chain}",
                                    "--n", "0", "--pairs", "0,1;2,3"),
+    "build_kn_free_param": ("build", "--class", "kn_free_graph:x"),
+    "build_f2_param": ("build", "--class", "f2_vector_space:x"),
+    "cro_kn_free_param": ("cro", "--class", "kn_free_graph:x", "--n", "3"),
 }
 
 
@@ -310,7 +313,7 @@ def test_bad_input_exits_2(case, chain_file, f2_chain):
 class TestCro:
     def test_report_matches_library(self, tmp_path):
         out = tmp_path / "cro.json"
-        r = run("cro", "--class", "graph", "--n", "3", "--report", str(out))
+        r = run("cro", "--class", "graph", "--n", "3", "--out", str(out))
         assert r.returncode == 0, r.stderr
         doc = json.loads(out.read_text())
         from homord.cro import build_cro_system, uniqueness_report

@@ -12,16 +12,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homord.cro import (
     build_cro_system,
     dirac_solutions,
     enumerate_base_classes,
     enumerate_ordered_types,
+    integer_rref,
     kernel_basis,
     projected_dimension,
     satisfies,
-    sparse_rref,
     uniform_point,
     uniqueness_report,
 )
@@ -207,27 +208,53 @@ class TestKernel:
         assert kernel_basis(system) == dense_kernel(system)
 
 
+def assert_rref_matches_dense(M):
+    """integer_rref's rows divided by their pivot entries are the dense RREF."""
+    R = integer_rref(dict(enumerate(row)) for row in M)
+    reduced, pivots = dense_rref([[Fraction(v) for v in row] for row in M])
+    assert sorted(R) == pivots
+    for r, pc in enumerate(pivots):
+        assert all(isinstance(v, int) for v in R[pc].values())
+        assert math.gcd(*R[pc].values()) == 1
+        assert {c: Fraction(v, R[pc][pc]) for c, v in R[pc].items()} == {
+            c: v for c, v in enumerate(reduced[r]) if v}
+
+
 class TestRref:
     def test_hand_case(self):
-        R = sparse_rref([
+        R = integer_rref([
             {0: Fraction(2), 1: Fraction(4), 2: Fraction(2)},
             {0: Fraction(1), 1: Fraction(2), 2: Fraction(3)},
         ])
         assert sorted(R) == [0, 2]
-        assert R[0] == {0: Fraction(1), 1: Fraction(2)}
-        assert R[2] == {2: Fraction(1)}
+        assert R[0] in ({0: 1, 1: 2}, {0: -1, 1: -2})
+        assert R[2] in ({2: 1}, {2: -1})
+        assert_rref_matches_dense([[2, 4, 2], [1, 2, 3]])
 
     def test_matches_dense_on_random_matrices(self):
         rng = random.Random(5)
         for _ in range(200):
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-            M = [[Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3))) for _ in range(cols)]
-                 for _ in range(rows)]
-            R = sparse_rref(dict(enumerate(row)) for row in M)
-            reduced, pivots = dense_rref([row[:] for row in M])
-            assert sorted(R) == pivots
-            for r, pc in enumerate(pivots):
-                assert R[pc] == {c: v for c, v in enumerate(reduced[r]) if v}
+            assert_rref_matches_dense(
+                [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(cols)]
+                 for _ in range(rows)])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)),
+                 min_size=cols, max_size=cols),
+        min_size=1, max_size=7)))
+    def test_matches_dense_on_large_entries(self, M):
+        # entries this large make the cross-multiplied rows grow unless each
+        # step divides out the gcd
+        assert_rref_matches_dense(M)
+
+    def test_non_integer_coefficient_rejected(self):
+        # int(Fraction(3, 2)) would silently give 1
+        with pytest.raises(ValidationError, match="not an integer"):
+            integer_rref([{0: Fraction(1), 1: Fraction(3, 2)}])
+        with pytest.raises(ValidationError, match="not an integer"):
+            integer_rref([{0: 1}, {0: 0.5}])
 
 
 class TestRegressionBaselines:
@@ -279,6 +306,16 @@ class TestRegressionBaselines:
         assert (rep.nullspace_dim, rep.dirac_count) == (375, 0)
         assert rep.uniform_feasible
 
+    def test_tournament_level5(self):
+        rep = uniqueness_report(build_cro_system("tournament", 5))
+        assert (rep.nullspace_dim, rep.dirac_count) == (399, 0)
+        assert rep.uniform_feasible
+
+    def test_triangle_free_level5(self):
+        rep = uniqueness_report(build_cro_system("kn_free_graph:3", 5))
+        assert (rep.nullspace_dim, rep.dirac_count) == (149, 0)
+        assert rep.uniform_feasible
+
 
 class TestProjection:
     def test_level3_shadow_of_level4(self, cro_graph3, cro_graph4):
@@ -292,6 +329,24 @@ class TestProjection:
     def test_keep_all_is_kernel_dim(self, cro_graph3):
         keep = {v.code for v in cro_graph3.variables}
         assert projected_dimension(cro_graph3, keep) == 2
+
+    # dimension of the image on the levels <= j, for j = 1 .. L-1
+    @pytest.mark.parametrize("cls,level,dims", [
+        ("graph", 5, [0, 0, 2, 23]),
+        ("tournament", 4, [0, 1, 3]),
+        ("kn_free_graph:3", 5, [0, 0, 2, 16]),
+        ("linear_order", 5, [0, 1, 3, 12]),
+    ])
+    def test_level_cuts(self, cls, level, dims):
+        system = build_cro_system(cls, level)
+        cuts = [{v.code for v in system.variables if v.level <= j} for j in range(1, level)]
+        assert [projected_dimension(system, keep) for keep in cuts] == dims
+        if level <= 4:
+            basis = dense_kernel(system)
+            for keep, dim in zip(cuts, dims):
+                cols = [i for i, v in enumerate(system.variables) if v.code in keep]
+                _, pivots = dense_rref([[vec[c] for c in cols] for vec in basis])
+                assert len(pivots) == dim
 
     def test_empty_keep_rejected(self, cro_graph3):
         with pytest.raises(ValidationError):
