@@ -332,8 +332,10 @@ class TestProjection:
 
     # dimension of the image on the levels <= j, for j = 1 .. L-1
     @pytest.mark.parametrize("cls,level,dims", [
+        ("graph", 4, [0, 0, 2]),
         ("graph", 5, [0, 0, 2, 23]),
         ("tournament", 4, [0, 1, 3]),
+        ("kn_free_graph:3", 4, [0, 0, 2]),
         ("kn_free_graph:3", 5, [0, 0, 2, 16]),
         ("linear_order", 5, [0, 1, 3, 12]),
     ])
