@@ -52,7 +52,7 @@ from homord.stats import (
     test_independence as independence_verdict,
     test_monotone_coupling as monotone_verdict,
 )
-from homord.structures import enumerate_types, structure_dumps
+from homord.structures import enumerate_types, find_isomorphism, make_structure, structure_dumps
 
 
 DEMOS = Path(__file__).parents[1] / "demos"
@@ -108,6 +108,36 @@ def test_automorphism_digest(name):
     group = automorphisms(make())
     assert group.complete and len(group) == order
     assert sha256(repr(group.elements)) == digest
+
+
+# Paley 29 is the slowest fixture the search has faced (|Aut| = 406); the
+# truncated Paley 17 run pins which elements come first, not just the set.
+PALEY29 = "7f3e67162c56376e9a460d951c45f565dd764b824bccecbd0465dce23cf51278"
+PALEY17_FIRST50 = "b28f6a14c607691811e0c991b8226403ed47f829d7f982c8a6db573f9e0b04c7"
+
+
+def test_paley29_automorphism_digest():
+    group = automorphisms(paley_graph(29))
+    assert group.complete and len(group) == 406
+    assert sha256(repr(group.elements)) == PALEY29
+
+
+def test_paley17_truncated_digest():
+    group = automorphisms(paley_graph(17), bound=50)
+    assert not group.complete and len(group) == 50
+    assert sha256(repr(group.elements)) == PALEY17_FIRST50
+
+
+# find_isomorphism returns the first isomorphism in search order; pinned
+# from Paley 17 to a fixed relabelling of it.
+RELABEL17 = (2, 14, 3, 16, 10, 1, 9, 5, 11, 15, 6, 7, 8, 4, 0, 13, 12)
+
+
+def test_find_isomorphism_pinned():
+    S = paley_graph(17)
+    T = make_structure(S.signature, S.size,
+                       {"E": {(RELABEL17[a], RELABEL17[b]) for a, b in S.tables["E"]}})
+    assert find_isomorphism(S, T) == [0, 1, 4, 10, 8, 16, 7, 3, 6, 14, 15, 2, 11, 12, 5, 13, 9]
 
 
 # --- exact layer: type codes, CRO systems, kernel bases -------------------------
