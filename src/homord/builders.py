@@ -216,32 +216,39 @@ def f2_vector_space_class(d: int) -> FraisseClassSpec:
     return FraisseClassSpec(f"f2_vector_space:{d}", sig, member, params=(d,))
 
 
+_PLAIN_CLASSES = {
+    "pure_set": pure_set_class,
+    "graph": graph_class,
+    "tournament": tournament_class,
+    "linear_order": linear_order_class,
+    "two_predicate_PQ": two_predicate_class,
+    "bipartite_deg2": bipartite_deg2_class,
+    "involution_order": involution_order_class,
+}
+_PARAM_CLASSES = {
+    "kn_free_graph": kn_free_graph_class,
+    "f2_vector_space": f2_vector_space_class,
+}
+
+
 def class_by_name(name: str) -> FraisseClassSpec:
-    """Parse names like 'graph', 'kn_free_graph:3', 'f2_vector_space:4'."""
-    base, _, arg = name.partition(":")
+    """Parse names like 'graph', 'kn_free_graph:3', 'f2_vector_space:4'.
+
+    A parameterised class defaults to 3; a parameter on any other class is
+    rejected rather than dropped.
+    """
+    base, colon, arg = name.partition(":")
+    if base in _PLAIN_CLASSES:
+        if colon:
+            raise ValidationError(f"class {base!r} takes no parameter, got {name!r}")
+        return _PLAIN_CLASSES[base]()
+    if base not in _PARAM_CLASSES:
+        raise ValidationError(f"unknown class {name!r}")
     try:
         n = int(arg or 3)
     except ValueError:
         raise ValidationError(f"class {name!r}: parameter {arg!r} is not an integer") from None
-    if base == "pure_set":
-        return pure_set_class()
-    if base == "graph":
-        return graph_class()
-    if base == "kn_free_graph":
-        return kn_free_graph_class(n)
-    if base == "tournament":
-        return tournament_class()
-    if base == "linear_order":
-        return linear_order_class()
-    if base == "two_predicate_PQ":
-        return two_predicate_class()
-    if base == "bipartite_deg2":
-        return bipartite_deg2_class()
-    if base == "involution_order":
-        return involution_order_class()
-    if base == "f2_vector_space":
-        return f2_vector_space_class(n)
-    raise ValidationError(f"unknown class {name!r}")
+    return _PARAM_CLASSES[base](n)
 
 
 # --- chains ----------------------------------------------------------------

@@ -202,22 +202,56 @@ def _element_invariants(S: FinStructure) -> list[tuple]:
 
 
 def _incidence(S: FinStructure) -> list[list[tuple[tuple[int, ...], str]]]:
-    """For each element, the (tuple, relation name) pairs whose tuple holds it."""
+    """For each element, the (tuple, relation name) pairs whose tuple holds it,
+    leaving out binary tuples on two distinct points (pair patterns check those)."""
     inc: list[list] = [[] for _ in range(S.size)]
     for name, _ in S.signature.relations:
         for tup in S.tables[name]:
-            for x in set(tup):
-                inc[x].append((tup, name))
+            if len(tup) != 2 or tup[0] == tup[1]:
+                for x in set(tup):
+                    inc[x].append((tup, name))
     return inc
+
+
+def _pair_patterns(S: FinStructure) -> list[list[int]]:
+    """patterns[a][b]: for the i-th binary relation R, bit 2i says (a, b) in R
+    and bit 2i+1 says (b, a) in R.  Only a != b is meaningful."""
+    patterns = [[0] * S.size for _ in range(S.size)]
+    binary = [name for name, arity in S.signature.relations if arity == 2]
+    for i, name in enumerate(binary):
+        for a, b in S.tables[name]:
+            patterns[a][b] |= 1 << 2 * i
+            patterns[b][a] |= 2 << 2 * i
+    return patterns
+
+
+def _pattern_masks(patterns: list[list[int]]) -> list[dict[int, int]]:
+    """masks[y][p]: bitset of the points w != y with patterns[y][w] == p."""
+    masks: list[dict[int, int]] = []
+    for y, row in enumerate(patterns):
+        by_pattern: dict[int, int] = {}
+        for w, p in enumerate(row):
+            if w != y:
+                by_pattern[p] = by_pattern.get(p, 0) | 1 << w
+        masks.append(by_pattern)
+    return masks
 
 
 def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
     """Yield every isomorphism S -> T as an image tuple, in a fixed order.
 
-    Backtracking over elements, most constrained first, with candidates
-    pruned by element invariants (sort label, incidence counts per relation
-    position).  Extending a partial map by x -> y checks only the tuples of
-    S through x and of T through y whose points are all mapped already.
+    Backtracking over elements, most constrained first.  Each unmapped
+    element x has a bitset domain of images, seeded from element invariants
+    (sort label, incidence counts per relation position).  Mapping x -> y
+    cuts every later z's domain to the points w whose pair pattern towards y
+    in T (both directions of every binary relation) equals z's pattern
+    towards x in S; a branch ends as soon as a domain is empty.  The domains
+    so check every binary tuple on two distinct points, and injectivity, as
+    a pattern mask never holds its own point.  The other tuples (arity != 2
+    and loops) of S through x and of T through y are checked once all their
+    points are mapped.  Domains are walked in ascending order and only
+    branches without a solution are cut, so the output order is that of the
+    plain backtracker over ascending candidates.
     """
     if S.size != T.size or S.signature != T.signature:
         return
@@ -226,8 +260,12 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
     inv_t = inv_s if T is S else _element_invariants(T)
     if sorted(inv_s) != sorted(inv_t):
         return
-    candidates = [[y for y in range(n) if inv_t[y] == inv_s[x]] for x in range(n)]
-    order = sorted(range(n), key=lambda x: len(candidates[x]))
+    seeds = [sum(1 << y for y in range(n) if inv_t[y] == inv_s[x]) for x in range(n)]
+    order = sorted(range(n), key=lambda x: seeds[x].bit_count())
+    pat_s = _pair_patterns(S)
+    masks_t = _pattern_masks(pat_s if T is S else _pair_patterns(T))
+    # later_patterns[d]: the pattern of order[d] towards each later element
+    later_patterns = [[pat_s[x][z] for z in order[d + 1:]] for d, x in enumerate(order)]
     inc_s, inc_t = _incidence(S), _incidence(T)
     image, inverse = [-1] * n, [-1] * n
 
@@ -242,19 +280,26 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
                 return False
         return True
 
-    def extend(depth: int):
+    def extend(depth: int, domains: list[int]):
+        # domains[i] is the domain of order[depth + i]
         if depth == n:
             yield tuple(image)
             return
-        x = order[depth]
-        for y in candidates[x]:
-            if inverse[y] < 0:
-                image[x], inverse[y] = y, x
-                if fits(x, y):
-                    yield from extend(depth + 1)
-                image[x], inverse[y] = -1, -1
+        x, patterns, rest = order[depth], later_patterns[depth], domains[1:]
+        left = domains[0]
+        while left:
+            low = left & -left
+            left ^= low
+            y = low.bit_length() - 1
+            image[x], inverse[y] = y, x
+            if fits(x, y):
+                masks = masks_t[y]
+                cut = [d & masks.get(p, 0) for d, p in zip(rest, patterns)]
+                if all(cut):
+                    yield from extend(depth + 1, cut)
+            image[x], inverse[y] = -1, -1
 
-    yield from extend(0)
+    yield from extend(0, [seeds[x] for x in order])
 
 
 def find_isomorphism(S: FinStructure, T: FinStructure) -> list[int] | None:

@@ -104,8 +104,10 @@ class TestMembership:
     def test_class_by_name(self):
         assert class_by_name("kn_free_graph:4").params == (4,)
         assert class_by_name("graph").name == "graph"
-        with pytest.raises(ValidationError):
-            class_by_name("frobnicator")
+        assert class_by_name("kn_free_graph").params == (3,)
+        for bad in ("frobnicator", "graph:5", "tournament:", "kn_free_graph:x"):
+            with pytest.raises(ValidationError):
+                class_by_name(bad)
 
 
 class TestBuildGeneric:

@@ -298,6 +298,8 @@ BAD_INPUT = {
     "build_kn_free_param": ("build", "--class", "kn_free_graph:x"),
     "build_f2_param": ("build", "--class", "f2_vector_space:x"),
     "cro_kn_free_param": ("cro", "--class", "kn_free_graph:x", "--n", "3"),
+    "build_plain_param": ("build", "--class", "graph:5", "--sat", "1", "--cap", "10"),
+    "cro_plain_param": ("cro", "--class", "tournament:9", "--n", "2"),
 }
 
 

@@ -8,6 +8,12 @@ depth 2, so the audit also sees three saturated fixtures: the 3x3 rook's
 graph (depth 2), the quadratic-residue tournament on 7 vertices (depth 2)
 and the triangle-free Clebsch graph (depth 3).
 
+The backtracker is checked again on relations no class member has: two
+binary relations, a ternary and a unary one, with loops and optional sorts,
+from a structure to itself, to a relabelled copy, to a one-flip near miss of
+that copy and to an unrelated structure.  There the brute force also fixes
+the order in which isomorphisms come out.
+
 Type codes are checked against their definition on random structures with
 binary, ternary and unary relations and optional sorts: two tuples get equal
 codes exactly when the position map between them preserves every relation
@@ -15,12 +21,19 @@ and every sort label.
 """
 
 import itertools
+import random
 
 from hypothesis import example, given, settings, strategies as st
 
 from homord.builders import audit_saturation, class_by_name
 from homord.groups import automorphisms
-from homord.structures import Signature, canonical_type, find_isomorphism, make_structure
+from homord.structures import (
+    Signature,
+    canonical_type,
+    find_isomorphism,
+    isomorphisms,
+    make_structure,
+)
 
 KINDS = ("graph", "tournament", "kn_free_graph:3")
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -161,12 +174,12 @@ def one_flips(T, q):
     for x in q if sorts is not None else ():
         flipped = list(sorts)
         flipped[x] = "y" if sorts[x] == "x" else "x"
-        yield make_structure(MIXED, T.size, T.tables, flipped)
-    for name, arity in MIXED.relations:
+        yield make_structure(T.signature, T.size, T.tables, flipped)
+    for name, arity in T.signature.relations:
         for cell in itertools.product(q, repeat=arity):
             tables = dict(T.tables)
             tables[name] = T.tables[name] ^ {cell}
-            yield make_structure(MIXED, T.size, tables, sorts)
+            yield make_structure(T.signature, T.size, tables, sorts)
 
 
 def positions_preserved(S, p, T, q):
@@ -202,3 +215,126 @@ def test_type_codes_match_definition(data):
     for U in one_flips(T, q):
         assert not positions_preserved(S, p, U, q)
         assert code != canonical_type(U, q)
+
+
+# --- the backtracker on relations no class member produces ---------------------
+#
+# Two binary relations (so pair patterns carry four bits), a ternary and a
+# unary relation, loops and repeated points, optional sorts.  The expected
+# output is brute force: every permutation that carries S onto T, listed in
+# the order the search promises (lexicographic in the images of its element
+# order, fewest same-invariant candidates first).
+
+WIDE = Signature((("E", 2), ("F", 2), ("T", 3), ("P", 1)))
+
+
+@st.composite
+def wide_structures(draw):
+    """Random tables over WIDE on at most 6 points, each a union of orbits of
+    a drawn permutation g, so that g is an automorphism and groups are not
+    all trivial.  Each table draws its own density, from empty to full, so
+    that no one dense relation pins every point by itself."""
+    n = draw(st.integers(0, 6))
+    g = draw(st.permutations(range(n)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def orbit(cell):
+        out = {cell}
+        image = tuple(g[x] for x in cell)
+        while image not in out:
+            out.add(image)
+            image = tuple(g[x] for x in image)
+        return out
+
+    tables = {}
+    for name, arity in WIDE.relations:
+        seen, table = set(), set()
+        density = rng.choice((0, 0.25, 0.5, 0.75, 1))
+        for cell in itertools.product(range(n), repeat=arity):
+            if cell not in seen:
+                cells = orbit(cell)
+                seen |= cells
+                if rng.random() < density:
+                    table |= cells
+        tables[name] = table
+    sorts = None
+    if n and draw(st.booleans()):
+        sorts = [None] * n
+        for x in range(n):
+            if sorts[x] is None:
+                label = rng.choice("xy")
+                for (y,) in orbit((x,)):
+                    sorts[y] = label
+    return make_structure(WIDE, n, tables, sorts)
+
+
+# Both edges run from a later element of the search order to an earlier one,
+# so only the reverse-direction bits of 0's and 1's patterns see them: a search
+# comparing one direction of each pair would also accept swapping 0 and 1 alone.
+ONE_WAY = make_structure(WIDE, 4, {"E": {(2, 1), (3, 0)}})
+# Every relation, loops and sorts at once; Aut is the 3-cycle (0 1 2)(3 4 5).
+TWISTED = make_structure(WIDE, 6, {
+    "E": {(0, 3), (1, 4), (2, 5), (0, 0), (1, 1), (2, 2)},
+    "F": {(3, 4), (4, 5), (5, 3)},
+    "T": {(0, 1, 3), (1, 2, 4), (2, 0, 5)},
+    "P": {(3,), (4,), (5,)},
+}, "xxxyyy")
+
+
+def carries(S, T, p):
+    """Does x -> p[x] carry every tuple and sort label of S onto T?  Unlike
+    is_isomorphism it stops at the first miss, which keeps 720 permutations
+    per pair cheap."""
+    if (S.sorts is None) != (T.sorts is None):
+        return False
+    if S.sorts is not None and any(S.sorts[x] != T.sorts[p[x]] for x in range(S.size)):
+        return False
+    return all(len(S.tables[name]) == len(T.tables[name]) and all(
+        tuple(p[x] for x in tup) in T.tables[name] for tup in S.tables[name])
+        for name, _ in S.signature.relations)
+
+
+def brute_isomorphisms(S, T):
+    """Every isomorphism S -> T, in the search's promised order."""
+    if S.size != T.size:
+        return []
+
+    def invariant(x):
+        return (S.sort_of(x), tuple(sum(tup[i] == x for tup in S.tables[name])
+                                    for name, arity in S.signature.relations
+                                    for i in range(arity)))
+
+    inv = [invariant(x) for x in range(S.size)]
+    order = sorted(range(S.size), key=lambda x: inv.count(inv[x]))
+    found = [p for p in itertools.permutations(range(S.size)) if carries(S, T, p)]
+    return sorted(found, key=lambda p: [p[x] for x in order])
+
+
+@SETTINGS
+@given(wide_structures())
+@example(ONE_WAY)
+@example(TWISTED)
+def test_wide_automorphisms_match_brute_force(S):
+    group = automorphisms(S)
+    assert group.complete
+    assert list(group.elements) == brute_isomorphisms(S, S)
+
+
+@SETTINGS
+@given(wide_structures(), wide_structures(), st.randoms(use_true_random=False))
+@example(ONE_WAY, TWISTED, random.Random(0))
+@example(TWISTED, ONE_WAY, random.Random(1))
+def test_wide_isomorphisms_match_brute_force(S, other, rng):
+    """S to a relabelled copy, to a one-flip near miss of it, and to another
+    structure: every isomorphism in order, and find_isomorphism's first."""
+    copy = relabel(S, rng.sample(range(S.size), S.size))
+    targets = {"copy": copy, "other": other}
+    flips = list(one_flips(copy, tuple(range(S.size))))
+    if flips:
+        targets["near miss"] = rng.choice(flips)
+    for kind, T in targets.items():
+        brute = brute_isomorphisms(S, T)
+        assert list(isomorphisms(S, T)) == brute, kind
+        assert find_isomorphism(S, T) == (list(brute[0]) if brute else None), kind
+        if kind != "other":
+            assert bool(brute) == (kind == "copy")
