@@ -81,7 +81,6 @@ from .samplers import (
     PQOrderSampler,
     UniformOrderSampler,
     derive_seed,
-    order_from_latents,
     structure_order,
 )
 from .stats import (

@@ -290,14 +290,15 @@ def chain_to_json(chain: StructureChain) -> dict:
 
 
 def chain_from_json(obj: dict) -> StructureChain:
-    """Rebuild a chain; missing keys, wrong shapes, an unknown class and a
-    level outside the class raise ValidationError."""
+    """Rebuild a chain; missing keys, wrong shapes, an unknown class, a level
+    outside the class and a saturation value the audit does not reproduce
+    raise ValidationError."""
     try:
         spec = class_by_name(obj["class"])
         levels = tuple(structure_from_json(o) for o in obj["levels"])
         for level in levels:
             spec.validate(level)
-        return StructureChain(
+        chain = StructureChain(
             class_name=obj["class"],
             levels=levels,
             saturation=tuple(int(x) for x in obj["saturation"]),
@@ -306,6 +307,32 @@ def chain_from_json(obj: dict) -> StructureChain:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed chain JSON: {type(exc).__name__}: {exc}") from None
+    _reaudit(spec, chain)
+    return chain
+
+
+def _reaudit(spec: FraisseClassSpec, chain: StructureChain) -> None:
+    """Re-run the saturation audit on every level against the stored values.
+
+    The build depth t is not stored, but an honest value is min(t, the
+    level's own depth) and t is at least the largest value, so auditing a
+    level at one more than its value, capped at the largest, gives the value
+    back.  The audit at depth d walks every instance of size <= d, so it
+    deepens one step at a time and stops at the first open size: a raised
+    claim costs no more than the level's true depth plus one.  A depth of 0
+    claims nothing; lowering the one largest value only weakens a true
+    claim, and passes."""
+    depth = max(chain.saturation)
+    if depth > 0 and not spec.witnessable:
+        raise ValidationError(f"class {spec.name} has no saturation audit, yet claims {depth}")
+    for i, (S, stored) in enumerate(zip(chain.levels, chain.saturation)):
+        audited = 0
+        for t in range(1, min(stored + 1, depth) + 1):
+            audited = audit_saturation(S, spec, t)
+            if audited < t:
+                break
+        if audited != stored:
+            raise ValidationError(f"level {i}: stored saturation {stored}, audit gives {audited}")
 
 
 def chain_dumps(chain: StructureChain) -> str:

@@ -11,13 +11,19 @@ constant on isomorphism classes, such that
     positions of the extended orders' probabilities.
 
 Truncating at level L keeps members of size <= L.  This module builds that
-linear system with exact rationals, checks the uniform point (every order of
-a size-k member gets 1/k!) solves it, measures the solution polytope's
-dimension at the uniform point, and searches for deterministic (0/1)
-solutions.  The dimension tells ergodic uniqueness apart from a genuine
-polytope of invariant orderings at this truncation; 0/1 solutions are the
-orderings concentrated on a single rule, which exist for chains (identity and
-reversal) but are obstructed for graphs and pure sets by the 2-point swap.
+linear system, checks the uniform point (every order of a size-k member gets
+1/k!) solves it, measures the solution polytope's dimension at the uniform
+point, and searches for deterministic (0/1) solutions.  The dimension tells
+ergodic uniqueness apart from a genuine polytope of invariant orderings at
+this truncation; 0/1 solutions are the orderings concentrated on a single
+rule, which exist for chains (identity and reversal) but are obstructed for
+graphs and pure sets by the 2-point swap.
+
+Assembly computes each base representative's code under every permutation
+once, while enumerating the base classes, and looks the insertion orders of
+the restriction rows up in that table.  Coefficients are integers until a row
+is kept, which stores them as `Fraction`s; the uniform point is checked over
+the integers, scaled by L!, and the elimination is fraction-free.
 
 Everything here is exact; no floats."""
 
@@ -25,8 +31,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .builders import FraisseClassSpec, class_by_name
@@ -35,7 +43,6 @@ from .structures import (
     FinStructure,
     TypeCode,
     canonical_type,
-    induced_substructure,
     make_structure,
 )
 
@@ -89,6 +96,12 @@ class CroSystem:
     def variables_at(self, level: int) -> tuple[OrderedType, ...]:
         return tuple(v for v in self.variables if v.level == level)
 
+    @cached_property
+    def rref(self) -> dict[int, Row]:
+        """integer_rref of the row coefficients, computed once per system;
+        the rank, the projected dimensions and the kernel basis read it."""
+        return integer_rref(dict(row.coeffs) for row in self.rows)
+
 
 @dataclass(frozen=True)
 class CroReport:
@@ -141,8 +154,12 @@ def _all_members(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
     raise ValidationError(f"class {spec.name!r} has no member enumerator")
 
 
-def enumerate_base_classes(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
-    """Isomorphism-class representatives of the class's size-k members."""
+def _base_classes(
+    spec: FraisseClassSpec, k: int
+) -> list[tuple[FinStructure, tuple[TypeCode, ...]]]:
+    """Isomorphism classes of the class's size-k members, each as its
+    representative and the representative's code under every permutation of
+    range(k), in itertools.permutations order."""
     base = spec.name.split(":")[0]
     cap = _LEVEL_CAPS.get(base)
     if cap is None:
@@ -153,15 +170,21 @@ def enumerate_base_classes(spec: FraisseClassSpec, k: int) -> list[FinStructure]
     # the codes of an earlier class is isomorphic to it.  Each new class is
     # stored under its least code; its first member stays the representative.
     known: set[TypeCode] = set()
-    seen: dict[TypeCode, FinStructure] = {}
+    seen: dict[TypeCode, tuple[FinStructure, tuple[TypeCode, ...]]] = {}
     perms = list(itertools.permutations(range(k)))
     for S in _all_members(spec, k):
-        if canonical_type(S, perms[0]) in known:
+        first = canonical_type(S, perms[0])
+        if first in known:
             continue
-        codes = {canonical_type(S, p) for p in perms}
-        known |= codes
-        seen[min(codes)] = S
+        codes = (first, *(canonical_type(S, p) for p in perms[1:]))
+        known.update(codes)
+        seen[min(codes)] = (S, codes)
     return [seen[c] for c in sorted(seen)]
+
+
+def enumerate_base_classes(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
+    """Isomorphism-class representatives of the class's size-k members."""
+    return [S for S, _ in _base_classes(spec, k)]
 
 
 def enumerate_ordered_types(A: FinStructure) -> dict[TypeCode, int]:
@@ -187,79 +210,85 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     base_reps: dict[int, tuple[FinStructure, ...]] = {}
     variables: list[OrderedType] = []
     var_index: dict[TypeCode, int] = {}
-    level_counts: dict[int, list[dict[TypeCode, int]]] = {}
+    # level -> one {permutation: variable index} table per base representative
+    tables: dict[int, list[dict[tuple[int, ...], int]]] = {}
+    rows: list[tuple[tuple[tuple[int, int], ...], int, str]] = []
+    seen_rows: set[tuple] = set()
+
+    def push(coeffs: dict[int, int], rhs: int, kind: str) -> None:
+        key = (tuple(sorted(coeffs.items())), rhs)
+        if key not in seen_rows:
+            seen_rows.add(key)
+            rows.append((*key, kind))
 
     for k in range(1, max_level + 1):
-        reps = tuple(enumerate_base_classes(spec, k))
-        if not reps:
+        classes = _base_classes(spec, k)
+        if not classes:
             raise ValidationError(f"{class_name} has no members of size {k}")
-        base_reps[k] = reps
-        level_counts[k] = []
-        for bi, A in enumerate(reps):
-            counts = enumerate_ordered_types(A)
-            level_counts[k].append(counts)
+        base_reps[k] = tuple(A for A, _ in classes)
+        perms = list(itertools.permutations(range(k)))
+        tables[k] = []
+        for bi, (A, codes) in enumerate(classes):
+            counts = Counter(codes)
             for code in sorted(counts):
                 var_index[code] = len(variables)
                 variables.append(OrderedType(code, k, bi, counts[code]))
-
-    rows: list[CroRow] = []
-    seen_rows: set[tuple] = set()
-
-    def push(coeffs: dict[int, Fraction], rhs: Fraction, kind: str) -> None:
-        items = tuple(sorted(coeffs.items()))
-        key = (items, rhs)
-        if key not in seen_rows:
-            seen_rows.add(key)
-            rows.append(CroRow(items, rhs, kind))
-
-    for k in range(1, max_level + 1):
-        for counts in level_counts[k]:
-            push(
-                {var_index[c]: Fraction(n) for c, n in counts.items()},
-                Fraction(1),
-                "mass",
-            )
+            tables[k].append(dict(zip(perms, map(var_index.__getitem__, codes))))
+            push({var_index[c]: n for c, n in counts.items()}, 1, "mass")
 
     for k in range(1, max_level):
-        for B in base_reps[k + 1]:
+        for B, idx in zip(base_reps[k + 1], tables[k + 1]):
             for v in B.elements:
                 rest = tuple(x for x in B.elements if x != v)
-                A = induced_substructure(B, rest)
-                for tau in itertools.permutations(range(k)):
-                    lhs = var_index[canonical_type(A, tau)]
-                    coeffs: dict[int, Fraction] = {lhs: Fraction(1)}
-                    tau_b = [rest[i] for i in tau]
+                for tau in itertools.permutations(rest):
+                    coeffs = {var_index[canonical_type(B, tau)]: 1}
                     for pos in range(k + 1):
-                        sigma = tuple(tau_b[:pos] + [v] + tau_b[pos:])
-                        j = var_index[canonical_type(B, sigma)]
-                        coeffs[j] = coeffs.get(j, Fraction(0)) - 1
-                    coeffs = {i: c for i, c in coeffs.items() if c != 0}
-                    push(coeffs, Fraction(0), "restriction")
+                        j = idx[tau[:pos] + (v,) + tau[pos:]]
+                        coeffs[j] = coeffs.get(j, 0) - 1
+                    push({i: c for i, c in coeffs.items() if c}, 0, "restriction")
 
-    system = CroSystem(class_name, max_level, base_reps, variables, tuple(rows))
-    bad = _violated_rows(system, uniform_point(system))
+    bad = _uniform_violations([(c, rhs) for c, rhs, _ in rows], [v.level for v in variables])
     if bad:
         raise ValidationError(
             f"uniform point violates {len(bad)} rows; assembly is inconsistent"
         )
-    return system
+    # one Fraction per distinct integer; the kept rows share them
+    values = {rhs for _, rhs, _ in rows} | {c for coeffs, _, _ in rows for _, c in coeffs}
+    frac = {c: Fraction(c) for c in values}
+    return CroSystem(
+        class_name,
+        max_level,
+        base_reps,
+        tuple(variables),
+        tuple(
+            CroRow(tuple((i, frac[c]) for i, c in coeffs), frac[rhs], kind)
+            for coeffs, rhs, kind in rows
+        ),
+    )
 
 
 def uniform_point(system: CroSystem) -> list[Fraction]:
     return [Fraction(1, math.factorial(v.level)) for v in system.variables]
 
 
-def _violated_rows(system: CroSystem, x: list[Fraction]) -> list[int]:
-    bad = []
-    for idx, row in enumerate(system.rows):
-        total = sum(c * x[i] for i, c in row.coeffs)
-        if total != row.rhs:
-            bad.append(idx)
-    return bad
+def _uniform_violations(rows: list[tuple], levels: list[int]) -> list[int]:
+    """Indices of the (coeffs, rhs) rows that the uniform point violates.
+
+    The point scaled by L! (L the top level) is integral, x_i = L!/level_i!,
+    so each row is checked exactly as sum(c * x) == rhs * L!; with integer
+    coefficients no Fraction is made."""
+    scale = math.factorial(max(levels, default=0))
+    x = [scale // math.factorial(lv) for lv in levels]
+    return [
+        r for r, (coeffs, rhs) in enumerate(rows)
+        if sum(c * x[i] for i, c in coeffs) != rhs * scale
+    ]
 
 
 def satisfies(system: CroSystem, x: list[Fraction]) -> bool:
-    return not _violated_rows(system, x) and all(v >= 0 for v in x)
+    return all(v >= 0 for v in x) and all(
+        sum(c * x[i] for i, c in row.coeffs) == row.rhs for row in system.rows
+    )
 
 
 # --- exact linear algebra ------------------------------------------------------
@@ -321,7 +350,7 @@ def kernel_basis(system: CroSystem) -> list[list[Fraction]]:
     """Basis of the homogeneous solution space of the row coefficient matrix,
     one vector per free column in column order."""
     n = len(system.variables)
-    pivots = integer_rref(dict(row.coeffs) for row in system.rows)
+    pivots = system.rref
     zero = Fraction(0)
     basis = {c: [zero] * n for c in range(n) if c not in pivots}
     for pc, row in pivots.items():
@@ -344,7 +373,7 @@ def projected_dimension(system: CroSystem, keep: set[TypeCode]) -> int:
     kept = {i for i, v in enumerate(system.variables) if v.code in keep}
     if not kept:
         raise ValidationError("no kept variables")
-    full = len(integer_rref(dict(row.coeffs) for row in system.rows))
+    full = len(system.rref)
     cut = len(integer_rref({i: c for i, c in row.coeffs if i not in kept} for row in system.rows))
     return len(kept) - full + cut
 
@@ -428,8 +457,10 @@ def dirac_solutions(
 
 
 def uniqueness_report(system: CroSystem) -> CroReport:
-    uniform_ok = satisfies(system, uniform_point(system))
-    nullity = len(system.variables) - len(integer_rref(dict(row.coeffs) for row in system.rows))
+    nullity = len(system.variables) - len(system.rref)
+    # the elimination has rejected every coefficient that is not an integer
+    rows = [(tuple((i, c.numerator) for i, c in r.coeffs), r.rhs) for r in system.rows]
+    uniform_ok = not _uniform_violations(rows, [v.level for v in system.variables])
     diracs = dirac_solutions(system)
     return CroReport(
         class_name=system.class_name,

@@ -167,15 +167,6 @@ class AtomSpec:
         return sum(m for _, m in self.atoms)
 
 
-def order_from_latents(
-    latent: dict[int, float],
-    tie_rank: dict[int, int] | None = None,
-) -> tuple[int, ...]:
-    """Deterministic comparator sort: by value, ties by tie_rank then id."""
-    ranks = tie_rank or {}
-    return tuple(sorted(latent, key=lambda a: (latent[a], ranks.get(a, 0), a)))
-
-
 def _row(keys: tuple[int, ...], arr: np.ndarray | None, i: int) -> dict | None:
     return None if arr is None else dict(zip(keys, arr[i].tolist()))
 

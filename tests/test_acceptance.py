@@ -30,7 +30,6 @@ from homord.samplers import (
     InvolutionOrderSampler,
     PQOrderSampler,
     UniformOrderSampler,
-    order_from_latents,
 )
 from homord.stats import (
     estimate_eta_covariance,
@@ -43,6 +42,8 @@ from homord.stats import (
 )
 from homord.structures import canonical_type
 from homord.taupaths import build_tau_index, find_tau_path
+
+from helpers import order_from_latents
 
 
 def report(num, ok, detail):

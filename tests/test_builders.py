@@ -1,6 +1,7 @@
 """Builders: class checkers, witness completion, example structures."""
 
 import itertools
+import json
 
 import pytest
 
@@ -15,6 +16,7 @@ from homord.builders import (
     build_involution_order,
     build_two_predicate_PQ,
     chain_dumps,
+    chain_from_json,
     chain_loads,
     class_by_name,
     find_involution_pattern_pair,
@@ -375,6 +377,25 @@ class TestChainIO:
     def test_level_outside_class_rejected(self, text):
         with pytest.raises(ValidationError):
             chain_loads(text)
+
+    # a claim of 12 on 18 vertices would walk ~3^18 instances if audited at
+    # once; deepening stops at the first open size
+    @pytest.mark.parametrize("level,delta", [(-1, 1), (-1, 10), (1, -1), (0, 1), (3, 1), (0, -1)])
+    def test_tampered_saturation_rejected(self, graph_chain, level, delta):
+        obj = json.loads(chain_dumps(graph_chain))
+        assert obj["saturation"] == [0, 1, 1, 1, 2]
+        assert chain_from_json(obj) == graph_chain
+        obj["saturation"][level] += delta
+        with pytest.raises(ValidationError, match="saturation"):
+            chain_from_json(obj)
+
+    def test_saturation_on_class_without_audit_rejected(self):
+        chain = involution_order_chain([2, 3], 1)
+        obj = json.loads(chain_dumps(chain))
+        assert chain_from_json(obj) == chain
+        obj["saturation"][0] = 1
+        with pytest.raises(ValidationError, match="no saturation audit"):
+            chain_from_json(obj)
 
     @pytest.mark.parametrize("make", [
         *(lambda cls=cls, t=t: build_generic(class_by_name(cls), t, 64, 3)

@@ -266,8 +266,19 @@ def f2_chain(tmp_path_factory):
     return path
 
 
-# Malformed input on every flag that takes points: each must exit 2 with an
-# error line, never a traceback.  "{chain}" and "{f2}" stand for chain files.
+@pytest.fixture(scope="module")
+def tampered_chain(chain_file, tmp_path_factory):
+    """chain_file with its top level claiming one more depth than it has."""
+    obj = json.loads(chain_file.read_text())
+    obj["saturation"][-1] += 1
+    path = tmp_path_factory.mktemp("cli4") / "tampered.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+# Malformed input on every flag that takes points, and chain files that do not
+# hold: each must exit 2 with an error line, never a traceback.  "{chain}",
+# "{f2}" and "{tampered}" stand for chain files.
 BAD_INPUT = {
     "points_token": ("sample", "--sampler", "uniform", "--in", "{chain}", "--points", "0,x"),
     "target_token": ("estimate", "--sampler", "uniform", "--in", "{chain}",
@@ -300,12 +311,14 @@ BAD_INPUT = {
     "cro_kn_free_param": ("cro", "--class", "kn_free_graph:x", "--n", "3"),
     "build_plain_param": ("build", "--class", "graph:5", "--sat", "1", "--cap", "10"),
     "cro_plain_param": ("cro", "--class", "tournament:9", "--n", "2"),
+    "tampered_saturation": ("orbits", "--in", "{tampered}", "--k", "1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_exits_2(case, chain_file, f2_chain):
-    argv = [a.format(chain=chain_file, f2=f2_chain) for a in BAD_INPUT[case]]
+def test_bad_input_exits_2(case, chain_file, f2_chain, tampered_chain):
+    argv = [a.format(chain=chain_file, f2=f2_chain, tampered=tampered_chain)
+            for a in BAD_INPUT[case]]
     r = run(*argv)
     assert r.returncode == 2, (r.returncode, r.stderr)
     assert "error:" in r.stderr and "Traceback" not in r.stderr

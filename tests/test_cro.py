@@ -9,12 +9,19 @@ any drift is a bug.
 import itertools
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homord.cro
 from homord.cro import (
+    CroRow,
+    OrderedType,
+    _all_members,
+    _uniform_violations,
     build_cro_system,
     dirac_solutions,
     enumerate_base_classes,
@@ -29,7 +36,7 @@ from homord.cro import (
 from homord.errors import ValidationError
 from homord.groups import automorphisms
 from homord.builders import class_by_name
-from homord.structures import find_isomorphism
+from homord.structures import canonical_type, find_isomorphism, induced_substructure
 
 
 def dense_rref(matrix):
@@ -77,6 +84,67 @@ def dense_kernel(system):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
     return basis
+
+
+def reference_system(class_name, max_level):
+    """Reference assembler: base classes keyed by their least code, ordered
+    types counted per representative, and each restriction row from the
+    induced substructure with one canonical_type per insertion, all with
+    Fraction coefficients.  Returns (base_reps, variables, rows)."""
+    spec = class_by_name(class_name)
+    base_reps, variables, var_index = {}, [], {}
+    for k in range(1, max_level + 1):
+        first = {}
+        for S in _all_members(spec, k):
+            first.setdefault(min(canonical_type(S, p) for p in itertools.permutations(range(k))), S)
+        base_reps[k] = tuple(first[c] for c in sorted(first))
+        for bi, A in enumerate(base_reps[k]):
+            counts = Counter(canonical_type(A, p) for p in itertools.permutations(A.elements))
+            for code in sorted(counts):
+                var_index[code] = len(variables)
+                variables.append(OrderedType(code, k, bi, counts[code]))
+
+    rows, seen = [], set()
+
+    def push(coeffs, rhs, kind):
+        items = tuple(sorted(coeffs.items()))
+        if (items, rhs) not in seen:
+            seen.add((items, rhs))
+            rows.append(CroRow(items, rhs, kind))
+
+    for k in range(1, max_level + 1):
+        for A in base_reps[k]:
+            counts = Counter(canonical_type(A, p) for p in itertools.permutations(A.elements))
+            push({var_index[c]: Fraction(n) for c, n in counts.items()}, Fraction(1), "mass")
+    for k in range(1, max_level):
+        for B in base_reps[k + 1]:
+            for v in B.elements:
+                rest = tuple(x for x in B.elements if x != v)
+                A = induced_substructure(B, rest)
+                for tau in itertools.permutations(range(k)):
+                    coeffs = {var_index[canonical_type(A, tau)]: Fraction(1)}
+                    tau_b = [rest[i] for i in tau]
+                    for pos in range(k + 1):
+                        j = var_index[canonical_type(B, tuple(tau_b[:pos] + [v] + tau_b[pos:]))]
+                        coeffs[j] = coeffs.get(j, Fraction(0)) - 1
+                    push({i: c for i, c in coeffs.items() if c != 0}, Fraction(0), "restriction")
+    return base_reps, tuple(variables), tuple(rows)
+
+
+class TestAssemblyOracle:
+    @pytest.mark.parametrize("cls,level", [
+        *((c, lv) for c in ("graph", "tournament", "kn_free_graph:3", "kn_free_graph:4",
+                            "linear_order", "pure_set") for lv in (1, 2, 3, 4)),
+        ("pure_set", 5),
+        ("pure_set", 6),
+    ])
+    def test_matches_reference(self, cls, level):
+        system = build_cro_system(cls, level)
+        base_reps, variables, rows = reference_system(cls, level)
+        assert system.base_reps == base_reps
+        assert system.variables == variables
+        # repr too: the coefficients must be Fractions, not equal ints
+        assert system.rows == rows and repr(system.rows) == repr(rows)
 
 
 class TestBaseClasses:
@@ -173,6 +241,34 @@ class TestUniformPoint:
         x = uniform_point(cro_graph3)
         x[-1] = Fraction(-1, 6)
         assert not satisfies(cro_graph3, x)
+
+    @pytest.mark.parametrize("kind,field", [
+        ("restriction", "coeff"), ("restriction", "rhs"), ("mass", "coeff"), ("mass", "rhs"),
+    ])
+    def test_integer_check_rejects_tampered_row(self, cro_graph4, kind, field):
+        rows = list(cro_graph4.rows)
+        r = max(i for i, row in enumerate(rows) if row.kind == kind)
+        row = rows[r]
+        if field == "coeff":
+            (i, c), *rest = row.coeffs
+            rows[r] = replace(row, coeffs=((i, c + 1), *rest))
+        else:
+            rows[r] = replace(row, rhs=row.rhs + Fraction(1, 2))
+        tampered = replace(cro_graph4, rows=tuple(rows))
+        levels = [v.level for v in tampered.variables]
+        assert _uniform_violations([(w.coeffs, w.rhs) for w in cro_graph4.rows], levels) == []
+        assert _uniform_violations([(w.coeffs, w.rhs) for w in tampered.rows], levels) == [r]
+        assert not uniqueness_report(tampered).uniform_feasible
+        assert not satisfies(tampered, uniform_point(tampered))
+
+    def test_report_rejects_non_integer_coefficient(self, cro_graph3):
+        # the report checks the uniform point on numerators, so a coefficient
+        # that is not an integer must be refused, not read as its numerator
+        (i, c), *rest = cro_graph3.rows[-1].coeffs
+        row = replace(cro_graph3.rows[-1], coeffs=((i, c + Fraction(1, 2)), *rest))
+        tampered = replace(cro_graph3, rows=(*cro_graph3.rows[:-1], row))
+        with pytest.raises(ValidationError, match="not an integer"):
+            uniqueness_report(tampered)
 
 
 class TestKernel:
@@ -349,6 +445,17 @@ class TestProjection:
                 cols = [i for i, v in enumerate(system.variables) if v.code in keep]
                 _, pivots = dense_rref([[vec[c] for c in cols] for vec in basis])
                 assert len(pivots) == dim
+
+    def test_full_rank_computed_once(self, monkeypatch):
+        calls = []
+        real = homord.cro.integer_rref
+        monkeypatch.setattr(homord.cro, "integer_rref", lambda rows: calls.append(1) or real(rows))
+        system = build_cro_system("graph", 4)
+        cuts = [{v.code for v in system.variables if v.level <= j} for j in (1, 2, 3)]
+        assert [projected_dimension(system, keep) for keep in cuts] == [0, 0, 2]
+        assert uniqueness_report(system).nullspace_dim == 23
+        assert len(kernel_basis(system)) == 23
+        assert len(calls) == 1 + len(cuts)  # one full rank, one per cut
 
     def test_empty_keep_rejected(self, cro_graph3):
         with pytest.raises(ValidationError):

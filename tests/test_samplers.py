@@ -27,10 +27,11 @@ from homord.samplers import (
     PQOrderSampler,
     UniformOrderSampler,
     derive_seed,
-    order_from_latents,
     structure_order,
 )
 from homord.structures import Signature, make_structure
+
+from helpers import order_from_latents
 
 GSIG = Signature((("E", 2),))
 K3 = make_structure(GSIG, 3, {"E": {(a, b) for a in range(3) for b in range(3) if a != b}})
