@@ -4,13 +4,16 @@ layer's output, the sampler streams and the stats results, pinned.
 Any change to the builders' RNG draw order, the chain JSON layout, the
 audited saturation depths, the infeasibility message, the order in which
 the backtracker lists automorphisms, the type-code bytes, the CRO systems,
-their kernel bases, the dichotomy demo's output, the sampler streams or the
-stats results shows up here as a digest mismatch.
+their kernel bases, the dichotomy demo's output, the tau-paths found and the
+tau-path demo's output, the sampler streams or the stats results shows up
+here as a digest mismatch.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
+import random
 import runpy
 from pathlib import Path
 
@@ -52,7 +55,14 @@ from homord.stats import (
     test_independence as independence_verdict,
     test_monotone_coupling as monotone_verdict,
 )
-from homord.structures import enumerate_types, find_isomorphism, make_structure, structure_dumps
+from homord.structures import (
+    canonical_type,
+    enumerate_types,
+    find_isomorphism,
+    make_structure,
+    structure_dumps,
+)
+from homord.taupaths import build_tau_index, find_tau_path
 
 
 DEMOS = Path(__file__).parents[1] / "demos"
@@ -224,16 +234,52 @@ def test_kernel_basis_digest(cls, level):
     assert sha256(repr(basis)) == KERNELS[cls, level]
 
 
+def _demo_stdout(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return out.getvalue()
+
+
 # The dichotomy demo prints nullities, Dirac solutions and one projected
 # dimension; its whole stdout is pinned.
 DEMO_06 = "2f1bf74b3d8f1a1b5feaecf7a56ca6b181521d8dcfc8dfabd0af90c519ef1af3"
 
 
 def test_cro_demo_stdout_digest():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(DEMOS / "06_cro_dichotomy.py"), run_name="__main__")
-    assert sha256(out.getvalue()) == DEMO_06
+    assert sha256(_demo_stdout("06_cro_dichotomy.py")) == DEMO_06
+
+
+# --- tau-paths ------------------------------------------------------------------
+#
+# Every ordered pair of the 4-cube under the edge type (half of them parity-
+# blocked, so None), then seeded endpoints, types and avoid sets on the graph
+# t=2 seed-0 chain top.  Each result is its node tuple, or None.
+TAU_PATHS = "824bc4dca6ebbe4baf8382a1308f2a056b77922bef910e4aef4bc4118d40200f"
+DEMO_03 = "8358ad0931e5046dcc01e2cffabcc4d6fdcde344ce9fcd70d2ff0fe1c4abf5e1"
+
+
+def test_tau_path_digest():
+    cube = hypercube_graph(4)
+    edge = canonical_type(cube, (0, 1))
+    index = build_tau_index(cube)
+    found = [find_tau_path(cube, a, b, edge, index=index)
+             for a, b in itertools.permutations(range(16), 2)]
+    top = _graph_top()
+    index = build_tau_index(top)
+    taus = sorted(index.first)
+    rng = random.Random(0)
+    for _ in range(60):
+        a, b = rng.sample(range(top.size), 2)
+        tau = taus[rng.randrange(len(taus))]
+        others = [v for v in range(top.size) if v not in (a, b)]
+        avoid = frozenset(rng.sample(others, rng.randrange(0, 15)))
+        found.append(find_tau_path(top, a, b, tau, avoid, index=index))
+    assert sha256(repr([p if p is None else p.nodes for p in found])) == TAU_PATHS
+
+
+def test_tau_path_demo_stdout_digest():
+    assert sha256(_demo_stdout("03_tau_paths.py")) == DEMO_03
 
 
 # --- sampler streams and the CLI sample output ----------------------------------
