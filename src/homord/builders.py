@@ -317,20 +317,15 @@ def _reaudit(spec: FraisseClassSpec, chain: StructureChain) -> None:
     The build depth t is not stored, but an honest value is min(t, the
     level's own depth) and t is at least the largest value, so auditing a
     level at one more than its value, capped at the largest, gives the value
-    back.  The audit at depth d walks every instance of size <= d, so it
-    deepens one step at a time and stops at the first open size: a raised
-    claim costs no more than the level's true depth plus one.  A depth of 0
-    claims nothing; lowering the one largest value only weakens a true
-    claim, and passes."""
+    back.  The audit stops at the first open instance, so a raised claim
+    costs no more than the level's true depth plus one.  A depth of 0 claims
+    nothing; lowering the one largest value only weakens a true claim, and
+    passes."""
     depth = max(chain.saturation)
     if depth > 0 and not spec.witnessable:
         raise ValidationError(f"class {spec.name} has no saturation audit, yet claims {depth}")
     for i, (S, stored) in enumerate(zip(chain.levels, chain.saturation)):
-        audited = 0
-        for t in range(1, min(stored + 1, depth) + 1):
-            audited = audit_saturation(S, spec, t)
-            if audited < t:
-                break
+        audited = audit_saturation(S, spec, min(stored + 1, depth)) if depth > 0 else 0
         if audited != stored:
             raise ValidationError(f"level {i}: stored saturation {stored}, audit gives {audited}")
 
@@ -396,13 +391,17 @@ def _witness_mask(bits: list[int], a_set, b_set) -> int:
     return cand
 
 
-def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, pure: bool = False):
+def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, pure: bool = False,
+                    first: bool = False):
     """Admissible (A, B) with |A|+|B| <= t, max(A ∪ B) >= lo, and no witness.
 
     Elements are chosen in decreasing order and sent to A or B, so each pair
     is reached once, and its witness mask is its prefix's mask ANDed with the
     mask of ({x}, {}) or ({}, {x}).  lo = 0 walks every instance, the empty
-    one too.
+    one too.  Each choice tries the largest element first: the open instances
+    of a built level involve its newest vertices, so first=True, which stops
+    the walk at the first open instance (the list then holds at most one),
+    tends to stop early.  The full list comes in no fixed order.
     """
     n = len(bits)
     full = _witness_mask(bits, (), ())
@@ -413,21 +412,29 @@ def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, pure: 
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def walk(a_set, b_set, a_mask, cand, low, top, room):
-        for x in range(low, top):
+        """Walk the extensions below top; True once first has been met."""
+        for x in range(top - 1, low - 1, -1):
             if not k or not _clique_in(bits, a_mask & pos[x], k - 1):
                 c = cand & pos[x]
                 if not c:
                     found.append(((x, *a_set), b_set))
-                if room > 1:
-                    walk((x, *a_set), b_set, a_mask | 1 << x, c, 0, x, room - 1)
+                    if first:
+                        return True
+                if room > 1 and walk((x, *a_set), b_set, a_mask | 1 << x, c, 0, x, room - 1):
+                    return True
             c = cand & neg[x]
             if not c:
                 found.append((a_set, (x, *b_set)))
-            if room > 1:
-                walk(a_set, (x, *b_set), a_mask, c, 0, x, room - 1)
+                if first:
+                    return True
+            if room > 1 and walk(a_set, (x, *b_set), a_mask, c, 0, x, room - 1):
+                return True
+        return False
 
     if lo == 0 and not full:
         found.append(((), ()))
+        if first:
+            return found
     if t > 0:
         walk((), (), 0, full, lo, n, t)
     return found
@@ -474,11 +481,18 @@ class _WitnessState:
 def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     """Largest depth t' <= t at which every admissible instance is witnessed.
 
-    Exhaustive: walks all disjoint (A, B) with |A|+|B| <= t on bitsets read
-    from S itself, independent of how S was built.  S must be in spec.
+    Exhaustive up to the answer: walks the disjoint (A, B) on bitsets read
+    from S itself, independent of how S was built, one size bound at a time
+    (0, 1, ..., t), and stops at the first open instance.  A size below the
+    bound holds none, so that instance has the bound's size, and a depth
+    past the true one costs one walk that ends at its first open instance.
+    S must be in spec.
     """
-    found = _open_instances(_bits_of(S), t, 0, _forbid(spec), spec.name == "pure_set")
-    return max(min((len(a) + len(b) for a, b in found), default=t + 1) - 1, 0)
+    bits, forbid, pure = _bits_of(S), _forbid(spec), spec.name == "pure_set"
+    for size in range(t + 1):
+        if _open_instances(bits, size, 0, forbid, pure, first=True):
+            return max(size - 1, 0)
+    return max(t, 0)
 
 
 def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> StructureChain:

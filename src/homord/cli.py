@@ -202,6 +202,8 @@ def cmd_tau_path(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValidationError("n must be positive")
     chain = _load_chain(args.infile)
     S = _pick_level(chain, args.level)
     sampler = _make_sampler(args.sampler, S, args.atoms)

@@ -4,7 +4,9 @@ A path here is an odd list of distinct nodes y_0 .. y_2n such that every
 odd-position node w = y_{2i+1} realizes the same 2-type tau with both of its
 even neighbors, in the fixed argument order tp(y_{2i}, w) = tp(y_{2i+2}, w)
 = tau.  The interior (everything but the endpoints) can be forced to avoid a
-given node set.  Search is breadth-first over partial paths, so the returned
+given node set.  A linear flood fill first checks that b can be reached from
+a at all, by a walk that may repeat nodes; if not there is no path.
+Otherwise the search is breadth-first over partial paths, so the returned
 path has minimal length among valid ones.
 """
 
@@ -83,6 +85,32 @@ def verify_tau_path(S: FinStructure, path: TauPath) -> None:
             raise ValidationError(f"tp({y1},{w}) != tau")
 
 
+def _reachable(step_first, step_second, a: int, b: int, avoid: frozenset[int]) -> bool:
+    """Whether a walk leads from a to b, ignoring distinctness.
+
+    y links to y2 when some w outside avoid has tp(y, w) = tp(y2, w) = tau,
+    and y2 is outside avoid or is b.  Every simple path is such a walk.  Each
+    w is expanded only once, since the y2 it leads to do not depend on which
+    y reached it.
+    """
+    empty: frozenset[int] = frozenset()
+    seen = {a}
+    spent = set(avoid)  # avoided or already expanded middle nodes
+    stack = [a]
+    while stack:
+        for w in step_first.get(stack.pop(), empty):
+            if w in spent:
+                continue
+            spent.add(w)
+            for y2 in step_second[w]:
+                if y2 == b:
+                    return True
+                if y2 not in seen and y2 not in avoid:
+                    seen.add(y2)
+                    stack.append(y2)
+    return False
+
+
 def find_tau_path(
     S: FinStructure,
     a: int,
@@ -96,6 +124,10 @@ def find_tau_path(
 
     Returns None when no path exists; raises TypeNotRealizedError when tau
     does not occur in S at all (a different situation than 'no path').
+    A linear component check runs first: when no walk, repeated nodes
+    allowed, leads from a to b, the answer is None without any BFS, so
+    state_cap is spent only when b is reachable.  The BFS raises
+    ResourceLimitError once it has queued more than state_cap partial paths.
     """
     if a == b:
         raise ValidationError("endpoints must differ")
@@ -111,6 +143,8 @@ def find_tau_path(
         raise TypeNotRealizedError("tau is not realized in the structure")
     step_first = index.first[tau]
     step_second = index.second[tau]
+    if not _reachable(step_first, step_second, a, b, avoid):
+        return None
     empty: frozenset[int] = frozenset()
 
     # queue of partial paths ending at an even node; BFS => shortest result

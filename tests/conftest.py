@@ -18,6 +18,12 @@ def graph_chain():
 
 
 @pytest.fixture(scope="session")
+def graph_chain_t3():
+    """Depth-3 generic graph, build seed 2: 83 vertices over 7 levels."""
+    return build_generic(graph_class(), t=3, cap=200, seed=2)
+
+
+@pytest.fixture(scope="session")
 def graph_top(graph_chain):
     return graph_chain.top
 

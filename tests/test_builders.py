@@ -378,14 +378,25 @@ class TestChainIO:
         with pytest.raises(ValidationError):
             chain_loads(text)
 
-    # a claim of 12 on 18 vertices would walk ~3^18 instances if audited at
-    # once; deepening stops at the first open size
+    # a claim of 12 on 18 vertices would walk ~3^18 instances if the audit
+    # walked every instance up to size 12; it stops at the first open one
     @pytest.mark.parametrize("level,delta", [(-1, 1), (-1, 10), (1, -1), (0, 1), (3, 1), (0, -1)])
     def test_tampered_saturation_rejected(self, graph_chain, level, delta):
         obj = json.loads(chain_dumps(graph_chain))
         assert obj["saturation"] == [0, 1, 1, 1, 2]
         assert chain_from_json(obj) == graph_chain
         obj["saturation"][level] += delta
+        with pytest.raises(ValidationError, match="saturation"):
+            chain_from_json(obj)
+
+    def test_raised_top_claim_rejected_at_depth_3(self, graph_chain_t3):
+        # the audit one past the top's true depth ends at its first open
+        # instance instead of walking every instance of size 4
+        top = graph_chain_t3.top
+        assert top.size == 83 and graph_chain_t3.saturation[-1] == 3
+        assert audit_saturation(top, graph_class(), 4) == 3
+        obj = json.loads(chain_dumps(graph_chain_t3))
+        obj["saturation"][-1] = 4
         with pytest.raises(ValidationError, match="saturation"):
             chain_from_json(obj)
 

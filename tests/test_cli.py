@@ -303,6 +303,8 @@ BAD_INPUT = {
                       "--n", "10"),
     "dual_exchangeability": ("test", "--suite", "exchangeability", "--sampler", "dual",
                              "--in", "{f2}", "--n", "10", "--pairs", "1,2;3,4"),
+    "sample_no_samples": ("sample", "--sampler", "uniform", "--in", "{chain}", "--n", "0"),
+    "sample_negative_n": ("sample", "--sampler", "uniform", "--in", "{chain}", "--n", "-5"),
     "monotone_no_samples": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "0"),
     "exchangeability_no_samples": ("test", "--suite", "exchangeability", "--in", "{chain}",
                                    "--n", "0", "--pairs", "0,1;2,3"),

@@ -18,14 +18,23 @@ Type codes are checked against their definition on random structures with
 binary, ternary and unary relations and optional sorts: two tuples get equal
 codes exactly when the position map between them preserves every relation
 and every sort label.
+
+The tau-path search is checked against the plain breadth-first search kept
+in tests/helpers.py, on random graphs and tournaments with random avoid sets
+and small state caps: it returns what the reference returns, and where the
+reference runs out of states it returns None exactly when no walk, repeated
+nodes allowed, leads from a to b.
 """
 
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import reference_tau_path
 from homord.builders import audit_saturation, class_by_name
+from homord.errors import ResourceLimitError
 from homord.groups import automorphisms
 from homord.structures import (
     Signature,
@@ -34,6 +43,7 @@ from homord.structures import (
     isomorphisms,
     make_structure,
 )
+from homord.taupaths import build_tau_index, find_tau_path
 
 KINDS = ("graph", "tournament", "kn_free_graph:3")
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -338,3 +348,55 @@ def test_wide_isomorphisms_match_brute_force(S, other, rng):
         assert find_isomorphism(S, T) == (list(brute[0]) if brute else None), kind
         if kind != "other":
             assert bool(brute) == (kind == "copy")
+
+
+@st.composite
+def tau_queries(draw):
+    """A graph or tournament on 2..7 points, a realized 2-type, two distinct
+    endpoints, an avoid set among the other points and a state cap of 0..40."""
+    S = draw(st.sampled_from(("graph", "tournament")).flatmap(lambda k: members(k, 7)).filter(
+        lambda S: S.size >= 2))
+    a, b = draw(st.permutations(range(S.size)))[:2]
+    tau = draw(st.sampled_from(sorted(build_tau_index(S).first)))
+    avoid = frozenset(v for v in range(S.size) if v not in (a, b) and draw(st.booleans()))
+    return S, a, b, tau, avoid, draw(st.integers(0, 40))
+
+
+def walk_reachable(S, a, b, tau, avoid):
+    """Whether y_0 = a, w_0, y_1, ..., b exists with tp(y_i, w_i) =
+    tp(y_{i+1}, w_i) = tau, no w_i and no y_i but b in avoid, repeats allowed."""
+    def links(y, y2):
+        return any(w not in avoid and w not in (y, y2) and canonical_type(S, (y, w)) == tau
+                   and canonical_type(S, (y2, w)) == tau for w in range(S.size))
+
+    reached, todo = {a}, [a]
+    while todo:
+        y = todo.pop()
+        for y2 in range(S.size):
+            if y2 not in reached and (y2 == b or y2 not in avoid) and links(y, y2):
+                reached.add(y2)
+                todo.append(y2)
+    return b in reached
+
+
+# the path 0 - 1 - 2 and the isolated 3: one queued state, and 3 out of reach
+SPLIT = _fixture("graph", 4, lambda a, b: abs(a - b) == 1 and 3 not in (a, b))
+
+
+@SETTINGS
+@given(tau_queries())
+@example((SPLIT, 0, 3, canonical_type(SPLIT, (0, 1)), frozenset(), 0))
+def test_tau_path_matches_reference(query):
+    S, a, b, tau, avoid, cap = query
+    index = build_tau_index(S)
+    try:
+        want = reference_tau_path(index, a, b, tau, avoid, cap)
+    except ResourceLimitError:
+        if walk_reachable(S, a, b, tau, avoid):
+            with pytest.raises(ResourceLimitError):
+                find_tau_path(S, a, b, tau, avoid, index=index, state_cap=cap)
+        else:
+            assert find_tau_path(S, a, b, tau, avoid, index=index, state_cap=cap) is None
+        return
+    got = find_tau_path(S, a, b, tau, avoid, index=index, state_cap=cap)
+    assert (None if got is None else got.nodes) == want

@@ -5,7 +5,8 @@ from collections import deque
 
 import pytest
 
-from homord.errors import TypeNotRealizedError, ValidationError
+from homord.builders import hypercube_graph
+from homord.errors import ResourceLimitError, TypeNotRealizedError, ValidationError
 from homord.structures import Signature, canonical_type, make_structure
 from homord.taupaths import (
     TauPath,
@@ -96,6 +97,18 @@ class TestFind:
     def test_no_path_is_none(self):
         S = graph(3, [(0, 1), (1, 2)])
         assert find_tau_path(S, 0, 2, EDGE, avoid={1}) is None
+
+    def test_unreachable_spends_no_states(self):
+        # edges flip one coordinate, so an edge-type path keeps the parity of
+        # the Hamming distance: 0 -> 7 (distance 3) has none, and the
+        # component check answers before the BFS could pass its cap
+        cube = hypercube_graph(4)
+        assert find_tau_path(cube, 0, 7, canonical_type(cube, (0, 1)), state_cap=10) is None
+
+    def test_reachable_search_keeps_its_cap(self):
+        cube = hypercube_graph(4)
+        with pytest.raises(ResourceLimitError):
+            find_tau_path(cube, 0, 15, canonical_type(cube, (0, 1)), state_cap=10)
 
     def test_unrealized_type_raises(self):
         with pytest.raises(TypeNotRealizedError):
