@@ -5,8 +5,8 @@ Any change to the builders' RNG draw order, the chain JSON layout, the
 audited saturation depths, the infeasibility message, the order in which
 the backtracker lists automorphisms, the type-code bytes, the CRO systems,
 their kernel bases, the dichotomy demo's output, the tau-paths found and the
-tau-path demo's output, the sampler streams or the stats results shows up
-here as a digest mismatch.
+tau-path demo's output, the sampler streams, the sequence sources or the
+stats results shows up here as a digest mismatch.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ import random
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homord.builders import (
@@ -49,11 +50,16 @@ from homord.samplers import (
 from homord.stats import (
     BiasedEdgeOrderSampler,
     BrokenCouplingSampler,
+    constant_mixture_sequences,
     estimate_eta_covariance,
     estimate_order_event,
+    iid_bernoulli_sequences,
+    iid_uniform_sequences,
+    mixture_bernoulli_sequences,
     test_exchangeability as exchangeability_verdict,
     test_independence as independence_verdict,
     test_monotone_coupling as monotone_verdict,
+    test_shift_ergodicity as ergodicity_verdict,
 )
 from homord.structures import (
     canonical_type,
@@ -502,3 +508,81 @@ def test_conditioned_try_budget(n, max_tries):
     except ResourceLimitError as exc:
         outcome = str(exc)
     assert outcome == CONDITIONED_BUDGET[n, max_tries]
+
+
+# --- stream edges and sequence sources ------------------------------------------
+#
+# One sample, and one past the chunk edge, from every sampler: a stream's
+# first rows must not depend on how many were asked for.  The sequence
+# sources behind the shift-ergodicity suite are pinned array by array at
+# n=5000, with the verdict each one gives.
+
+EDGE_STREAMS = {
+    ("atoms1", 1): "b9b2acb5e7b67370a9c122789d21b64ffb4d7a8946d890e2994501795c7c1798",
+    ("atoms1", 4097): "4dda75ab4cc89db8c0820f51170d9e1e7faaf518ae4c36618b8545f70c5124b6",
+    ("atoms2", 1): "113989cd54c89c692c65d242b20be4412c970f9000d8ee4a249d09c8a3470c87",
+    ("atoms2", 4097): "d59eb5a8273b28e3e8f81eca9b378e12e4683b5910f92efdb8c06632786fde5e",
+    ("biased", 1): "f4d9731dd670ea400d5c74c5701af1b53d0ef2705c94fe5c824a1860bcfe0e5d",
+    ("biased", 4097): "665468ea86f2432b302c65324d95baceae46b68f7856c99ccaef1a6e22d63ad1",
+    ("bimin", 1): "1acdd0f1da3860f37e32b8602d7ddf674e14b361d2ab414d7942fb28831bc1cb",
+    ("bimin", 4097): "6ec2aa6deaccdb0d82bbb50e79a3a85e384aced18399d435f1e35122bac44ea9",
+    ("broken", 1): "03d75696b97642193229bff0b5f1424d6f43b568838f87baa569ef917d6c8cfc",
+    ("broken", 4097): "26c3edefba90d7ae87369bc2e6ca514e2a5f1540bd114716686eb1ee3217f2b3",
+    ("conditioned", 1): "b9b2acb5e7b67370a9c122789d21b64ffb4d7a8946d890e2994501795c7c1798",
+    ("conditioned", 4097): "b7310e66629e663e65a9d49701dbc4bf8941b9c15fcfc6f700490cef0af49ede",
+    ("dual", 1): "d70eb2108998dbe11b14e5ee41982d5c34159672963186dd23235bbdc49315a6",
+    ("dual", 4097): "9b3adf293ef5dfa465aa32cc5ef19d1694c2e6318277b438a5f9f2559f07090e",
+    ("involution", 1): "a8bc0194f0eda6a28eda1b9c2624473b59b5603badf52db01e79f0367356fdc7",
+    ("involution", 4097): "6bd7dc5741f7a6783a24ea0cceadd003bcd45b525a5ff12bb86d5d53b080e5c4",
+    ("pq", 1): "056ed23cc9cfd00ebca95639558edebd7ccced3f08eabc8aafaaa24142e9c0a6",
+    ("pq", 4097): "5e8c86ffadb24e92167393fbb137ae1fd0cca0da85c66084dbc7a764221b0f36",
+    ("uniform", 1): "7dff1c02143e1e46fa4453e88f1c37f57ce5944deef466227e551caeb5f3950a",
+    ("uniform", 4097): "313cc435594d76cdbeb5e4bd74898bcb93964f395bc343ff2b707204c5fc1205",
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(EDGE_STREAMS), ids=lambda v: str(v))
+def test_edge_stream_digest(name, n):
+    samples = list(STATS_SAMPLERS[name]().stream(5, n))
+    assert len(samples) == n
+    assert sha256(repr(samples)) == EDGE_STREAMS[name, n]
+
+
+def array_digest(arr) -> str:
+    head = repr((arr.dtype.str, arr.shape)).encode()
+    return hashlib.sha256(head + np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+SOURCES = {
+    "iid_uniform": (lambda: iid_uniform_sequences(256), 31),
+    "iid_bernoulli": (lambda: iid_bernoulli_sequences(0.3, 256), 32),
+    "mixture": (lambda: mixture_bernoulli_sequences(0.25, 0.75, 256), 33),
+    "constant": (lambda: constant_mixture_sequences(256), 34),
+}
+
+SOURCE_ARRAYS = {
+    "constant": "ac781061dd628d0fb89e9340db9f588660b1bafd8d2417cbc0aebc2fbe2d4695",
+    "iid_bernoulli": "541709f56a37ead59a386251b2749e1d21c9361591b2ee5fa8f12c0af6d41eda",
+    "iid_uniform": "37b011a09c7767fddbb75676774182ddecfad38c5d26cf35a1e70362b7a4302a",
+    "mixture": "f4e53d8f66d4a6ea55d0ce17471e28f5709b0f8468aa3d8fa7184bcd246f2f4c",
+}
+
+ERGODICITY = {
+    "constant": "d04204cc0f1486c9644c6f0bcf3964c0e957188a8aaf8c37cb4d5db07595667e",
+    "iid_bernoulli": "d2e216f4e2325e3c629b17622af1c1fa605dd04b52af35c67f1a353a0c16b2f9",
+    "iid_uniform": "8c6bfbbbe00af626f1c7da3491f17655158a21edc394c93690780a02ec6af392",
+    "mixture": "292868fff9dc0e4bc33b0c70f00d760887243ba268bd7b9658642cd17b3d1509",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_sequence_source_digest(name):
+    make, seed = SOURCES[name]
+    assert array_digest(make()(seed, 5000)) == SOURCE_ARRAYS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_shift_ergodicity_digest(name):
+    make, seed = SOURCES[name]
+    v = ergodicity_verdict(make(), 64, seed, 5000)
+    assert sha256(repr(v) + repr(v.details)) == ERGODICITY[name]
