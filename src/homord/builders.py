@@ -488,11 +488,13 @@ def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     past the true one costs one walk that ends at its first open instance.
     S must be in spec.
     """
+    if t < 0:
+        raise ValidationError(f"depth {t} < 0")
     bits, forbid, pure = _bits_of(S), _forbid(spec), spec.name == "pure_set"
     for size in range(t + 1):
         if _open_instances(bits, size, 0, forbid, pure, first=True):
             return max(size - 1, 0)
-    return max(t, 0)
+    return t
 
 
 def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> StructureChain:

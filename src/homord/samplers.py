@@ -5,8 +5,10 @@ per chunk from `batches(seed, n)`; `stream(seed, n)` yields the same draws
 row by row as OrderSample (or FieldSample) objects.  Draws come in fixed
 chunks of 4096 samples; chunk c is seeded by SeedSequence([seed, c]), so any
 partition of whole chunks across workers reproduces the identical sample set
-and estimates merge by counting.  Same seed, same platform or not: the draws
-are bit-for-bit reproducible.
+and estimates merge by counting.  A request for n samples draws n rows, not
+whole chunks: `_draw(rng, m)` returns exactly the first m rows of
+`_draw(rng, 4096)`, so row i is the same whatever n was asked for.  Same
+seed, same platform or not: the draws are bit-for-bit reproducible.
 
 The constructions:
 
@@ -78,11 +80,6 @@ class OrderBatch:
 
     def __len__(self) -> int:
         return len(self.latent)
-
-    def __getitem__(self, rows) -> OrderBatch:
-        """The same batch cut to some rows (a slice or an index array)."""
-        arrays = (self.order, self.latent, self.eta, self.tiebreak)
-        return OrderBatch(*(None if a is None else a[rows] for a in arrays))
 
 
 @dataclass(frozen=True)
@@ -173,9 +170,11 @@ def _row(keys: tuple[int, ...], arr: np.ndarray | None, i: int) -> dict | None:
 
 class OrderSamplerBase:
     """Common chunk plumbing; subclasses implement _draw(rng, m), which
-    returns one OrderBatch of m rows.  Orders come from stable sorts, so
-    ties fall to the lower column: the lower element id wherever a
-    construction can tie."""
+    returns one OrderBatch of m rows, exactly the first m rows of
+    _draw(rng, CHUNK).  A draw that another draw from the same generator
+    follows is therefore taken at CHUNK rows and cut; only the last one may
+    be taken at m.  Orders come from stable sorts, so ties fall to the lower
+    column: the lower element id wherever a construction can tie."""
 
     structure: FinStructure
     elements: tuple[int, ...]
@@ -199,20 +198,18 @@ class OrderSamplerBase:
             raise ValidationError(f"point {p} is not drawn by this sampler") from None
 
     def batches(self, seed: int, n: int | None = None) -> Iterator[OrderBatch]:
-        """Yield one OrderBatch per chunk; n=None draws forever.
+        """Yield one OrderBatch per chunk; n=None draws full chunks forever.
 
-        Chunks always draw the full 4096 rows so that row i is the same
-        no matter what n was requested; the last batch is cut to n rows.
+        The last chunk draws only the rows it returns, the first of that
+        chunk's full draw, so row i is the same whatever n was requested.
         """
-        remaining = n
         for rng in _chunk_rngs(seed):
-            if remaining is not None and remaining <= 0:
+            m = CHUNK if n is None else min(CHUNK, n)
+            if m <= 0:
                 return
-            batch = self._draw(rng, CHUNK)
-            if remaining is not None:
-                batch = batch[:remaining]
-                remaining -= len(batch)
-            yield batch
+            yield self._draw(rng, m)
+            if n is not None:
+                n -= m
 
     def stream(self, seed: int, n: int | None = None) -> Iterator:
         """Yield the rows of `batches(seed, n)` one by one: OrderSample, or
@@ -278,9 +275,10 @@ class AtomOrderSampler(OrderSamplerBase):
         """(latent values, atom index) as (m, k) arrays, -1 = continuous.
 
         One branch uniform per element picks its atom; the continuous hits
-        then draw their values in row-major order."""
+        then draw their values in row-major order.  The branch matrix is
+        drawn for a whole chunk, so the values after it do not depend on m."""
         k = len(self.elements)
-        idx = np.searchsorted(self._cum, rng.random((m, k)), side="right")
+        idx = np.searchsorted(self._cum, rng.random((CHUNK, k))[:m], side="right")
         cont = idx == len(self._locs)
         values = np.append(self._locs, 0.0)[idx]
         values[cont] = rng.random(int(cont.sum()))

@@ -143,10 +143,17 @@ def estimate_order_event(
 def _pattern_counts(sampler, points: tuple[int, ...], seed: int, n: int) -> dict:
     """How often each order_pattern of the points occurs in n samples."""
     cols = [sampler.column(p) for p in points]
+    k = len(cols)
+    if k > 15:
+        raise ValidationError(f"{k} points: order patterns are coded for at most 15")
+    # a pattern's code reads it as base-k digits, most significant first, so
+    # codes sort as the patterns do and fit in int64 while k**k does
+    place = k ** np.arange(k - 1, -1, -1)
     counts: dict[tuple[int, ...], int] = {}
     for b in sampler.batches(seed, n):
-        pats, hits = np.unique(np.argsort(_ranks(b)[:, cols], axis=1), axis=0, return_counts=True)
-        for pat, hit in zip(map(tuple, pats.tolist()), hits.tolist()):
+        pats = np.argsort(_ranks(b)[:, cols], axis=1)
+        _, first, hits = np.unique(pats @ place, return_index=True, return_counts=True)
+        for pat, hit in zip(map(tuple, pats[first].tolist()), hits.tolist()):
             counts[pat] = counts.get(pat, 0) + hit
     return counts
 
@@ -362,14 +369,16 @@ def test_shift_ergodicity(
     block_size.  A mixture of components with different means inflates the
     observed variance by the between-component variance, which does not
     shrink with B, so mixtures fail decisively."""
+    if n < 2:
+        raise ValidationError("need at least 2 sequences")
+    if block_size <= 0:
+        raise ValidationError("degenerate block sizes")
     arr = np.asarray(source(seed, n), dtype=float)
     if arr.ndim != 2 or arr.shape[0] != n:
         raise ValidationError("source must return an (n, L) array")
     length = arr.shape[1]
-    if block_size <= 0 or length % block_size or length // block_size < 1:
+    if length % block_size or length // block_size < 1:
         raise ValidationError("degenerate block sizes")
-    if n < 2:
-        raise ValidationError("need at least 2 sequences")
     blocks = arr.reshape(n, length // block_size, block_size).mean(axis=2)
     observed = float(blocks.var(ddof=1))
     predicted = float(arr.var(ddof=1)) / block_size
@@ -395,51 +404,53 @@ def test_shift_ergodicity(
 # --- sequence sources ------------------------------------------------------------
 
 
-def _sequence_source(draw_chunk):
+def _sequence_source(length: int, fill):
+    """source(seed, n): an (n, length) float array whose c-th chunk of rows
+    fill(rng, rows) writes in place from chunk c's generator.  Like a
+    sampler's _draw, fill draws the first len(rows) rows of a full chunk."""
+    if length < 1:
+        raise ValidationError(f"sequence length {length} < 1")
+
     def source(seed: int, n: int) -> np.ndarray:
-        rows = []
-        remaining = n
-        for rng in _chunk_rngs(seed):
-            if remaining <= 0:
-                break
-            batch = draw_chunk(rng)
-            take = min(CHUNK, remaining)
-            rows.append(batch[:take])
-            remaining -= take
-        return np.vstack(rows)
+        out = np.empty((n, length))
+        for start, rng in zip(range(0, n, CHUNK), _chunk_rngs(seed)):
+            fill(rng, out[start:start + CHUNK])
+        return out
 
     return source
 
 
 def iid_uniform_sequences(length: int):
-    return _sequence_source(lambda rng: rng.random((CHUNK, length)))
+    return _sequence_source(length, lambda rng, rows: rng.random(out=rows))
 
 
 def iid_bernoulli_sequences(p: float, length: int):
-    return _sequence_source(
-        lambda rng: (rng.random((CHUNK, length)) < p).astype(float)
-    )
+    def fill(rng: np.random.Generator, rows: np.ndarray) -> None:
+        rng.random(out=rows)
+        np.less(rows, p, out=rows)
+
+    return _sequence_source(length, fill)
 
 
 def mixture_bernoulli_sequences(p_low: float, p_high: float, length: int):
     """Each sequence flips a fair coin for its component, then is i.i.d."""
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        comp = rng.integers(0, 2, size=CHUNK)
-        probs = np.where(comp == 0, p_low, p_high)[:, None]
-        return (rng.random((CHUNK, length)) < probs).astype(float)
+    def fill(rng: np.random.Generator, rows: np.ndarray) -> None:
+        # the coins are drawn for a whole chunk, since the values follow them
+        comp = rng.integers(0, 2, size=CHUNK)[:len(rows)]
+        rng.random(out=rows)
+        np.less(rows, np.where(comp == 0, p_low, p_high)[:, None], out=rows)
 
-    return _sequence_source(draw)
+    return _sequence_source(length, fill)
 
 
 def constant_mixture_sequences(length: int):
     """Half the sequences all-zero, half all-one; maximally non-ergodic."""
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        comp = rng.integers(0, 2, size=CHUNK).astype(float)
-        return np.repeat(comp[:, None], length, axis=1)
+    def fill(rng: np.random.Generator, rows: np.ndarray) -> None:
+        rows[:] = rng.integers(0, 2, size=len(rows))[:, None]
 
-    return _sequence_source(draw)
+    return _sequence_source(length, fill)
 
 
 # --- eta covariance ---------------------------------------------------------------
@@ -502,6 +513,7 @@ class BrokenCouplingSampler(OrderSamplerBase):
 
     def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
         k = len(self.elements)
-        z_order = rng.random((m, k))
+        # the eta draw follows the order draw, so that one is a whole chunk
+        z_order = rng.random((CHUNK, k))[:m]
         z_eta = rng.random((m, k))
         return OrderBatch(np.argsort(z_order, axis=1, kind="stable"), z_order, z_eta)

@@ -125,6 +125,12 @@ class TestBuildGeneric:
         assert graph_chain.saturation[-1] == 2
         assert audit_saturation(top, graph_class(), 2) == 2
 
+    def test_negative_audit_depth_rejected(self, graph_chain):
+        # a depth below 0 is malformed, as it is for build_generic
+        assert audit_saturation(graph_chain.top, graph_class(), 0) == 0
+        with pytest.raises(ValidationError, match="depth -1 < 0"):
+            audit_saturation(graph_chain.top, graph_class(), -1)
+
     def test_depth1_witnesses(self):
         # depth 1: every vertex has both a neighbor and a non-neighbor
         chain = build_generic(graph_class(), 1, 24, seed=3)

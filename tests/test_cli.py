@@ -308,6 +308,9 @@ BAD_INPUT = {
     "monotone_no_samples": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "0"),
     "exchangeability_no_samples": ("test", "--suite", "exchangeability", "--in", "{chain}",
                                    "--n", "0", "--pairs", "0,1;2,3"),
+    "ergodicity_no_sequences": ("test", "--suite", "ergodicity", "--n", "0"),
+    "ergodicity_negative_n": ("test", "--suite", "ergodicity", "--n", "-3"),
+    "ergodicity_negative_length": ("test", "--suite", "ergodicity", "--length", "-3"),
     "build_kn_free_param": ("build", "--class", "kn_free_graph:x"),
     "build_f2_param": ("build", "--class", "f2_vector_space:x"),
     "cro_kn_free_param": ("cro", "--class", "kn_free_graph:x", "--n", "3"),

@@ -24,18 +24,45 @@ in tests/helpers.py, on random graphs and tournaments with random avoid sets
 and small state caps: it returns what the reference returns, and where the
 reference runs out of states it returns None exactly when no walk, repeated
 nodes allowed, leads from a to b.
+
+Every sampler, the rejection and planted-defect ones included, must give a
+stream whose first m rows do not depend on how many rows were asked for,
+across the chunk edges; and each `_draw(rng, m)` must return the first m rows
+of the full-chunk draw from a generator in the same state.
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import reference_tau_path
-from homord.builders import audit_saturation, class_by_name
+from homord.builders import (
+    audit_saturation,
+    build_bipartite_deg2,
+    build_f2_vector_space,
+    build_involution_order,
+    build_two_predicate_PQ,
+    class_by_name,
+    paley_graph,
+)
 from homord.errors import ResourceLimitError
 from homord.groups import automorphisms
+from homord.samplers import (
+    CHUNK,
+    AtomOrderSampler,
+    AtomSpec,
+    BipartiteMinSampler,
+    ConditionedAtomSampler,
+    DualFunctionalSampler,
+    FixedOrder,
+    InvolutionOrderSampler,
+    PQOrderSampler,
+    UniformOrderSampler,
+)
+from homord.stats import BiasedEdgeOrderSampler, BrokenCouplingSampler
 from homord.structures import (
     Signature,
     canonical_type,
@@ -400,3 +427,69 @@ def test_tau_path_matches_reference(query):
         return
     got = find_tau_path(S, a, b, tau, avoid, index=index, state_cap=cap)
     assert (None if got is None else got.nodes) == want
+
+
+PALEY13 = paley_graph(13)
+
+
+def _atoms(S):
+    asc = FixedOrder("asc", tuple(S.elements))
+    desc = FixedOrder("desc", tuple(reversed(S.elements)))
+    return AtomOrderSampler(S, AtomSpec(((0.75, 0.3), (0.25, 0.2)), {0.75: asc, 0.25: desc}))
+
+
+SAMPLERS = {
+    "uniform": lambda: UniformOrderSampler(PALEY13),
+    "atoms": lambda: _atoms(PALEY13),
+    "conditioned": lambda: ConditionedAtomSampler(_atoms(PALEY13), 0.75, (0, 1)),
+    "pq": lambda: PQOrderSampler(build_two_predicate_PQ(3, 4)),
+    "bimin": lambda: BipartiteMinSampler(build_bipartite_deg2(5, seed=0)),
+    "involution": lambda: InvolutionOrderSampler(build_involution_order(6, seed=2)),
+    "dual": lambda: DualFunctionalSampler(build_f2_vector_space(3)),
+    "biased": lambda: BiasedEdgeOrderSampler(PALEY13, 0.2),
+    "broken": lambda: BrokenCouplingSampler(PALEY13),
+}
+FIELDS = ("order", "latent", "eta", "tiebreak")
+PREFIX_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+def _rows(batches):
+    """Each field of a run of batches stacked over rows, None where absent."""
+    batches = list(batches)
+    return [None if getattr(batches[0], f) is None
+            else np.concatenate([getattr(b, f) for b in batches]) for f in FIELDS]
+
+
+def _assert_prefix(part, full, m):
+    for f, a, b in zip(FIELDS, part, full):
+        assert (a is None) == (b is None), f
+        assert a is None or np.array_equal(a, b[:m]), f
+
+
+# `stream` is the row view of `batches`, so the rows are compared as arrays
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@PREFIX_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2 * CHUNK + 1), st.integers(1, 2 * CHUNK + 1))
+@example(0, CHUNK, CHUNK + 1)
+@example(1, 1, 2 * CHUNK + 1)
+@example(2, CHUNK - 1, CHUNK)
+def test_stream_prefix(name, seed, a, b):
+    m, n = min(a, b), max(a, b)
+    sampler = SAMPLERS[name]()
+    full = _rows(sampler.batches(seed, n))
+    assert len(full[1]) == n
+    _assert_prefix(_rows(sampler.batches(seed, m)), full, m)
+
+
+@pytest.mark.parametrize("name", sorted(set(SAMPLERS) - {"conditioned"}))
+@PREFIX_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, CHUNK))
+@example(0, 1)
+@example(1, CHUNK - 1)
+def test_draw_prefix(name, seed, m):
+    sampler = SAMPLERS[name]()
+    ss = np.random.SeedSequence([seed, 0])
+    part = sampler._draw(np.random.default_rng(ss), m)
+    full = sampler._draw(np.random.default_rng(ss), CHUNK)
+    assert len(part) == m and len(full) == CHUNK
+    _assert_prefix([getattr(part, f) for f in FIELDS], [getattr(full, f) for f in FIELDS], m)

@@ -6,6 +6,7 @@ defect whose effect size is known in closed form.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from homord.samplers import (
 # the verdict functions carry a test_ prefix in the library API, which
 # pytest would otherwise try to collect here
 from homord.stats import (
+    _pattern_counts,
     BiasedEdgeOrderSampler,
     BrokenCouplingSampler,
     Estimate,
@@ -42,6 +44,7 @@ from homord.structures import Signature, make_structure
 GSIG = Signature((("E", 2),))
 K3 = make_structure(GSIG, 3, {"E": {(a, b) for a in range(3) for b in range(3) if a != b}})
 P3 = make_structure(GSIG, 3, {"E": {(0, 1), (1, 0), (1, 2), (2, 1)}})
+EMPTY16 = make_structure(GSIG, 16, {"E": set()})
 
 
 def tri_cdf(d):
@@ -174,6 +177,18 @@ class TestExchangeability:
     def test_no_pairs_rejected(self):
         with pytest.raises(ValidationError):
             exchangeability_verdict(UniformOrderSampler(K3), [], seed=1, n=10)
+
+    @pytest.mark.parametrize("points", [(3,), (9, 2), (4, 0, 7), tuple(range(15, 0, -1))])
+    def test_pattern_counts_match_rows(self, points):
+        # counted per chunk by integer code, across the chunk edge, against
+        # order_pattern on every row of the stream; 15 points is the widest code
+        sampler = UniformOrderSampler(EMPTY16)
+        want = Counter(order_pattern(s.order, points) for s in sampler.stream(5, 4100))
+        assert _pattern_counts(sampler, points, 5, 4100) == dict(want)
+
+    def test_sixteen_points_rejected(self):
+        with pytest.raises(ValidationError, match="at most 15"):
+            _pattern_counts(UniformOrderSampler(EMPTY16), tuple(range(16)), 1, 10)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_samples_rejected(self, n):
