@@ -26,6 +26,10 @@ vertex added since.  It completes them in the order (|A|+|B|, |A|, A, B),
 re-checking each against the live state, so the seeded coin flips fall
 exactly as in a full rescan.  The saturation audit walks every instance of
 depth <= t on bitsets read from the finished structure.
+
+numpy is imported inside the four seeded builders, not here: loading a
+chain, the class specs and the exact layers that build on them (cro, groups,
+taupaths) then start without it.
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import SaturationInfeasibleError, ValidationError
 from .structures import (
@@ -46,6 +48,9 @@ from .structures import (
     structure_from_json,
     structure_to_json,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WIRING_RETRIES = 32
 
@@ -509,6 +514,8 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
         raise ValidationError(f"cap {cap} < 1")
     if not spec.witnessable:
         raise ValidationError(f"class {spec.name} is not witnessable")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
 
     if spec.name == "pure_set":
@@ -577,6 +584,8 @@ def build_bipartite_deg2(m_size: int, seed: int) -> FinStructure:
     """
     if m_size < 1:
         raise ValidationError(f"m_size {m_size} < 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if m_size == 1:
         nbrs = {0: (0, 1)}
@@ -637,6 +646,8 @@ def build_involution_order(pairs: int, seed: int) -> FinStructure:
     if pairs < 1:
         raise ValidationError(f"pairs {pairs} < 1")
     n = 2 * pairs
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     ids = list(rng.permutation(n))
     f_table = set()
@@ -665,6 +676,8 @@ def involution_order_chain(pair_counts: list[int], seed: int) -> StructureChain:
         p < 1 or q <= p for p, q in zip(pair_counts, pair_counts[1:])
     ) or pair_counts[0] < 1:
         raise ValidationError("pair_counts must be strictly increasing and positive")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     spec = involution_order_class()
     ranking: list[int] = []  # element ids listed least to greatest

@@ -7,19 +7,21 @@ The optional config file holds `key = value` lines mirroring the subcommand's
 long flags (no leading dashes, dashes may be written as underscores); flags
 given on the command line win.  Exit status: 0 on success and all requested
 verdicts passing, 1 when a verdict fails or no path exists, 2 on bad input.
+
+Each subcommand imports the layers it uses, so `cro`, `orbits`, `acl` and
+`tau-path` start without numpy and only `sample`, `estimate`, `test` and the
+seeded builds load it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import builders, cro, groups, samplers, stats, taupaths
+from . import builders
 from .errors import (
     ResourceLimitError,
     SaturationInfeasibleError,
@@ -27,6 +29,9 @@ from .errors import (
     ValidationError,
 )
 from .structures import FinStructure, canonical_type
+
+if TYPE_CHECKING:
+    from . import samplers, stats
 
 _SAMPLERS = ("uniform", "atoms", "pq", "bimin", "involution", "dual")
 
@@ -60,6 +65,8 @@ def _pick_level(chain: builders.StructureChain, level: int) -> FinStructure:
 
 def _parse_atoms(text: str, S: FinStructure) -> samplers.AtomSpec:
     """loc:mass[,loc:mass...]; tie order inside each atom is ascending ids."""
+    from . import samplers
+
     atoms = []
     ties = {}
     asc = samplers.FixedOrder("asc", tuple(S.elements))
@@ -74,6 +81,8 @@ def _parse_atoms(text: str, S: FinStructure) -> samplers.AtomSpec:
 
 
 def _make_sampler(name: str, S: FinStructure, atoms_arg: str | None):
+    from . import samplers
+
     if name == "uniform":
         return samplers.UniformOrderSampler(S)
     if name == "atoms":
@@ -161,6 +170,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    from . import groups
+
     chain = _load_chain(args.infile)
     S = _pick_level(chain, args.level)
     fixed = frozenset(_csv_ints(args.fix))
@@ -176,6 +187,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_acl(args) -> int:
+    from . import groups
+
     chain = _load_chain(args.infile)
     prof = groups.acl_profile(chain, frozenset(_csv_ints(args.fix)), args.b)
     payload = {
@@ -188,6 +201,8 @@ def cmd_acl(args) -> int:
 
 
 def cmd_tau_path(args) -> int:
+    from . import taupaths
+
     chain = _load_chain(args.infile)
     S = _pick_level(chain, args.level)
     tau = _resolve_tau(S, args.tau)
@@ -202,17 +217,20 @@ def cmd_tau_path(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    import numpy as np
+
     if args.n < 1:
         raise ValidationError("n must be positive")
     chain = _load_chain(args.infile)
     S = _pick_level(chain, args.level)
     sampler = _make_sampler(args.sampler, S, args.atoms)
     points = _csv_ints(args.points) if args.points else tuple(sampler.elements)
+    if len(set(points)) != len(points):
+        raise ValidationError("points repeat")
     cols = [sampler.column(p) for p in points]
     element = np.array(sampler.elements)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(out)
         start = 0
         for b in sampler.batches(args.seed, args.n):
             eta = b.eta[:, cols]
@@ -221,11 +239,13 @@ def cmd_sample(args) -> int:
             if b.order is not None:
                 ordered = element[b.order[np.isin(b.order, cols)]].reshape(len(b), -1)
             if start == 0:
-                writer.writerow(["sampleIndex"]
-                                + [f"pos{j}" for j in range(ordered.shape[1])]
-                                + [f"eta_{p}" for p in points])
+                k = ordered.shape[1]
+                out.write(",".join(["sampleIndex", *(f"pos{j}" for j in range(k)),
+                                    *(f"eta_{p}" for p in points)]) + "\r\n")
+                # the bytes csv.writer gives for ints and floats, one row at a time
+                row = ",".join(["%d"] * (1 + k) + ["%r"] * len(points)) + "\r\n"
             for i in range(len(b)):
-                writer.writerow([start + i, *ordered[i].tolist(), *eta[i].tolist()])
+                out.write(row % (start + i, *ordered[i].tolist(), *eta[i].tolist()))
             start += len(b)
     finally:
         if args.out:
@@ -234,6 +254,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import stats
+
     chain = _load_chain(args.infile)
     S = _pick_level(chain, args.level)
     sampler = _make_sampler(args.sampler, S, args.atoms)
@@ -253,6 +275,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from . import stats
+
     verdicts: list[stats.TestVerdict] = []
     if args.suite == "ergodicity":
         sources = {
@@ -312,6 +336,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_cro(args) -> int:
+    from . import cro
+
     system = cro.build_cro_system(args.klass, args.n)
     report = cro.uniqueness_report(system)
     payload = {

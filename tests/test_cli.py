@@ -297,6 +297,8 @@ BAD_INPUT = {
                                    "--n", "10", "--tuples", "0,99"),
     "sample_undrawn_point": ("sample", "--sampler", "uniform", "--in", "{chain}",
                              "--points", "0,99"),
+    "sample_repeated_point": ("sample", "--sampler", "uniform", "--in", "{chain}",
+                              "--points", "1,1"),
     "dual_estimate": ("estimate", "--sampler", "dual", "--in", "{f2}",
                       "--points", "1,2", "--n", "10"),
     "dual_monotone": ("test", "--suite", "monotone", "--sampler", "dual", "--in", "{f2}",
@@ -384,20 +386,21 @@ class TestConfig:
 
 
 # Runs `python -m homord ARGS` inside this child through runpy, then reports
-# the exit code and whether scipy.stats was imported along the way.
+# the exit code and whether scipy.stats and numpy were imported along the way.
 STARTUP_PROBE = """
 import runpy, sys
 try:
     runpy.run_module("homord", run_name="__main__", alter_sys=True)
 except SystemExit as done:
-    print(done.code, "scipy.stats" in sys.modules)
+    print(done.code, "scipy.stats" in sys.modules, "numpy" in sys.modules)
 """
 
 
 class TestStartup:
     """scipy.stats costs about a second to import and only the p-value
     suites (exchangeability, independence) use it; everything else must
-    start without it."""
+    start without it.  numpy is loaded only by the layers that draw random
+    numbers, so the exact commands (cro, orbits, acl, tau-path) skip it."""
 
     def probe(self, *argv, tmp_path):
         r = subprocess.run(
@@ -413,15 +416,43 @@ class TestStartup:
         )
         assert r.stdout.strip() == "False", r.stderr
 
+    def test_import_loads_no_layer(self):
+        """`import homord` loads no submodule and no numpy; a name loads
+        only its own module and what that module imports."""
+        code = ("import sys, homord\n"
+                "def loaded(): return sorted(m for m in sys.modules"
+                " if m.startswith(('homord.', 'numpy', 'scipy')))\n"
+                "print(loaded())\n"
+                "homord.find_tau_path\n"
+                "print(loaded())\n")
+        r = subprocess.run([sys.executable, "-c", code],
+                           capture_output=True, text=True, env=ENV, timeout=300)
+        assert r.stdout.splitlines() == [
+            "[]",
+            "['homord.errors', 'homord.structures', 'homord.taupaths']",
+        ], r.stderr
+
     def test_monotone_and_cro_skip_scipy_stats(self, chain_file, tmp_path):
         assert self.probe("test", "--suite", "monotone", "--sampler", "uniform",
                           "--in", str(chain_file), "--n", "200", "--seed", "1",
-                          tmp_path=tmp_path) == ["0", "False"]
+                          tmp_path=tmp_path) == ["0", "False", "True"]
         assert self.probe("cro", "--class", "graph", "--n", "2",
-                          tmp_path=tmp_path) == ["0", "False"]
+                          tmp_path=tmp_path) == ["0", "False", "False"]
+
+    def test_exact_commands_skip_numpy(self, chain_file, tmp_path):
+        for argv in (("tau-path", "--in", str(chain_file), "--a", "0", "--b", "1",
+                      "--tau", "edge"),
+                     ("orbits", "--in", str(chain_file), "--k", "2"),
+                     ("acl", "--in", str(chain_file), "--fix", "0", "--b", "1")):
+            assert self.probe(*argv, tmp_path=tmp_path) == ["0", "False", "False"], argv
+
+    def test_sample_loads_numpy(self, chain_file, tmp_path):
+        assert self.probe("sample", "--sampler", "uniform", "--in", str(chain_file),
+                          "--n", "5", "--seed", "1",
+                          tmp_path=tmp_path) == ["0", "False", "True"]
 
     def test_independence_loads_scipy_stats(self, chain_file, tmp_path):
         assert self.probe("test", "--suite", "independence", "--sampler", "uniform",
                           "--in", str(chain_file), "--level", "0", "--n", "200",
                           "--seed", "3", "--tuples", "0,1",
-                          tmp_path=tmp_path) == ["0", "True"]
+                          tmp_path=tmp_path) == ["0", "True", "True"]
