@@ -7,6 +7,7 @@ The optional config file holds `key = value` lines mirroring the subcommand's
 long flags (no leading dashes, dashes may be written as underscores); flags
 given on the command line win.  Exit status: 0 on success and all requested
 verdicts passing, 1 when a verdict fails or no path exists, 2 on bad input.
+A reader that closes the output early (`| head`) ends the run quietly with 0.
 
 Each subcommand imports the layers it uses, so `cro`, `orbits`, `acl` and
 `tau-path` start without numpy and only `sample`, `estimate`, `test` and the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -503,7 +505,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone after the last write shows up here
+        return code
+    except BrokenPipeError:
+        # the rest goes nowhere, so the flush at exit has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (
         ValidationError,
         TypeNotRealizedError,

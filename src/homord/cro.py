@@ -21,9 +21,19 @@ graphs and pure sets by the 2-point swap.
 
 Assembly computes each base representative's code under every permutation
 once, while enumerating the base classes, and looks the insertion orders of
-the restriction rows up in that table.  Coefficients are integers until a row
-is kept, which stores them as `Fraction`s; the uniform point is checked over
-the integers, scaled by L!, and the elimination is fraction-free.
+the restriction rows up in that table.  A restriction row is fixed by the
+code of the deleted point followed by the rest, so it is built only the
+first time that code comes up (graph level 4 -> 5: 1,024 of 4,080 rows).
+Coefficients are integers until a row is kept, which stores them as
+`Fraction`s; the uniform point is checked over the integers, scaled by L!.
+
+The verdicts need ranks only.  `integer_echelon`, a fraction-free forward
+elimination pivoting at each row's largest column, gives them: once per
+system, and once per `projected_dimension` cut.  Only `kernel_basis` needs
+the reduced row echelon form; it runs the Gauss-Jordan `integer_rref` when
+called.  Graphs, K_n-free graphs and tournaments go up to level 6, where
+graph L=6 (33,867 variables, nullity 12,059) assembles in about 2.5 s and
+ranks in about 4 s on a 2-core Xeon.
 
 Everything here is exact; no floats."""
 
@@ -42,6 +52,7 @@ from .errors import ResourceLimitError, ValidationError
 from .structures import (
     FinStructure,
     TypeCode,
+    _type_code,
     canonical_type,
     make_structure,
 )
@@ -49,9 +60,9 @@ from .structures import (
 # Classes with an exhaustive member enumerator, and how far it may run.
 _LEVEL_CAPS = {
     "pure_set": 6,
-    "graph": 5,
-    "kn_free_graph": 5,
-    "tournament": 5,
+    "graph": 6,
+    "kn_free_graph": 6,
+    "tournament": 6,
     "linear_order": 5,
 }
 
@@ -97,10 +108,10 @@ class CroSystem:
         return tuple(v for v in self.variables if v.level == level)
 
     @cached_property
-    def rref(self) -> dict[int, Row]:
-        """integer_rref of the row coefficients, computed once per system;
-        the rank, the projected dimensions and the kernel basis read it."""
-        return integer_rref(dict(row.coeffs) for row in self.rows)
+    def rank(self) -> int:
+        """Rank of the row coefficients, computed once per system; the
+        nullity and the projected dimensions read it."""
+        return len(integer_echelon(dict(row.coeffs) for row in self.rows))
 
 
 @dataclass(frozen=True)
@@ -129,11 +140,14 @@ def _pair_structures(spec: FraisseClassSpec, k: int, wire) -> list[FinStructure]
     """Members on k points whose one binary relation is set pair by pair:
     wire(a, b, bit) gives the pair's tuples for one bit per pair a < b."""
     ((name, _),) = spec.signature.relations
-    pairs = list(itertools.combinations(range(k), 2))
+    # each pair's tuples with its bit off and on; they name distinct points
+    # below k, so make_structure's checks would have nothing to reject
+    choices = [(wire(a, b, False), wire(a, b, True))
+               for a, b in itertools.combinations(range(k), 2)]
     out = []
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        rel = {t for (a, b), bit in zip(pairs, bits) for t in wire(a, b, bit)}
-        S = make_structure(spec.signature, k, {name: rel})
+    for bits in itertools.product((False, True), repeat=len(choices)):
+        rel = frozenset(t for c, bit in zip(choices, bits) for t in c[bit])
+        S = FinStructure(spec.signature, k, {name: rel})
         if spec.is_member(S):
             out.append(S)
     return out
@@ -154,18 +168,21 @@ def _all_members(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
     raise ValidationError(f"class {spec.name!r} has no member enumerator")
 
 
+def _check_level(spec: FraisseClassSpec, k: int) -> None:
+    cap = _LEVEL_CAPS.get(spec.name.split(":")[0])
+    if cap is None:
+        raise ValidationError(f"class {spec.name!r} has no member enumerator")
+    if not (1 <= k <= cap):
+        raise ValidationError(f"level {k} outside [1, {cap}] for {spec.name}")
+
+
 def _base_classes(
     spec: FraisseClassSpec, k: int
 ) -> list[tuple[FinStructure, tuple[TypeCode, ...]]]:
     """Isomorphism classes of the class's size-k members, each as its
     representative and the representative's code under every permutation of
     range(k), in itertools.permutations order."""
-    base = spec.name.split(":")[0]
-    cap = _LEVEL_CAPS.get(base)
-    if cap is None:
-        raise ValidationError(f"class {spec.name!r} has no member enumerator")
-    if not (1 <= k <= cap):
-        raise ValidationError(f"level {k} outside [1, {cap}] for {spec.name}")
+    _check_level(spec, k)
     # Codes name positions, so a member whose identity-order code is among
     # the codes of an earlier class is isomorphic to it.  Each new class is
     # stored under its least code; its first member stays the representative.
@@ -173,10 +190,10 @@ def _base_classes(
     seen: dict[TypeCode, tuple[FinStructure, tuple[TypeCode, ...]]] = {}
     perms = list(itertools.permutations(range(k)))
     for S in _all_members(spec, k):
-        first = canonical_type(S, perms[0])
+        first = _type_code(S, perms[0])
         if first in known:
             continue
-        codes = (first, *(canonical_type(S, p) for p in perms[1:]))
+        codes = (first, *(_type_code(S, p) for p in perms[1:]))
         known.update(codes)
         seen[min(codes)] = (S, codes)
     return [seen[c] for c in sorted(seen)]
@@ -204,9 +221,8 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
 
     Raises if the uniform point fails any row; that would mean the assembly
     itself is wrong, so it is checked on every build."""
-    if max_level < 1:
-        raise ValidationError(f"max_level {max_level} < 1")
     spec = class_by_name(class_name)
+    _check_level(spec, max_level)
     base_reps: dict[int, tuple[FinStructure, ...]] = {}
     variables: list[OrderedType] = []
     var_index: dict[TypeCode, int] = {}
@@ -236,12 +252,21 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
             tables[k].append(dict(zip(perms, map(var_index.__getitem__, codes))))
             push({var_index[c]: n for c, n in counts.items()}, 1, "mass")
 
+    # A row is fixed by the code of (v, *tau): when two triples share it, the
+    # position-wise map between them is an automorphism of B, which carries
+    # the deleted-point term and every insertion onto each other.  So a row
+    # whose code came up before repeats a row push already keeps.
+    built: set[int] = set()
     for k in range(1, max_level):
         for B, idx in zip(base_reps[k + 1], tables[k + 1]):
             for v in B.elements:
                 rest = tuple(x for x in B.elements if x != v)
                 for tau in itertools.permutations(rest):
-                    coeffs = {var_index[canonical_type(B, tau)]: 1}
+                    x = idx[(v, *tau)]
+                    if x in built:
+                        continue
+                    built.add(x)
+                    coeffs = {var_index[_type_code(B, tau)]: 1}
                     for pos in range(k + 1):
                         j = idx[tau[:pos] + (v,) + tau[pos:]]
                         coeffs[j] = coeffs.get(j, 0) - 1
@@ -297,6 +322,27 @@ def satisfies(system: CroSystem, x: list[Fraction]) -> bool:
 Row = dict[int, int]
 
 
+def integer_echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, Row]:
+    """Fraction-free forward elimination over the integers, as pivot column
+    -> row; the number of pivots is the rank.
+
+    Rows go in shortest first.  Each is cancelled at its largest column
+    against the pivot row there, until its largest column holds no pivot
+    and becomes its own.  A pivot row holds nothing right of its pivot, so
+    every step lowers the row's largest column, and older rows are never
+    touched.  Coefficients must be integers; anything else is rejected,
+    never truncated."""
+    pivots: dict[int, Row] = {}
+    for row in sorted(map(_integer_row, rows), key=len):
+        while row:
+            lead = max(row)
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row = _cancel(row, pivots[lead], lead)
+    return pivots
+
+
 def integer_rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, Row]:
     """Fraction-free Gauss-Jordan over the integers, as pivot column -> row.
 
@@ -328,10 +374,14 @@ def _integer_row(coeffs: dict[int, Fraction]) -> Row:
 
 
 def _cancel(row: Row, pivot: Row, c: int) -> Row:
-    """pivot[c] * row - row[c] * pivot, divided by the gcd of its entries;
-    column c cancels."""
+    """pivot[c] * row - row[c] * pivot, divided by the gcd of its entries
+    (up to sign); column c cancels.  The two factors are first divided by
+    their gcd and signed so that the row's is positive; a row factor of 1,
+    the common case, copies the row unscaled."""
     a, b = pivot[c], row[c]
-    out = {j: a * v for j, v in row.items()}
+    g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+    a, b = a // g, b // g
+    out = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
     for j, v in pivot.items():
         x = out.get(j, 0) - b * v
         if x:
@@ -350,7 +400,7 @@ def kernel_basis(system: CroSystem) -> list[list[Fraction]]:
     """Basis of the homogeneous solution space of the row coefficient matrix,
     one vector per free column in column order."""
     n = len(system.variables)
-    pivots = system.rref
+    pivots = integer_rref(dict(row.coeffs) for row in system.rows)
     zero = Fraction(0)
     basis = {c: [zero] * n for c in range(n) if c not in pivots}
     for pc, row in pivots.items():
@@ -373,9 +423,8 @@ def projected_dimension(system: CroSystem, keep: set[TypeCode]) -> int:
     kept = {i for i, v in enumerate(system.variables) if v.code in keep}
     if not kept:
         raise ValidationError("no kept variables")
-    full = len(system.rref)
-    cut = len(integer_rref({i: c for i, c in row.coeffs if i not in kept} for row in system.rows))
-    return len(kept) - full + cut
+    cut = len(integer_echelon({i: c for i, c in row.coeffs if i not in kept} for row in system.rows))
+    return len(kept) - system.rank + cut
 
 
 # --- deterministic solutions ---------------------------------------------------
@@ -457,7 +506,7 @@ def dirac_solutions(
 
 
 def uniqueness_report(system: CroSystem) -> CroReport:
-    nullity = len(system.variables) - len(system.rref)
+    nullity = len(system.variables) - system.rank
     # the elimination has rejected every coefficient that is not an integer
     rows = [(tuple((i, c.numerator) for i, c in r.coeffs), r.rhs) for r in system.rows]
     uniform_ok = not _uniform_violations(rows, [v.level for v in system.variables])

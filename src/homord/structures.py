@@ -167,6 +167,11 @@ def canonical_type(S: FinStructure, points: tuple[int, ...]) -> TypeCode:
     """
     points = tuple(points)
     _check_points(S, points)
+    return _type_code(S, points)
+
+
+def _type_code(S: FinStructure, points: tuple[int, ...]) -> TypeCode:
+    """canonical_type for a tuple of distinct points of S, unchecked."""
     k = len(points)
     parts = [f"k{k}"]
     if S.sorts is not None:

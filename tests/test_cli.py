@@ -185,6 +185,18 @@ class TestSample:
         for row in rows[1:]:
             assert {row[1], row[2]} == {"0", "1"}
 
+    def test_reader_closing_early_exits_0(self, chain_file):
+        # like `homord sample ... | head -1`: megabytes of CSV, one line read
+        p = subprocess.Popen(
+            [sys.executable, "-m", "homord", "sample", "--sampler", "uniform",
+             "--in", str(chain_file), "--n", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+        assert p.stdout.readline().startswith(b"sampleIndex,")
+        p.stdout.close()
+        assert p.wait(timeout=300) == 0
+        assert p.stderr.read() == b""
+        p.stderr.close()
+
     def test_dual_is_eta_only(self, tmp_path):
         chain = tmp_path / "f2.json"
         run("build", "--class", "f2_vector_space:2", "--seed", "1",
@@ -318,6 +330,7 @@ BAD_INPUT = {
     "cro_kn_free_param": ("cro", "--class", "kn_free_graph:x", "--n", "3"),
     "build_plain_param": ("build", "--class", "graph:5", "--sat", "1", "--cap", "10"),
     "cro_plain_param": ("cro", "--class", "tournament:9", "--n", "2"),
+    "cro_past_level_cap": ("cro", "--class", "graph", "--n", "7"),
     "tampered_saturation": ("orbits", "--in", "{tampered}", "--k", "1"),
 }
 

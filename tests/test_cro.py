@@ -26,6 +26,7 @@ from homord.cro import (
     dirac_solutions,
     enumerate_base_classes,
     enumerate_ordered_types,
+    integer_echelon,
     integer_rref,
     kernel_basis,
     projected_dimension,
@@ -218,7 +219,7 @@ class TestSystemShape:
 
     def test_level_cap(self):
         with pytest.raises(ValidationError):
-            build_cro_system("graph", 6)
+            build_cro_system("graph", 7)
         with pytest.raises(ValidationError):
             build_cro_system("graph", 0)
 
@@ -353,6 +354,40 @@ class TestRref:
             integer_rref([{0: 1}, {0: 0.5}])
 
 
+def dense_rank(M):
+    return len(dense_rref([[Fraction(v) for v in row] for row in M])[1])
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("cls,level", [
+        (c, lv) for c in ("graph", "tournament", "kn_free_graph:3", "linear_order", "pure_set")
+        for lv in (1, 2, 3, 4, 5)])
+    def test_rank_matches_gauss_jordan(self, cls, level):
+        system = build_cro_system(cls, level)
+        assert system.rank == len(integer_rref(dict(r.coeffs) for r in system.rows))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 10 ** 6)), min_size=cols, max_size=cols),
+        min_size=1, max_size=7)))
+    def test_rank_matches_dense(self, M):
+        pivots = integer_echelon(dict(enumerate(row)) for row in M)
+        assert len(pivots) == dense_rank(M)
+        # primitive integer rows, each ending at its pivot, inside the row space
+        for lead, row in pivots.items():
+            assert max(row) == lead and math.gcd(*row.values()) == 1
+            assert all(isinstance(v, int) for v in row.values())
+        ncols = len(M[0])
+        echelon = [[row.get(c, 0) for c in range(ncols)] for row in pivots.values()]
+        assert dense_rank(M + echelon) == dense_rank(M)
+
+    def test_non_integer_coefficient_rejected(self):
+        with pytest.raises(ValidationError, match="not an integer"):
+            integer_echelon([{0: Fraction(1), 1: Fraction(3, 2)}])
+        with pytest.raises(ValidationError, match="not an integer"):
+            integer_echelon([{0: 1}, {0: 0.5}])
+
+
 class TestRegressionBaselines:
     def test_pure_set_unique(self):
         for L in (2, 3, 4, 5):
@@ -412,6 +447,12 @@ class TestRegressionBaselines:
         assert (rep.nullspace_dim, rep.dirac_count) == (149, 0)
         assert rep.uniform_feasible
 
+    def test_triangle_free_level6(self):
+        rep = uniqueness_report(build_cro_system("kn_free_graph:3", 6))
+        assert (rep.num_variables, rep.num_rows) == (6228, 6292)
+        assert (rep.nullspace_dim, rep.dirac_count) == (2198, 0)
+        assert rep.uniform_feasible
+
 
 class TestProjection:
     def test_level3_shadow_of_level4(self, cro_graph3, cro_graph4):
@@ -448,8 +489,8 @@ class TestProjection:
 
     def test_full_rank_computed_once(self, monkeypatch):
         calls = []
-        real = homord.cro.integer_rref
-        monkeypatch.setattr(homord.cro, "integer_rref", lambda rows: calls.append(1) or real(rows))
+        real = homord.cro.integer_echelon
+        monkeypatch.setattr(homord.cro, "integer_echelon", lambda rows: calls.append(1) or real(rows))
         system = build_cro_system("graph", 4)
         cuts = [{v.code for v in system.variables if v.level <= j} for j in (1, 2, 3)]
         assert [projected_dimension(system, keep) for keep in cuts] == [0, 0, 2]
