@@ -175,16 +175,20 @@ CRO_SYSTEMS = {
     ("graph", 3): "8dde70eec68c9bfff464dbd3a84d9f15e0aea2527f681b7019ffc36ed8c14980",
     ("graph", 4): "072c584be145add2f8d893f16b0eee725fdac75a003cbc54347397c3fb06936b",
     ("graph", 5): "ab239ee942fb115cea8732837a1b086b7bd74c856cbb0236c858d60982abe446",
+    ("graph", 6): "efcf8391da7721aee182e2d86e99ece26ea8b1fff12ebaf614a753f0993192a8",
     ("tournament", 1): "8129ecc33de6408bc4e03bad7342615964d025ccc9c3f4520163d5e2e80a0261",
     ("tournament", 2): "92f4a4ee656ef3e2e3b441760f66c70998570114298f1381f50f3d74b74da54c",
     ("tournament", 3): "d1108f386c8180bfba602ec384963df26273dfff2177f9d30b882b1a56b431ee",
     ("tournament", 4): "a6d4aae0f94a3e227ebea4dffa9871ca3af2c88b875cd21ef880116c3b54e8bb",
     ("tournament", 5): "ac64a2941da62b900729644103535cbb0f332a1a5d4e0a8552143f85a4a96e64",
+    ("tournament", 6): "8f23cca3d4c85b8fc6c4a7fefcde0c74362a22699f89383606123458699a2289",
     ("kn_free_graph:3", 1): "92256c20c5c793052a3f5a693c96cfcac1a56ae87bb5ee02fdfae6b6daa7be65",
     ("kn_free_graph:3", 2): "ddef4b3c999cc72ded7671d68700fe1be319f4d4478dc2affb6313a9352cd5b9",
     ("kn_free_graph:3", 3): "db738cc77e08d1ece24ec5763b52bb577de6c404eb922027714670695a8b8d2f",
     ("kn_free_graph:3", 4): "65a5132d56e3a6d2b81ecb861ea72983e4f9eb9ab39f07d4d1ab5a5d0774ed36",
     ("kn_free_graph:3", 5): "5e7be3e17224f665ee6f37492e2930697b14b8bd175cd9278aeca14eb6cd8747",
+    ("kn_free_graph:3", 6): "e60313576159988686a2da8669a610d8ffd2d35235b020856757dd153c03a837",
+    ("kn_free_graph:4", 5): "d19354a2e4877c78d7bd89b837eecac5be907166829fed988a30b1357d59e38d",
     ("linear_order", 1): "0492ebb0b8ae3298ffd306ba30756555ab10fec706afdf8092edf50438a3a483",
     ("linear_order", 2): "ba3d5436305f84f304d0c0c27f25ea4bf279c31c5456d90f862c7f5f1391b4a3",
     ("linear_order", 3): "5d5f879a05b29ac6997b659d993c4cf20e895f85392a1632e9c0eaa74af68cd9",
