@@ -19,11 +19,16 @@ this truncation; 0/1 solutions are the orderings concentrated on a single
 rule, which exist for chains (identity and reversal) but are obstructed for
 graphs and pure sets by the 2-point swap.
 
-Assembly computes each base representative's code under every permutation
-once, while enumerating the base classes, and looks the insertion orders of
-the restriction rows up in that table.  A restriction row is fixed by the
-code of the deleted point followed by the rest, so it is built only the
-first time that code comes up (graph level 4 -> 5: 1,024 of 4,080 rows).
+Assembly works over pair masks: a labelled member on k points is an int
+with one bit per pair.  The base classes are the orbits of the masks under
+the k! permutations, each image read off a per-permutation table, and every
+labelled member is a variable, so each variable's code is computed once and
+nothing else is.  A base representative's variable under every permutation
+is kept in a table, where the restriction rows look their insertion orders
+up; the deleted-point term is the low bits of a variable's mask.  A
+restriction row is fixed by the code of the deleted point followed by the
+rest, so it is built only the first time that code comes up (graph level
+4 -> 5: 1,024 of 4,080 rows).
 Coefficients are integers until a row is kept, which stores them as
 `Fraction`s; the uniform point is checked over the integers, scaled by L!.
 
@@ -32,7 +37,7 @@ elimination pivoting at each row's largest column, gives them: once per
 system, and once per `projected_dimension` cut.  Only `kernel_basis` needs
 the reduced row echelon form; it runs the Gauss-Jordan `integer_rref` when
 called.  Graphs, K_n-free graphs and tournaments go up to level 6, where
-graph L=6 (33,867 variables, nullity 12,059) assembles in about 2.5 s and
+graph L=6 (33,867 variables, nullity 12,059) assembles in about 1.5 s and
 ranks in about 4 s on a 2-core Xeon.
 
 Everything here is exact; no floats."""
@@ -54,18 +59,7 @@ from .structures import (
     TypeCode,
     _type_code,
     canonical_type,
-    make_structure,
 )
-
-# Classes with an exhaustive member enumerator, and how far it may run.
-_LEVEL_CAPS = {
-    "pure_set": 6,
-    "graph": 6,
-    "kn_free_graph": 6,
-    "tournament": 6,
-    "linear_order": 5,
-}
-
 
 @dataclass(frozen=True)
 class OrderedType:
@@ -135,73 +129,132 @@ class CroReport:
 
 # --- member enumeration ------------------------------------------------------
 
-
-def _pair_structures(spec: FraisseClassSpec, k: int, wire) -> list[FinStructure]:
-    """Members on k points whose one binary relation is set pair by pair:
-    wire(a, b, bit) gives the pair's tuples for one bit per pair a < b."""
-    ((name, _),) = spec.signature.relations
-    # each pair's tuples with its bit off and on; they name distinct points
-    # below k, so make_structure's checks would have nothing to reject
-    choices = [(wire(a, b, False), wire(a, b, True))
-               for a, b in itertools.combinations(range(k), 2)]
-    out = []
-    for bits in itertools.product((False, True), repeat=len(choices)):
-        rel = frozenset(t for c, bit in zip(choices, bits) for t in c[bit])
-        S = FinStructure(spec.signature, k, {name: rel})
-        if spec.is_member(S):
-            out.append(S)
-    return out
+# A member on k points is a mask with one bit per pair a < b, the pairs in
+# `itertools.combinations` order and the first pair most significant, so
+# ascending masks run in `itertools.product` order.  Each class's bit sets its
+# one binary relation: "edge" switches the edge {a, b} on, "arc" turns the arc
+# (a, b) into (b, a), and None means no relation and no pairs.  The pairs
+# through point 0 are the top k - 1 bits, so the low C(k - 1, 2) bits are the
+# mask of the member induced on points 1..k-1.
+_ENUMERATORS = {  # class -> (how far the enumeration may run, wiring)
+    "pure_set": (6, None),
+    "graph": (6, "edge"),
+    "kn_free_graph": (6, "edge"),
+    "tournament": (6, "arc"),
+    "linear_order": (5, "arc"),
+}
 
 
-def _all_members(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
-    base = spec.name.split(":")[0]
-    if base == "pure_set":
-        return [make_structure(spec.signature, k, {})]
-    if base == "linear_order":
-        # any two total orders on k points are isomorphic; one rep suffices
-        lt = {(i, j) for i in range(k) for j in range(k) if i < j}
-        return [make_structure(spec.signature, k, {"lt": lt})]
-    if base in ("graph", "kn_free_graph"):
-        return _pair_structures(spec, k, lambda a, b, on: ((a, b), (b, a)) if on else ())
-    if base == "tournament":
-        return _pair_structures(spec, k, lambda a, b, flip: ((b, a),) if flip else ((a, b),))
-    raise ValidationError(f"class {spec.name!r} has no member enumerator")
+def _enumerator(spec: FraisseClassSpec) -> tuple[int, str | None]:
+    try:
+        return _ENUMERATORS[spec.name.split(":")[0]]
+    except KeyError:
+        raise ValidationError(f"class {spec.name!r} has no member enumerator") from None
 
 
-def _check_level(spec: FraisseClassSpec, k: int) -> None:
-    cap = _LEVEL_CAPS.get(spec.name.split(":")[0])
-    if cap is None:
-        raise ValidationError(f"class {spec.name!r} has no member enumerator")
+def _check_level(spec: FraisseClassSpec, k: int) -> str | None:
+    """The class's wiring, once k is checked against its level cap."""
+    cap, wiring = _enumerator(spec)
     if not (1 <= k <= cap):
         raise ValidationError(f"level {k} outside [1, {cap}] for {spec.name}")
+    return wiring
+
+
+def _pair_count(k: int, wiring: str | None) -> int:
+    return k * (k - 1) // 2 if wiring else 0
+
+
+def _mask_structure(spec: FraisseClassSpec, k: int, mask: int) -> FinStructure:
+    """The structure on k points that mask wires; not checked for membership."""
+    wiring = _enumerator(spec)[1]
+    if wiring is None:
+        return FinStructure(spec.signature, k, {})
+    ((name, _),) = spec.signature.relations
+    bit = _pair_count(k, wiring)
+    rel = []
+    for a, b in itertools.combinations(range(k), 2):
+        bit -= 1
+        on = mask >> bit & 1
+        if wiring == "arc":
+            rel.append((b, a) if on else (a, b))
+        elif on:
+            rel += [(a, b), (b, a)]
+    # the tuples name distinct points below k, so make_structure's checks
+    # would have nothing to reject
+    return FinStructure(spec.signature, k, {name: frozenset(rel)})
+
+
+def _mask_action(k: int, wiring: str | None) -> tuple[list[int], list[list[int]]]:
+    """How each permutation p of range(k), in itertools.permutations order,
+    maps a mask to the mask of the member listed in p's order.
+
+    The image's bit at pair (i, j) is the source bit at pair (p[i], p[j]),
+    flipped when p[i] > p[j] and the bit turns an arc.  Bits land on distinct
+    targets, so the image is flips[p] plus, for each set source bit s,
+    weights[s][p]: the target bit's value, negated where it flips."""
+    pairs = list(itertools.combinations(range(k), 2)) if wiring else []
+    bit = {pair: len(pairs) - 1 - i for i, pair in enumerate(pairs)}
+    perms = list(itertools.permutations(range(k)))
+    flips = [0] * len(perms)
+    weights = [[0] * len(perms) for _ in pairs]
+    for pi, p in enumerate(perms):
+        for i, j in pairs:
+            a, b = p[i], p[j]
+            target = 1 << bit[i, j]
+            if a < b:
+                weights[bit[a, b]][pi] = target
+            elif wiring == "edge":
+                weights[bit[b, a]][pi] = target
+            else:
+                weights[bit[b, a]][pi] = -target
+                flips[pi] |= target
+    return flips, weights
+
+
+def _mask_images(mask: int, action: tuple[list[int], list[list[int]]]) -> list[int]:
+    """mask's image under every permutation of the action, in its order."""
+    flips, weights = action
+    return list(map(sum, zip(flips, *(w for s, w in enumerate(weights) if mask >> s & 1))))
 
 
 def _base_classes(
     spec: FraisseClassSpec, k: int
-) -> list[tuple[FinStructure, tuple[TypeCode, ...]]]:
-    """Isomorphism classes of the class's size-k members, each as its
-    representative and the representative's code under every permutation of
-    range(k), in itertools.permutations order."""
-    _check_level(spec, k)
-    # Codes name positions, so a member whose identity-order code is among
-    # the codes of an earlier class is isomorphic to it.  Each new class is
-    # stored under its least code; its first member stays the representative.
-    known: set[TypeCode] = set()
-    seen: dict[TypeCode, tuple[FinStructure, tuple[TypeCode, ...]]] = {}
+) -> list[tuple[FinStructure, list[int], dict[int, TypeCode]]]:
+    """Isomorphism classes of the class's size-k members, in order of their
+    least code, each as its representative, the representative's image mask
+    under every permutation of range(k) (itertools.permutations order), and
+    each distinct image's code.
+
+    Masks are walked in ascending order, and an unvisited mask is the least
+    of its orbit, so it stays the representative that the first member in
+    product order always was.  Membership does not change under
+    isomorphism: one `is_member` call decides the whole orbit.  An image is
+    coded once, as the representative under the first permutation giving
+    it, which is the identity-order code of the image member."""
+    wiring = _check_level(spec, k)
+    action = _mask_action(k, wiring)
     perms = list(itertools.permutations(range(k)))
-    for S in _all_members(spec, k):
-        first = _type_code(S, perms[0])
-        if first in known:
+    visited = bytearray(1 << _pair_count(k, wiring))
+    classes: dict[TypeCode, tuple[FinStructure, list[int], dict[int, TypeCode]]] = {}
+    for mask in range(len(visited)):
+        if visited[mask]:
             continue
-        codes = (first, *(_type_code(S, p) for p in perms[1:]))
-        known.update(codes)
-        seen[min(codes)] = (S, codes)
-    return [seen[c] for c in sorted(seen)]
+        images = _mask_images(mask, action)
+        # pairs go in backwards, so each image keeps its first permutation
+        first = dict(zip(reversed(images), reversed(perms)))
+        for image in first:
+            visited[image] = 1
+        rep = _mask_structure(spec, k, mask)
+        if not spec.is_member(rep):
+            continue
+        codes = {image: _type_code(rep, p) for image, p in first.items()}
+        classes[min(codes.values())] = (rep, images, codes)
+    return [classes[c] for c in sorted(classes)]
 
 
 def enumerate_base_classes(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
     """Isomorphism-class representatives of the class's size-k members."""
-    return [S for S, _ in _base_classes(spec, k)]
+    return [S for S, _, _ in _base_classes(spec, k)]
 
 
 def enumerate_ordered_types(A: FinStructure) -> dict[TypeCode, int]:
@@ -222,11 +275,13 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     Raises if the uniform point fails any row; that would mean the assembly
     itself is wrong, so it is checked on every build."""
     spec = class_by_name(class_name)
-    _check_level(spec, max_level)
+    wiring = _check_level(spec, max_level)
     base_reps: dict[int, tuple[FinStructure, ...]] = {}
     variables: list[OrderedType] = []
-    var_index: dict[TypeCode, int] = {}
-    # level -> one {permutation: variable index} table per base representative
+    masks: list[int] = []  # variable index -> its member's mask
+    # level -> {mask: variable index}, and one {permutation: variable index}
+    # table per base representative
+    var_of: dict[int, dict[int, int]] = {}
     tables: dict[int, list[dict[tuple[int, ...], int]]] = {}
     rows: list[tuple[tuple[tuple[int, int], ...], int, str]] = []
     seen_rows: set[tuple] = set()
@@ -241,23 +296,28 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
         classes = _base_classes(spec, k)
         if not classes:
             raise ValidationError(f"{class_name} has no members of size {k}")
-        base_reps[k] = tuple(A for A, _ in classes)
+        base_reps[k] = tuple(A for A, _, _ in classes)
         perms = list(itertools.permutations(range(k)))
+        var_of[k] = {}
         tables[k] = []
-        for bi, (A, codes) in enumerate(classes):
-            counts = Counter(codes)
-            for code in sorted(counts):
-                var_index[code] = len(variables)
-                variables.append(OrderedType(code, k, bi, counts[code]))
-            tables[k].append(dict(zip(perms, map(var_index.__getitem__, codes))))
-            push({var_index[c]: n for c, n in counts.items()}, 1, "mass")
+        for bi, (A, images, codes) in enumerate(classes):
+            counts = Counter(images)
+            for mask in sorted(codes, key=codes.__getitem__):
+                var_of[k][mask] = len(variables)
+                masks.append(mask)
+                variables.append(OrderedType(codes[mask], k, bi, counts[mask]))
+            tables[k].append(dict(zip(perms, map(var_of[k].__getitem__, images))))
+            push({var_of[k][m]: n for m, n in counts.items()}, 1, "mass")
 
     # A row is fixed by the code of (v, *tau): when two triples share it, the
     # position-wise map between them is an automorphism of B, which carries
     # the deleted-point term and every insertion onto each other.  So a row
-    # whose code came up before repeats a row push already keeps.
+    # whose code came up before repeats a row push already keeps.  The
+    # deleted-point term is the member on positions 1..k of (v, *tau): the
+    # low bits of that variable's mask.
     built: set[int] = set()
     for k in range(1, max_level):
+        low = (1 << _pair_count(k, wiring)) - 1
         for B, idx in zip(base_reps[k + 1], tables[k + 1]):
             for v in B.elements:
                 rest = tuple(x for x in B.elements if x != v)
@@ -266,7 +326,7 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
                     if x in built:
                         continue
                     built.add(x)
-                    coeffs = {var_index[_type_code(B, tau)]: 1}
+                    coeffs = {var_of[k][masks[x] & low]: 1}
                     for pos in range(k + 1):
                         j = idx[tau[:pos] + (v,) + tau[pos:]]
                         coeffs[j] = coeffs.get(j, 0) - 1
@@ -419,8 +479,13 @@ def projected_dimension(system: CroSystem, keep: set[TypeCode]) -> int:
     hull, so its image's dimension is that of the kernel's projection: the
     kernel's dimension less that of its part vanishing on the kept columns,
     which is the kernel of the rows cut to the dropped columns.  In ranks,
-    len(kept) - rank(A) + rank(A on the dropped columns)."""
-    kept = {i for i, v in enumerate(system.variables) if v.code in keep}
+    len(kept) - rank(A) + rank(A on the dropped columns).  A kept code with
+    no variable is refused, not dropped."""
+    index = system.var_index
+    unknown = [c for c in keep if c not in index]
+    if unknown:
+        raise ValidationError(f"kept code {min(unknown, key=repr)!r} has no variable")
+    kept = {index[c] for c in keep}
     if not kept:
         raise ValidationError("no kept variables")
     cut = len(integer_echelon({i: c for i, c in row.coeffs if i not in kept} for row in system.rows))

@@ -83,6 +83,12 @@ def _check_n(n: int) -> None:
         raise ValidationError("n must be positive")
 
 
+def _check_alpha(alpha: float) -> None:
+    # written so that nan fails too
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+
+
 def _order(b: OrderBatch) -> np.ndarray:
     if b.order is None:
         raise ValidationError("sampler draws no order")
@@ -185,6 +191,7 @@ def test_exchangeability(
     if not tuple_pairs:
         raise ValidationError("no tuple pairs")
     _check_n(n)
+    _check_alpha(alpha)
     pvals = []
     details = {}
     for idx, (ta, tb) in enumerate(tuple_pairs):
@@ -282,6 +289,7 @@ def test_independence(
     if not point_tuples:
         raise ValidationError("no point tuples")
     _check_n(n)
+    _check_alpha(alpha)
     values = _eta_columns(sampler, sorted({p for tup in point_tuples for p in tup}), seed, n)
     pvals = []
     details = {}

@@ -1,8 +1,10 @@
 """Reference helpers shared by the test modules."""
 
+import itertools
 from collections import deque
 
 from homord.errors import ResourceLimitError
+from homord.structures import make_structure
 
 
 def order_from_latents(
@@ -12,6 +14,32 @@ def order_from_latents(
     """Deterministic comparator sort: by value, ties by tie_rank then id."""
     ranks = tie_rank or {}
     return tuple(sorted(latent, key=lambda a: (latent[a], ranks.get(a, 0), a)))
+
+
+def all_members(spec, k):
+    """Every labelled member of a CRO class on k points, brute force.
+
+    Each pair a < b, in combinations order, takes one of two wirings of the
+    class's binary relation (no edge or the edge; the arc (a, b) or (b, a)),
+    every combination is built in itertools.product order, and the members
+    are kept; a pure set has the one structure with no relations."""
+    base = spec.name.split(":")[0]
+    if base == "pure_set":
+        return [make_structure(spec.signature, k, {})]
+    ((name, _),) = spec.signature.relations
+    if base in ("graph", "kn_free_graph"):
+        wire = lambda a, b: ((), ((a, b), (b, a)))
+    elif base in ("tournament", "linear_order"):
+        wire = lambda a, b: (((a, b),), ((b, a),))
+    else:
+        raise ValueError(f"no member list for {spec.name}")
+    choices = [wire(a, b) for a, b in itertools.combinations(range(k), 2)]
+    members = []
+    for picks in itertools.product(*choices):
+        S = make_structure(spec.signature, k, {name: {t for pick in picks for t in pick}})
+        if spec.is_member(S):
+            members.append(S)
+    return members
 
 
 def reference_tau_path(index, a, b, tau, avoid, state_cap):

@@ -320,6 +320,12 @@ BAD_INPUT = {
     "sample_no_samples": ("sample", "--sampler", "uniform", "--in", "{chain}", "--n", "0"),
     "sample_negative_n": ("sample", "--sampler", "uniform", "--in", "{chain}", "--n", "-5"),
     "monotone_no_samples": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "0"),
+    "independence_alpha_above_one": ("test", "--suite", "independence", "--in", "{chain}",
+                                     "--n", "10", "--tuples", "0,1", "--alpha", "2"),
+    "independence_alpha_negative": ("test", "--suite", "independence", "--in", "{chain}",
+                                    "--n", "10", "--tuples", "0,1", "--alpha", "-1"),
+    "independence_alpha_nan": ("test", "--suite", "independence", "--in", "{chain}",
+                               "--n", "10", "--tuples", "0,1", "--alpha", "nan"),
     "exchangeability_no_samples": ("test", "--suite", "exchangeability", "--in", "{chain}",
                                    "--n", "0", "--pairs", "0,1;2,3"),
     "ergodicity_no_sequences": ("test", "--suite", "ergodicity", "--n", "0"),

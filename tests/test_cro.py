@@ -20,7 +20,10 @@ import homord.cro
 from homord.cro import (
     CroRow,
     OrderedType,
-    _all_members,
+    _enumerator,
+    _mask_action,
+    _mask_images,
+    _mask_structure,
     _uniform_violations,
     build_cro_system,
     dirac_solutions,
@@ -38,6 +41,8 @@ from homord.errors import ValidationError
 from homord.groups import automorphisms
 from homord.builders import class_by_name
 from homord.structures import canonical_type, find_isomorphism, induced_substructure
+
+from helpers import all_members
 
 
 def dense_rref(matrix):
@@ -96,7 +101,7 @@ def reference_system(class_name, max_level):
     base_reps, variables, var_index = {}, [], {}
     for k in range(1, max_level + 1):
         first = {}
-        for S in _all_members(spec, k):
+        for S in all_members(spec, k):
             first.setdefault(min(canonical_type(S, p) for p in itertools.permutations(range(k))), S)
         base_reps[k] = tuple(first[c] for c in sorted(first))
         for bi, A in enumerate(base_reps[k]):
@@ -180,6 +185,32 @@ class TestBaseClasses:
         reps = enumerate_base_classes(class_by_name("graph"), 4)
         for A, B in itertools.combinations(reps, 2):
             assert find_isomorphism(A, B) is None
+
+
+class TestMaskAction:
+    @pytest.mark.parametrize("name", ["graph", "kn_free_graph:3", "tournament", "linear_order",
+                                      "pure_set"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ascending_masks_list_the_members(self, name, k):
+        spec = class_by_name(name)
+        bits = k * (k - 1) // 2 if name != "pure_set" else 0
+        wired = (_mask_structure(spec, k, mask) for mask in range(1 << bits))
+        assert [S for S in wired if spec.is_member(S)] == all_members(spec, k)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(("graph", "tournament", "linear_order")), st.integers(1, 6), st.data())
+    def test_image_and_deleted_point(self, name, k, data):
+        spec = class_by_name(name)
+        mask = data.draw(st.integers(0, (1 << k * (k - 1) // 2) - 1), label="mask")
+        p = tuple(data.draw(st.permutations(range(k)), label="p"))
+        S = _mask_structure(spec, k, mask)
+        # the image under p is the member listed in p's order
+        action = _mask_action(k, _enumerator(spec)[1])
+        image = _mask_images(mask, action)[list(itertools.permutations(range(k))).index(p)]
+        assert canonical_type(S, p) == canonical_type(_mask_structure(spec, k, image), range(k))
+        # the low bits are the member induced on positions 1..k-1
+        low = (1 << (k - 1) * (k - 2) // 2) - 1
+        assert _mask_structure(spec, k - 1, mask & low) == induced_substructure(S, range(1, k))
 
 
 class TestOrderedTypes:
@@ -505,6 +536,14 @@ class TestProjection:
     def test_unknown_code_rejected(self, cro_graph3):
         with pytest.raises(ValidationError):
             projected_dimension(cro_graph3, {("nonsense",)})
+
+    def test_unknown_code_named(self, cro_graph4):
+        # a typo among real codes must not shrink the kept set unnoticed
+        keep = {v.code for v in cro_graph4.variables if v.level <= 3}
+        with pytest.raises(ValidationError, match=r"b'k3\|E=typo' has no variable"):
+            projected_dimension(cro_graph4, keep | {b"k3|E=typo"})
+        with pytest.raises(ValidationError, match="typo"):
+            projected_dimension(cro_graph4, {b"k3|E=typo"})
 
 
 class TestDirac:

@@ -196,6 +196,14 @@ class TestExchangeability:
         with pytest.raises(ValidationError, match="n must be positive"):
             exchangeability_verdict(UniformOrderSampler(K3), [((0, 1), (1, 2))], seed=1, n=n)
 
+    @pytest.mark.parametrize("alpha", [0, 1, 2, -1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # alpha 2 would fail every run and alpha -1 pass every run; the CLI
+        # cases in test_cli check the independence suite
+        with pytest.raises(ValidationError, match="alpha"):
+            exchangeability_verdict(UniformOrderSampler(K3), [((0, 1), (1, 2))], seed=1, n=10,
+                                    alpha=alpha)
+
     def test_verdict_reproducible(self):
         args = (UniformOrderSampler(K3), [((0, 1), (1, 2))])
         a = exchangeability_verdict(*args, seed=17, n=2000)
