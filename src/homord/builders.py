@@ -43,6 +43,7 @@ from .errors import SaturationInfeasibleError, ValidationError
 from .structures import (
     FinStructure,
     Signature,
+    _json_int,
     induced_substructure,
     make_structure,
     structure_from_json,
@@ -306,7 +307,7 @@ def chain_from_json(obj: dict) -> StructureChain:
         chain = StructureChain(
             class_name=obj["class"],
             levels=levels,
-            saturation=tuple(int(x) for x in obj["saturation"]),
+            saturation=tuple(map(_json_int, obj["saturation"])),
         )
     except ValidationError:
         raise

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-    homord [--config FILE] SUBCOMMAND [flags]
+    homord [--config FILE | --config=FILE] SUBCOMMAND [flags]
 
 Subcommands: build, orbits, acl, tau-path, sample, estimate, test, cro.
 The optional config file holds `key = value` lines mirroring the subcommand's
@@ -280,6 +280,13 @@ def cmd_test(args) -> int:
     from . import stats
 
     verdicts: list[stats.TestVerdict] = []
+    # the p-value suites keep their own default alpha when none is given
+    if args.alpha is None:
+        alpha = {}
+    elif args.suite in ("exchangeability", "independence"):
+        alpha = {"alpha": args.alpha}
+    else:
+        raise ValidationError(f"the {args.suite} suite takes no --alpha")
     if args.suite == "ergodicity":
         sources = {
             "iid_uniform": lambda: stats.iid_uniform_sequences(args.length),
@@ -297,6 +304,8 @@ def cmd_test(args) -> int:
             )
         )
     else:
+        if args.infile is None:
+            raise ValidationError(f"--in is required for the {args.suite} suite")
         chain = _load_chain(args.infile)
         S = _pick_level(chain, args.level)
         sampler = _make_sampler(args.sampler, S, args.atoms)
@@ -310,18 +319,14 @@ def cmd_test(args) -> int:
                 left, _, right = spec_text.partition(";")
                 tuple_pairs.append((_csv_ints(left), _csv_ints(right)))
             verdicts.append(
-                stats.test_exchangeability(
-                    sampler, tuple_pairs, args.seed, args.n, alpha=args.alpha
-                )
+                stats.test_exchangeability(sampler, tuple_pairs, args.seed, args.n, **alpha)
             )
         elif args.suite == "independence":
             if not args.tuples:
                 raise ValidationError('need --tuples "p0,p1" at least once')
             tuples = [_csv_ints(t) for t in args.tuples]
             verdicts.append(
-                stats.test_independence(
-                    sampler, tuples, args.seed, args.n, alpha=args.alpha
-                )
+                stats.test_independence(sampler, tuples, args.seed, args.n, **alpha)
             )
         else:
             raise ValidationError(f"unknown suite {args.suite!r}")
@@ -378,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="homord",
         description="finite-structure laboratory for invariant random orders",
+        # _apply_config reads --config; a prefix of it would go unread
+        allow_abbrev=False,
     )
     root.add_argument(
         "--config", default=None, help="key = value file of default flags"
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--level", type=int, default=-1)
     p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--alpha", type=float, default=0.001)
+    p.add_argument("--alpha", type=float, help="exchangeability and independence; default 0.001")
     p.add_argument("--pairs", action="append", help='"a0,a1;b0,b1"')
     p.add_argument("--tuples", action="append", help='"p0,p1[,p2]"')
     p.add_argument("--atoms", default=None)
@@ -473,13 +480,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(argv: list[str]) -> list[str]:
     """Inject config-file values as flags right after the subcommand; later
     (user-given) flags override them."""
-    if "--config" not in argv:
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise ValidationError("--config needs a file path")
+            path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
+            break
+        if arg.startswith("--config="):
+            path, rest = arg.partition("=")[2], argv[:i] + argv[i + 1 :]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise ValidationError("--config needs a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
     if not rest:
         return rest
     pairs = []

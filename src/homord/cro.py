@@ -23,12 +23,13 @@ Assembly works over pair masks: a labelled member on k points is an int
 with one bit per pair.  The base classes are the orbits of the masks under
 the k! permutations, each image read off a per-permutation table, and every
 labelled member is a variable, so each variable's code is computed once and
-nothing else is.  A base representative's variable under every permutation
-is kept in a table, where the restriction rows look their insertion orders
-up; the deleted-point term is the low bits of a variable's mask.  A
-restriction row is fixed by the code of the deleted point followed by the
-rest, so it is built only the first time that code comes up (graph level
-4 -> 5: 1,024 of 4,080 rows).
+nothing else is.  The restriction rows are read off the masks too: deleting
+point 0 keeps a mask's low bits, and inserting it back at each position is
+a relabelling by one of k shift permutations, which stays in the class.  A
+restriction row is fixed by the mask of the deleted point followed by the
+rest, so each variable gives one row, built in the same pass over levels
+that numbers the variables (graph level 4 -> 5: 1,024 rows for 4,080
+choices of deleted point and order of the rest).
 Coefficients are integers until a row is kept, which stores them as
 `Fraction`s; the uniform point is checked over the integers, scaled by L!.
 
@@ -184,17 +185,18 @@ def _mask_structure(spec: FraisseClassSpec, k: int, mask: int) -> FinStructure:
     return FinStructure(spec.signature, k, {name: frozenset(rel)})
 
 
-def _mask_action(k: int, wiring: str | None) -> tuple[list[int], list[list[int]]]:
-    """How each permutation p of range(k), in itertools.permutations order,
-    maps a mask to the mask of the member listed in p's order.
+def _mask_action(
+    perms: list[tuple[int, ...]], wiring: str | None
+) -> tuple[list[int], list[list[int]]]:
+    """How each permutation p in perms, all of one range(k), maps a mask to
+    the mask of the member listed in p's order.
 
     The image's bit at pair (i, j) is the source bit at pair (p[i], p[j]),
     flipped when p[i] > p[j] and the bit turns an arc.  Bits land on distinct
     targets, so the image is flips[p] plus, for each set source bit s,
     weights[s][p]: the target bit's value, negated where it flips."""
-    pairs = list(itertools.combinations(range(k), 2)) if wiring else []
+    pairs = list(itertools.combinations(range(len(perms[0])), 2)) if wiring else []
     bit = {pair: len(pairs) - 1 - i for i, pair in enumerate(pairs)}
-    perms = list(itertools.permutations(range(k)))
     flips = [0] * len(perms)
     weights = [[0] * len(perms) for _ in pairs]
     for pi, p in enumerate(perms):
@@ -232,8 +234,8 @@ def _base_classes(
     coded once, as the representative under the first permutation giving
     it, which is the identity-order code of the image member."""
     wiring = _check_level(spec, k)
-    action = _mask_action(k, wiring)
     perms = list(itertools.permutations(range(k)))
+    action = _mask_action(perms, wiring)
     visited = bytearray(1 << _pair_count(k, wiring))
     classes: dict[TypeCode, tuple[FinStructure, list[int], dict[int, TypeCode]]] = {}
     for mask in range(len(visited)):
@@ -278,59 +280,46 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     wiring = _check_level(spec, max_level)
     base_reps: dict[int, tuple[FinStructure, ...]] = {}
     variables: list[OrderedType] = []
-    masks: list[int] = []  # variable index -> its member's mask
-    # level -> {mask: variable index}, and one {permutation: variable index}
-    # table per base representative
-    var_of: dict[int, dict[int, int]] = {}
-    tables: dict[int, list[dict[tuple[int, ...], int]]] = {}
-    rows: list[tuple[tuple[tuple[int, int], ...], int, str]] = []
+    below: dict[int, int] = {}  # the level below's {mask: variable index}
+    mass: list[tuple[tuple[tuple[int, int], ...], int, str]] = []
+    restriction: list[tuple[tuple[tuple[int, int], ...], int, str]] = []
     seen_rows: set[tuple] = set()
 
-    def push(coeffs: dict[int, int], rhs: int, kind: str) -> None:
+    def push(rows: list, coeffs: dict[int, int], rhs: int, kind: str) -> None:
         key = (tuple(sorted(coeffs.items())), rhs)
         if key not in seen_rows:
             seen_rows.add(key)
             rows.append((*key, kind))
 
+    # A restriction row at level k is fixed by the mask m of a member listed
+    # as (v, *tau): the deleted-point term is the member on positions 1..k-1,
+    # the low bits of m, and inserting v back at position pos relabels m by
+    # the shift (1, ..., pos, 0, pos + 1, ..., k - 1), which stays in m's
+    # class.  So each class builds one row per variable, walking its masks in
+    # order of first appearance, as the orders (v, *tau) first meet them.
     for k in range(1, max_level + 1):
         classes = _base_classes(spec, k)
         if not classes:
             raise ValidationError(f"{class_name} has no members of size {k}")
         base_reps[k] = tuple(A for A, _, _ in classes)
-        perms = list(itertools.permutations(range(k)))
-        var_of[k] = {}
-        tables[k] = []
-        for bi, (A, images, codes) in enumerate(classes):
+        insert = _mask_action(
+            [(*range(1, pos + 1), 0, *range(pos + 1, k)) for pos in range(k)], wiring
+        )
+        low = (1 << _pair_count(k - 1, wiring)) - 1
+        level: dict[int, int] = {}
+        for bi, (_, images, codes) in enumerate(classes):
             counts = Counter(images)
             for mask in sorted(codes, key=codes.__getitem__):
-                var_of[k][mask] = len(variables)
-                masks.append(mask)
+                level[mask] = len(variables)
                 variables.append(OrderedType(codes[mask], k, bi, counts[mask]))
-            tables[k].append(dict(zip(perms, map(var_of[k].__getitem__, images))))
-            push({var_of[k][m]: n for m, n in counts.items()}, 1, "mass")
-
-    # A row is fixed by the code of (v, *tau): when two triples share it, the
-    # position-wise map between them is an automorphism of B, which carries
-    # the deleted-point term and every insertion onto each other.  So a row
-    # whose code came up before repeats a row push already keeps.  The
-    # deleted-point term is the member on positions 1..k of (v, *tau): the
-    # low bits of that variable's mask.
-    built: set[int] = set()
-    for k in range(1, max_level):
-        low = (1 << _pair_count(k, wiring)) - 1
-        for B, idx in zip(base_reps[k + 1], tables[k + 1]):
-            for v in B.elements:
-                rest = tuple(x for x in B.elements if x != v)
-                for tau in itertools.permutations(rest):
-                    x = idx[(v, *tau)]
-                    if x in built:
-                        continue
-                    built.add(x)
-                    coeffs = {var_of[k][masks[x] & low]: 1}
-                    for pos in range(k + 1):
-                        j = idx[tau[:pos] + (v,) + tau[pos:]]
-                        coeffs[j] = coeffs.get(j, 0) - 1
-                    push({i: c for i, c in coeffs.items() if c}, 0, "restriction")
+            push(mass, {level[m]: n for m, n in counts.items()}, 1, "mass")
+            for m in counts if below else ():
+                coeffs = {below[m & low]: 1}
+                for j in map(level.__getitem__, _mask_images(m, insert)):
+                    coeffs[j] = coeffs.get(j, 0) - 1
+                push(restriction, coeffs, 0, "restriction")
+        below = level
+    rows = mass + restriction
 
     bad = _uniform_violations([(c, rhs) for c, rhs, _ in rows], [v.level for v in variables])
     if bad:

@@ -344,14 +344,22 @@ def structure_to_json(S: FinStructure) -> dict:
     }
 
 
+def _json_int(value: object) -> int:
+    """value itself when it is a JSON integer; a float, a bool or a string is
+    refused, never truncated or converted."""
+    if type(value) is not int:
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return value
+
+
 def structure_from_json(obj: dict) -> FinStructure:
-    sig = Signature(tuple((name, int(arity)) for name, arity in obj["sig"]))
+    sig = Signature(tuple((name, _json_int(arity)) for name, arity in obj["sig"]))
     tables = {
-        name: {tuple(int(x) for x in tup) for tup in rows}
+        name: {tuple(map(_json_int, tup)) for tup in rows}
         for name, rows in obj.get("rel", {}).items()
     }
     sorts = obj.get("sorts")
-    return make_structure(sig, int(obj["size"]), tables, tuple(sorts) if sorts else None)
+    return make_structure(sig, _json_int(obj["size"]), tables, tuple(sorts) if sorts else None)
 
 
 def structure_dumps(S: FinStructure) -> str:

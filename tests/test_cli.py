@@ -288,9 +288,34 @@ def tampered_chain(chain_file, tmp_path_factory):
     return path
 
 
+def _two_point_chain(size=2, edges=((0, 1), (1, 0)), saturation=(0,)):
+    """A one-level graph chain on two points; at the defaults it loads."""
+    level = {"sig": [["E", 2]], "size": size, "sorts": None, "rel": {"E": edges}}
+    return {"class": "graph", "levels": [level], "saturation": saturation}
+
+
+# Chains with one value that is not a JSON integer; int() would truncate each
+# of them to a chain that loads.
+LOOSE_CHAINS = {
+    "float_point": _two_point_chain(edges=[[0, 1.5], [1.5, 0]]),
+    "bool_point": _two_point_chain(edges=[[0, True], [True, 0]]),
+    "float_size": _two_point_chain(size=2.7),
+    "float_saturation": _two_point_chain(saturation=[0.0]),
+}
+
+
+@pytest.fixture(scope="module")
+def loose_chains(tmp_path_factory):
+    out = {}
+    for name, obj in LOOSE_CHAINS.items():
+        out[name] = tmp_path_factory.mktemp("cli5") / f"{name}.json"
+        out[name].write_text(json.dumps(obj))
+    return out
+
+
 # Malformed input on every flag that takes points, and chain files that do not
 # hold: each must exit 2 with an error line, never a traceback.  "{chain}",
-# "{f2}" and "{tampered}" stand for chain files.
+# "{f2}", "{tampered}" and the LOOSE_CHAINS names stand for chain files.
 BAD_INPUT = {
     "points_token": ("sample", "--sampler", "uniform", "--in", "{chain}", "--points", "0,x"),
     "target_token": ("estimate", "--sampler", "uniform", "--in", "{chain}",
@@ -338,12 +363,21 @@ BAD_INPUT = {
     "cro_plain_param": ("cro", "--class", "tournament:9", "--n", "2"),
     "cro_past_level_cap": ("cro", "--class", "graph", "--n", "7"),
     "tampered_saturation": ("orbits", "--in", "{tampered}", "--k", "1"),
+    "monotone_no_in": ("test", "--suite", "monotone", "--n", "10"),
+    "exchangeability_no_in": ("test", "--suite", "exchangeability", "--n", "10",
+                              "--pairs", "0,1;2,3"),
+    "monotone_alpha": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "10",
+                       "--alpha", "0.01"),
+    "ergodicity_alpha": ("test", "--suite", "ergodicity", "--n", "200", "--length", "64",
+                         "--block", "16", "--alpha", "2"),
+    "config_prefix": ("--conf", "homord.cfg", "cro", "--class", "graph", "--n", "2"),
+    **{f"chain_{name}": ("orbits", "--in", f"{{{name}}}", "--k", "1") for name in LOOSE_CHAINS},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_exits_2(case, chain_file, f2_chain, tampered_chain):
-    argv = [a.format(chain=chain_file, f2=f2_chain, tampered=tampered_chain)
+def test_bad_input_exits_2(case, chain_file, f2_chain, tampered_chain, loose_chains):
+    argv = [a.format(chain=chain_file, f2=f2_chain, tampered=tampered_chain, **loose_chains)
             for a in BAD_INPUT[case]]
     r = run(*argv)
     assert r.returncode == 2, (r.returncode, r.stderr)
@@ -392,6 +426,16 @@ class TestConfig:
                     "--in", str(chain_file), "--level", "0", "--points", "0,1",
                     "--seed", "4")
         assert base.stdout != other.stdout
+
+    def test_equals_spelling(self, chain_file, tmp_path):
+        cfg = tmp_path / "homord.cfg"
+        cfg.write_text("seed = 3\nn = 5\npoints = 0,1\n")
+        argv = ("sample", "--sampler", "uniform", "--in", str(chain_file), "--level", "0")
+        spaced = run("--config", str(cfg), *argv)
+        joined = run(f"--config={cfg}", *argv)
+        assert spaced.returncode == joined.returncode == 0, joined.stderr
+        assert joined.stdout == spaced.stdout
+        assert joined.stdout.count("\n") == 6  # the file's n = 5, not the default 100
 
     def test_missing_files_exit_2(self):
         assert run("orbits", "--in", "/nonexistent.json", "--k", "2").returncode == 2

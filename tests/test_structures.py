@@ -201,6 +201,19 @@ class TestSerialization:
             structure_from_json(structure_to_json(S))
         )
 
+    @pytest.mark.parametrize("change", [
+        {"size": 2.7},
+        {"size": True},
+        {"size": "3"},
+        {"sig": [["E", 2.0]]},
+        {"rel": {"E": [[0, 1.5], [1.5, 0]]}},
+        {"rel": {"E": [[0, True], [True, 0]]}},
+    ])
+    def test_non_integers_rejected(self, change):
+        obj = {**structure_to_json(graph(3, [(0, 1)])), **change}
+        with pytest.raises(ValidationError, match="expected an integer"):
+            structure_from_json(obj)
+
     def test_frozen(self):
         S = graph(2, [])
         with pytest.raises(Exception):
