@@ -41,9 +41,7 @@ print("\ngraphs: a positive-dimensional solution set with no 0/1 points at all")
 g3 = banner("graph", 3)
 g4 = banner("graph", 4)
 
-sys4 = build_cro_system("graph", 4)
-keep = {v.code for v in sys4.variables if v.level <= 3}
-proj = projected_dimension(sys4, keep)
+proj = projected_dimension(build_cro_system("graph", 4), 3)
 print(
     f"\nlevel-4 solutions seen through level-<=3 coordinates: dimension {proj}"
     f" (standalone level-3 system: {g3.nullspace_dim});"

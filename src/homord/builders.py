@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -736,22 +737,32 @@ def involution_m_view(S: FinStructure) -> tuple[FinStructure, tuple[int, ...]]:
 def involution_pair_pattern(S: FinStructure, a: int, b: int) -> str:
     """Interleaving pattern of f(a), f(b), a, b as a readable string."""
     involution_order_class().validate(S)
-    fmap = {x: y for x, y in S.table("f")}
-    lt = S.table("lt")
-    names = {a: "a", b: "b", fmap[a]: "fa", fmap[b]: "fb"}
-    if len(names) != 4:
-        raise ValidationError("points share an orbit pair")
-    ordered = sorted(names, key=lambda x: sum(1 for p, q in lt if q == x))
-    return "<".join(names[x] for x in ordered)
+    return _pair_patterns(S)(a, b)
 
 
 def find_involution_pattern_pair(S: FinStructure, pattern: str) -> tuple[int, int] | None:
     """First M-sort pair (a, b) realizing the given interleaving pattern."""
-    m_elems = S.elements_of_sort("M")
-    for a, b in itertools.permutations(m_elems, 2):
-        if involution_pair_pattern(S, a, b) == pattern:
+    involution_order_class().validate(S)
+    pattern_of = _pair_patterns(S)
+    for a, b in itertools.permutations(S.elements_of_sort("M"), 2):
+        if pattern_of(a, b) == pattern:
             return a, b
     return None
+
+
+def _pair_patterns(S: FinStructure) -> Callable[[int, int], str]:
+    """The pair-pattern function of a validated involution structure; a
+    point's place in the order is its number of predecessors."""
+    fmap = dict(S.table("f"))
+    place = Counter(q for _, q in S.table("lt"))
+
+    def pattern_of(a: int, b: int) -> str:
+        names = {a: "a", b: "b", fmap[a]: "fa", fmap[b]: "fb"}
+        if len(names) != 4:
+            raise ValidationError("points share an orbit pair")
+        return "<".join(names[x] for x in sorted(names, key=place.__getitem__))
+
+    return pattern_of
 
 
 def build_f2_vector_space(d: int) -> FinStructure:

@@ -37,6 +37,16 @@ if TYPE_CHECKING:
 
 _SAMPLERS = ("uniform", "atoms", "pq", "bimin", "involution", "dual")
 
+# each test suite's flags beyond --suite, --n, --seed and --out, by dest, with
+# the value a flag left out takes; a suite refuses the others' flags
+_SAMPLER_FLAGS = {"infile": None, "level": -1, "sampler": "uniform", "atoms": None}
+_SUITE_FLAGS = {
+    "ergodicity": {"source": "iid_uniform", "length": 256, "block": 64},
+    "monotone": _SAMPLER_FLAGS,
+    "exchangeability": {**_SAMPLER_FLAGS, "pairs": None, "alpha": None},
+    "independence": {**_SAMPLER_FLAGS, "tuples": None, "alpha": None},
+}
+
 
 def _csv_ints(text: str) -> tuple[int, ...]:
     if not text.strip():
@@ -280,13 +290,15 @@ def cmd_test(args) -> int:
     from . import stats
 
     verdicts: list[stats.TestVerdict] = []
+    # a suite flag is in args only when given
+    reads = _SUITE_FLAGS[args.suite]
+    for dest in sorted(vars(args).keys() - reads):
+        if any(dest in flags for flags in _SUITE_FLAGS.values()):
+            flag = "in" if dest == "infile" else dest
+            raise ValidationError(f"the {args.suite} suite takes no --{flag}")
     # the p-value suites keep their own default alpha when none is given
-    if args.alpha is None:
-        alpha = {}
-    elif args.suite in ("exchangeability", "independence"):
-        alpha = {"alpha": args.alpha}
-    else:
-        raise ValidationError(f"the {args.suite} suite takes no --alpha")
+    alpha = {"alpha": args.alpha} if "alpha" in args else {}
+    args = argparse.Namespace(**{**reads, **vars(args)})
     if args.suite == "ergodicity":
         sources = {
             "iid_uniform": lambda: stats.iid_uniform_sequences(args.length),
@@ -374,8 +386,8 @@ def cmd_cro(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed=0) -> None:
-    p.add_argument("--seed", type=int, default=seed)
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -448,23 +460,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("test", help="hypothesis-test suites; exit 0 iff pass")
+    # a flag without a default is absent unless given; cmd_test supplies
+    # the suite's defaults from _SUITE_FLAGS
+    p = sub.add_parser(
+        "test", help="hypothesis-test suites; exit 0 iff pass", argument_default=argparse.SUPPRESS
+    )
     p.add_argument(
         "--suite",
         choices=("exchangeability", "independence", "monotone", "ergodicity"),
         required=True,
     )
-    p.add_argument("--sampler", choices=_SAMPLERS, default="uniform")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--level", type=int, default=-1)
+    p.add_argument("--sampler", choices=_SAMPLERS)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--level", type=int)
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--alpha", type=float, help="exchangeability and independence; default 0.001")
     p.add_argument("--pairs", action="append", help='"a0,a1;b0,b1"')
     p.add_argument("--tuples", action="append", help='"p0,p1[,p2]"')
-    p.add_argument("--atoms", default=None)
-    p.add_argument("--source", default="iid_uniform")
-    p.add_argument("--length", type=int, default=256)
-    p.add_argument("--block", type=int, default=64)
+    p.add_argument("--atoms")
+    p.add_argument("--source")
+    p.add_argument("--length", type=int)
+    p.add_argument("--block", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_test)
 

@@ -33,13 +33,13 @@ choices of deleted point and order of the rest).
 Coefficients are integers until a row is kept, which stores them as
 `Fraction`s; the uniform point is checked over the integers, scaled by L!.
 
-The verdicts need ranks only.  `integer_echelon`, a fraction-free forward
-elimination pivoting at each row's largest column, gives them: once per
-system, and once per `projected_dimension` cut.  Only `kernel_basis` needs
-the reduced row echelon form; it runs the Gauss-Jordan `integer_rref` when
-called.  Graphs, K_n-free graphs and tournaments go up to level 6, where
-graph L=6 (33,867 variables, nullity 12,059) assembles in about 1.5 s and
-ranks in about 4 s on a 2-core Xeon.
+The verdicts count pivot columns only.  `integer_echelon`, a fraction-free
+forward elimination pivoting at each row's largest column, finds them once
+per system, for the nullity and every `projected_dimension` level cut.  Only
+`kernel_basis` needs the reduced row echelon form; it runs the Gauss-Jordan
+`integer_rref` when called.  Graphs, K_n-free graphs and tournaments go up to
+level 6, where graph L=6 (33,867 variables, nullity 12,059) assembles in
+about 1.5 s and ranks in about 4 s on a 2-core Xeon.
 
 Everything here is exact; no floats."""
 
@@ -95,18 +95,18 @@ class CroSystem:
     variables: tuple[OrderedType, ...]
     rows: tuple[CroRow, ...]
 
-    @property
-    def var_index(self) -> dict[TypeCode, int]:
-        return {v.code: i for i, v in enumerate(self.variables)}
-
     def variables_at(self, level: int) -> tuple[OrderedType, ...]:
         return tuple(v for v in self.variables if v.level == level)
 
     @cached_property
+    def pivots(self) -> frozenset[int]:
+        """Pivot columns of the row coefficients' echelon, computed once per
+        system; the rank, the nullity and the level cuts read them."""
+        return frozenset(integer_echelon(dict(row.coeffs) for row in self.rows))
+
+    @property
     def rank(self) -> int:
-        """Rank of the row coefficients, computed once per system; the
-        nullity and the projected dimensions read it."""
-        return len(integer_echelon(dict(row.coeffs) for row in self.rows))
+        return len(self.pivots)
 
 
 @dataclass(frozen=True)
@@ -461,27 +461,27 @@ def kernel_basis(system: CroSystem) -> list[list[Fraction]]:
     return list(basis.values())
 
 
-def projected_dimension(system: CroSystem, keep: set[TypeCode]) -> int:
-    """Dimension of the solution polytope's image on the kept coordinates.
+def projected_dimension(system: CroSystem, level: int) -> int:
+    """Dimension of the solution polytope's image on the variables at levels
+    <= level.
 
     The polytope has the strictly positive uniform point inside its affine
-    hull, so its image's dimension is that of the kernel's projection: the
-    kernel's dimension less that of its part vanishing on the kept columns,
-    which is the kernel of the rows cut to the dropped columns.  In ranks,
-    len(kept) - rank(A) + rank(A on the dropped columns).  A kept code with
-    no variable is refused, not dropped."""
-    index = system.var_index
-    unknown = [c for c in keep if c not in index]
-    if unknown:
-        raise ValidationError(f"kept code {min(unknown, key=repr)!r} has no variable")
-    kept = {index[c] for c in keep}
-    if not kept:
-        raise ValidationError("no kept variables")
-    cut = len(integer_echelon({i: c for i, c in row.coeffs if i not in kept} for row in system.rows))
-    return len(kept) - system.rank + cut
+    hull, so its image's dimension is that of the kernel's projection:
+    len(kept) - rank(A) + rank(A cut to the dropped columns).  Variables go
+    level by level, so the dropped columns come last, and each echelon row
+    ends at its pivot: the rows pivoting at dropped columns, cut to them,
+    are a basis of the cut rows.  What is left is the number of kept
+    columns holding no pivot."""
+    if type(level) is not int or not 1 <= level <= system.max_level:
+        raise ValidationError(f"level {level!r} outside [1, {system.max_level}]")
+    kept = sum(1 for v in system.variables if v.level <= level)
+    return kept - sum(1 for c in system.pivots if c < kept)
 
 
 # --- deterministic solutions ---------------------------------------------------
+
+
+_NODE_CAP = 1_000_000  # search nodes before dirac_solutions gives up
 
 
 def _dirac_candidates(system: CroSystem) -> dict[tuple[int, int], list[int]]:
@@ -497,9 +497,7 @@ def _dirac_candidates(system: CroSystem) -> dict[tuple[int, int], list[int]]:
     return cand
 
 
-def dirac_solutions(
-    system: CroSystem, node_cap: int = 1_000_000
-) -> tuple[frozenset[TypeCode], ...]:
+def dirac_solutions(system: CroSystem) -> tuple[frozenset[TypeCode], ...]:
     """All 0/1 solutions, as frozensets of codes assigned probability 1.
 
     Depth-first over levels, pruning with the restriction rows that only
@@ -530,8 +528,8 @@ def dirac_solutions(
     def walk(li: int) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
-            raise ResourceLimitError(f"0/1 search exceeded {node_cap} nodes")
+        if nodes > _NODE_CAP:
+            raise ResourceLimitError(f"0/1 search exceeded {_NODE_CAP} nodes")
         if li == len(levels):
             solutions.append(
                 frozenset(system.variables[i].code for i in chosen)

@@ -133,7 +133,6 @@ def acl_profile(chain: StructureChain, A: frozenset[int] | set[int], b: int) -> 
 def invariant_equivalences(
     S: FinStructure,
     sort: str | None = None,
-    max_pair_orbits: int = _PAIR_ORBIT_BOUND,
     aut: AutGroup | None = None,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All Aut(S)-invariant equivalence relations on the (sorted) universe.
@@ -164,9 +163,9 @@ def invariant_equivalences(
         orbit = {(g[pair[0]], g[pair[1]]) for g in aut.elements}
         seen |= orbit
         orbit_list.append(sorted(orbit))
-    if len(orbit_list) > max_pair_orbits:
+    if len(orbit_list) > _PAIR_ORBIT_BOUND:
         raise ResourceLimitError(
-            f"{len(orbit_list)} pair orbits exceed bound {max_pair_orbits}"
+            f"{len(orbit_list)} pair orbits exceed bound {_PAIR_ORBIT_BOUND}"
         )
 
     index = {x: i for i, x in enumerate(carrier)}

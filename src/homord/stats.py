@@ -369,7 +369,6 @@ def test_shift_ergodicity(
     block_size: int,
     seed: int,
     n: int,
-    name: str = "shift_ergodicity",
 ) -> TestVerdict:
     """Across-sample variance of block means vs the i.i.d. value sigma^2/B.
 
@@ -394,7 +393,7 @@ def test_shift_ergodicity(
     se_null = predicted * math.sqrt(2 / (m - 1))
     z = abs(observed - predicted) / se_null if se_null > 0 else math.inf
     return TestVerdict(
-        name=name,
+        name="shift_ergodicity",
         statistic=z,
         threshold=3.0,
         passed=z <= 3.0,

@@ -47,12 +47,6 @@ class Signature:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.relations)
 
-    def arity(self, name: str) -> int:
-        for rel, arity in self.relations:
-            if rel == name:
-                return arity
-        raise ValidationError(f"unknown relation {name!r}")
-
 
 @dataclass(frozen=True)
 class FinStructure:

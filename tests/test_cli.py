@@ -370,6 +370,21 @@ BAD_INPUT = {
                        "--alpha", "0.01"),
     "ergodicity_alpha": ("test", "--suite", "ergodicity", "--n", "200", "--length", "64",
                          "--block", "16", "--alpha", "2"),
+    "ergodicity_sampler_flags": ("test", "--suite", "ergodicity", "--n", "50", "--length", "16",
+                                 "--block", "4", "--in", "/nonexistent.json", "--sampler",
+                                 "atoms", "--pairs", "0,1"),
+    "ergodicity_level": ("test", "--suite", "ergodicity", "--n", "50", "--length", "16",
+                         "--block", "4", "--level", "0"),
+    "monotone_sequence_flags": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "50",
+                                "--source", "mixture", "--length", "3", "--block", "2"),
+    "monotone_block": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "50",
+                       "--block", "2"),
+    "monotone_pairs": ("test", "--suite", "monotone", "--in", "{chain}", "--n", "50",
+                       "--pairs", "0,1;2,3"),
+    "independence_pairs": ("test", "--suite", "independence", "--in", "{chain}", "--n", "50",
+                           "--tuples", "0,1", "--pairs", "0,1;2,3"),
+    "exchangeability_tuples": ("test", "--suite", "exchangeability", "--in", "{chain}",
+                               "--n", "50", "--pairs", "0,1;2,3", "--tuples", "0,1"),
     "config_prefix": ("--conf", "homord.cfg", "cro", "--class", "graph", "--n", "2"),
     **{f"chain_{name}": ("orbits", "--in", f"{{{name}}}", "--k", "1") for name in LOOSE_CHAINS},
 }

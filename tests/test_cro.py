@@ -37,7 +37,7 @@ from homord.cro import (
     uniform_point,
     uniqueness_report,
 )
-from homord.errors import ValidationError
+from homord.errors import ResourceLimitError, ValidationError
 from homord.groups import automorphisms
 from homord.builders import class_by_name
 from homord.structures import canonical_type, find_isomorphism, induced_substructure
@@ -388,13 +388,27 @@ def dense_rank(M):
     return len(dense_rref([[Fraction(v) for v in row] for row in M])[1])
 
 
+ECHELON_SYSTEMS = [
+    (c, lv) for c in ("graph", "tournament", "kn_free_graph:3", "linear_order", "pure_set")
+    for lv in (1, 2, 3, 4, 5)]
+
+
 class TestEchelon:
-    @pytest.mark.parametrize("cls,level", [
-        (c, lv) for c in ("graph", "tournament", "kn_free_graph:3", "linear_order", "pure_set")
-        for lv in (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("cls,level", ECHELON_SYSTEMS)
     def test_rank_matches_gauss_jordan(self, cls, level):
         system = build_cro_system(cls, level)
         assert system.rank == len(integer_rref(dict(r.coeffs) for r in system.rows))
+
+    @pytest.mark.parametrize("cls,level", ECHELON_SYSTEMS)
+    def test_level_cuts_match_gauss_jordan(self, cls, level):
+        # the cut formula len(kept) - rank(A) + rank(A on the dropped columns),
+        # with the cut rank from the Gauss-Jordan elimination
+        system = build_cro_system(cls, level)
+        for j in range(1, level + 1):
+            kept = sum(1 for v in system.variables if v.level <= j)
+            cut = integer_rref({i: c for i, c in r.coeffs if i >= kept} for r in system.rows)
+            assert projected_dimension(system, j) == kept - system.rank + len(cut)
+        assert projected_dimension(system, level) == uniqueness_report(system).nullspace_dim
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 6).flatmap(lambda cols: st.lists(
@@ -435,11 +449,11 @@ class TestRegressionBaselines:
             assert not rep.unique_at_truncation
             dims[L] = rep.nullspace_dim
             # the two 0/1 solutions are one-code-per-level and distinct
+            level_of = {v.code: v.level for v in sys.variables}
             for sol in rep.dirac_solutions:
                 per_level = {}
                 for code in sol:
-                    var = sys.variables[sys.var_index[code]]
-                    per_level.setdefault(var.level, []).append(code)
+                    per_level.setdefault(level_of[code], []).append(code)
                 assert all(len(v) == 1 for v in per_level.values())
                 assert sorted(per_level) == list(range(1, L + 1))
             a, b = rep.dirac_solutions
@@ -478,24 +492,25 @@ class TestRegressionBaselines:
         assert rep.uniform_feasible
 
     def test_triangle_free_level6(self):
-        rep = uniqueness_report(build_cro_system("kn_free_graph:3", 6))
+        system = build_cro_system("kn_free_graph:3", 6)
+        rep = uniqueness_report(system)
         assert (rep.num_variables, rep.num_rows) == (6228, 6292)
         assert (rep.nullspace_dim, rep.dirac_count) == (2198, 0)
         assert rep.uniform_feasible
+        # each cut is the level-5 system's nullity list, [..., 16, 149]
+        assert [projected_dimension(system, j) for j in range(1, 6)] == [0, 0, 2, 16, 149]
 
 
 class TestProjection:
     def test_level3_shadow_of_level4(self, cro_graph3, cro_graph4):
-        keep = {v.code for v in cro_graph4.variables if v.level <= 3}
-        proj = projected_dimension(cro_graph4, keep)
+        proj = projected_dimension(cro_graph4, 3)
         standalone = uniqueness_report(cro_graph3).nullspace_dim
         # deeper consistency can only cut the visible freedom down
         assert proj <= standalone
         assert proj == 2
 
     def test_keep_all_is_kernel_dim(self, cro_graph3):
-        keep = {v.code for v in cro_graph3.variables}
-        assert projected_dimension(cro_graph3, keep) == 2
+        assert projected_dimension(cro_graph3, 3) == 2
 
     # dimension of the image on the levels <= j, for j = 1 .. L-1
     @pytest.mark.parametrize("cls,level,dims", [
@@ -508,12 +523,11 @@ class TestProjection:
     ])
     def test_level_cuts(self, cls, level, dims):
         system = build_cro_system(cls, level)
-        cuts = [{v.code for v in system.variables if v.level <= j} for j in range(1, level)]
-        assert [projected_dimension(system, keep) for keep in cuts] == dims
+        assert [projected_dimension(system, j) for j in range(1, level)] == dims
         if level <= 4:
             basis = dense_kernel(system)
-            for keep, dim in zip(cuts, dims):
-                cols = [i for i, v in enumerate(system.variables) if v.code in keep]
+            for j, dim in enumerate(dims, 1):
+                cols = [i for i, v in enumerate(system.variables) if v.level <= j]
                 _, pivots = dense_rref([[vec[c] for c in cols] for vec in basis])
                 assert len(pivots) == dim
 
@@ -522,27 +536,23 @@ class TestProjection:
         real = homord.cro.integer_echelon
         monkeypatch.setattr(homord.cro, "integer_echelon", lambda rows: calls.append(1) or real(rows))
         system = build_cro_system("graph", 4)
-        cuts = [{v.code for v in system.variables if v.level <= j} for j in (1, 2, 3)]
-        assert [projected_dimension(system, keep) for keep in cuts] == [0, 0, 2]
+        assert [projected_dimension(system, j) for j in (1, 2, 3)] == [0, 0, 2]
         assert uniqueness_report(system).nullspace_dim == 23
         assert len(kernel_basis(system)) == 23
-        assert len(calls) == 1 + len(cuts)  # one full rank, one per cut
+        assert len(calls) == 1  # the cuts and the report share one elimination
 
-    def test_empty_keep_rejected(self, cro_graph3):
-        with pytest.raises(ValidationError):
-            projected_dimension(cro_graph3, set())
+    def test_level_zero_rejected(self, cro_graph3):
+        with pytest.raises(ValidationError, match=r"level 0 outside \[1, 3\]"):
+            projected_dimension(cro_graph3, 0)
 
-    def test_unknown_code_rejected(self, cro_graph3):
-        with pytest.raises(ValidationError):
-            projected_dimension(cro_graph3, {("nonsense",)})
+    def test_level_past_max_rejected(self, cro_graph3):
+        with pytest.raises(ValidationError, match="level 4 outside"):
+            projected_dimension(cro_graph3, 4)
 
-    def test_unknown_code_named(self, cro_graph4):
-        # a typo among real codes must not shrink the kept set unnoticed
-        keep = {v.code for v in cro_graph4.variables if v.level <= 3}
-        with pytest.raises(ValidationError, match=r"b'k3\|E=typo' has no variable"):
-            projected_dimension(cro_graph4, keep | {b"k3|E=typo"})
-        with pytest.raises(ValidationError, match="typo"):
-            projected_dimension(cro_graph4, {b"k3|E=typo"})
+    def test_non_int_level_rejected(self, cro_graph3):
+        for level in (2.0, "2", True, None):
+            with pytest.raises(ValidationError, match="outside"):
+                projected_dimension(cro_graph3, level)
 
 
 class TestDirac:
@@ -565,3 +575,9 @@ class TestDirac:
         monkeypatch.setattr(homord.cro, "satisfies", lambda system, x: False)
         with pytest.raises(RuntimeError, match="admitted a bad solution"):
             dirac_solutions(sys)
+
+    def test_node_cap(self, monkeypatch):
+        # linear_order L=3 walks 1 + 1 + 2 + 2 nodes to its two solutions
+        monkeypatch.setattr(homord.cro, "_NODE_CAP", 5)
+        with pytest.raises(ResourceLimitError, match="exceeded 5 nodes"):
+            dirac_solutions(build_cro_system("linear_order", 3))

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import homord.groups
 from homord.builders import (
     bipartite_m_view,
     build_generic,
@@ -193,3 +194,9 @@ class TestInvariantEquivalences:
         assert not partial.complete
         with pytest.raises(ResourceLimitError):
             invariant_equivalences(pq22, aut=partial)
+
+    def test_pair_orbit_bound(self, pq22, monkeypatch):
+        # pq22 has four pair orbits: within P, within Q, P to Q and Q to P
+        monkeypatch.setattr(homord.groups, "_PAIR_ORBIT_BOUND", 3)
+        with pytest.raises(ResourceLimitError, match="4 pair orbits exceed bound 3"):
+            invariant_equivalences(pq22)
