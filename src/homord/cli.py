@@ -7,6 +7,8 @@ The optional config file holds `key = value` lines mirroring the subcommand's
 long flags (no leading dashes, dashes may be written as underscores); flags
 given on the command line win.  Exit status: 0 on success and all requested
 verdicts passing, 1 when a verdict fails or no path exists, 2 on bad input.
+Every subcommand takes `--out`; `build`, `sample`, `estimate` and `test` also
+take `--seed` (default 0), and the others refuse it.
 A reader that closes the output early (`| head`) ends the run quietly with 0.
 
 Each subcommand imports the layers it uses, so `cro`, `orbits`, `acl` and
@@ -387,7 +389,6 @@ def cmd_cro(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -411,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-q", type=int, default=2)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--pairs", type=_csv_ints, default=(3,))
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_build)
 
@@ -446,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--points", default="")
     p.add_argument("--atoms", default=None, help="loc:mass[,loc:mass...]")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -457,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, help="event order; default = points")
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--atoms", default=None)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_estimate)
 
@@ -481,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source")
     p.add_argument("--length", type=int)
     p.add_argument("--block", type=int)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_test)
 

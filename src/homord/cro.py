@@ -30,8 +30,9 @@ restriction row is fixed by the mask of the deleted point followed by the
 rest, so each variable gives one row, built in the same pass over levels
 that numbers the variables (graph level 4 -> 5: 1,024 rows for 4,080
 choices of deleted point and order of the rest).
-Coefficients are integers until a row is kept, which stores them as
-`Fraction`s; the uniform point is checked over the integers, scaled by L!.
+Every coefficient is an integer, and the rows hold them as ints from
+assembly through the rank to the report; the uniform point is checked over
+the integers, scaled by L!.
 
 The verdicts count pivot columns only.  `integer_echelon`, a fraction-free
 forward elimination pivoting at each row's largest column, finds them once
@@ -39,7 +40,7 @@ per system, for the nullity and every `projected_dimension` level cut.  Only
 `kernel_basis` needs the reduced row echelon form; it runs the Gauss-Jordan
 `integer_rref` when called.  Graphs, K_n-free graphs and tournaments go up to
 level 6, where graph L=6 (33,867 variables, nullity 12,059) assembles in
-about 1.5 s and ranks in about 4 s on a 2-core Xeon.
+about 0.9 s and ranks in about 4 s on a 2-core Xeon.
 
 Everything here is exact; no floats."""
 
@@ -79,11 +80,11 @@ class OrderedType:
 
 @dataclass(frozen=True)
 class CroRow:
-    """coeffs maps variable index -> rational coefficient; the row asserts
+    """coeffs maps variable index -> integer coefficient; the row asserts
     sum(coeffs) == rhs.  kind is 'mass' or 'restriction'."""
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    rhs: Fraction
+    coeffs: tuple[tuple[int, int], ...]
+    rhs: int
     kind: str
 
 
@@ -281,15 +282,15 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     base_reps: dict[int, tuple[FinStructure, ...]] = {}
     variables: list[OrderedType] = []
     below: dict[int, int] = {}  # the level below's {mask: variable index}
-    mass: list[tuple[tuple[tuple[int, int], ...], int, str]] = []
-    restriction: list[tuple[tuple[tuple[int, int], ...], int, str]] = []
+    mass: list[CroRow] = []
+    restriction: list[CroRow] = []
     seen_rows: set[tuple] = set()
 
-    def push(rows: list, coeffs: dict[int, int], rhs: int, kind: str) -> None:
+    def push(rows: list[CroRow], coeffs: dict[int, int], rhs: int, kind: str) -> None:
         key = (tuple(sorted(coeffs.items())), rhs)
         if key not in seen_rows:
             seen_rows.add(key)
-            rows.append((*key, kind))
+            rows.append(CroRow(*key, kind))
 
     # A restriction row at level k is fixed by the mask m of a member listed
     # as (v, *tau): the deleted-point term is the member on positions 1..k-1,
@@ -319,34 +320,22 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
                     coeffs[j] = coeffs.get(j, 0) - 1
                 push(restriction, coeffs, 0, "restriction")
         below = level
-    rows = mass + restriction
+    rows = (*mass, *restriction)
 
-    bad = _uniform_violations([(c, rhs) for c, rhs, _ in rows], [v.level for v in variables])
+    bad = _uniform_violations(rows, [v.level for v in variables])
     if bad:
         raise ValidationError(
             f"uniform point violates {len(bad)} rows; assembly is inconsistent"
         )
-    # one Fraction per distinct integer; the kept rows share them
-    values = {rhs for _, rhs, _ in rows} | {c for coeffs, _, _ in rows for _, c in coeffs}
-    frac = {c: Fraction(c) for c in values}
-    return CroSystem(
-        class_name,
-        max_level,
-        base_reps,
-        tuple(variables),
-        tuple(
-            CroRow(tuple((i, frac[c]) for i, c in coeffs), frac[rhs], kind)
-            for coeffs, rhs, kind in rows
-        ),
-    )
+    return CroSystem(class_name, max_level, base_reps, tuple(variables), rows)
 
 
 def uniform_point(system: CroSystem) -> list[Fraction]:
     return [Fraction(1, math.factorial(v.level)) for v in system.variables]
 
 
-def _uniform_violations(rows: list[tuple], levels: list[int]) -> list[int]:
-    """Indices of the (coeffs, rhs) rows that the uniform point violates.
+def _uniform_violations(rows: Iterable[CroRow], levels: list[int]) -> list[int]:
+    """Indices of the rows that the uniform point violates.
 
     The point scaled by L! (L the top level) is integral, x_i = L!/level_i!,
     so each row is checked exactly as sum(c * x) == rhs * L!; with integer
@@ -354,8 +343,8 @@ def _uniform_violations(rows: list[tuple], levels: list[int]) -> list[int]:
     scale = math.factorial(max(levels, default=0))
     x = [scale // math.factorial(lv) for lv in levels]
     return [
-        r for r, (coeffs, rhs) in enumerate(rows)
-        if sum(c * x[i] for i, c in coeffs) != rhs * scale
+        r for r, row in enumerate(rows)
+        if sum(c * x[i] for i, c in row.coeffs) != row.rhs * scale
     ]
 
 
@@ -371,7 +360,7 @@ def satisfies(system: CroSystem, x: list[Fraction]) -> bool:
 Row = dict[int, int]
 
 
-def integer_echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, Row]:
+def integer_echelon(rows: Iterable[dict[int, int]]) -> dict[int, Row]:
     """Fraction-free forward elimination over the integers, as pivot column
     -> row; the number of pivots is the rank.
 
@@ -392,7 +381,7 @@ def integer_echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, Row]:
     return pivots
 
 
-def integer_rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, Row]:
+def integer_rref(rows: Iterable[dict[int, int]]) -> dict[int, Row]:
     """Fraction-free Gauss-Jordan over the integers, as pivot column -> row.
 
     Rows go in shortest first.  Each is cleared of the pivot columns so far,
@@ -547,8 +536,8 @@ def dirac_solutions(system: CroSystem) -> tuple[frozenset[TypeCode], ...]:
     verified = []
     for sol in solutions:
         codes = set(sol)
-        x = [Fraction(1 if v.code in codes else 0) for v in system.variables]
-        if sum(1 for v in x if v == 1) != len(codes):
+        x = [int(v.code in codes) for v in system.variables]
+        if sum(x) != len(codes):
             raise RuntimeError("a Dirac solution names a code outside the system")
         if satisfies(system, x):
             verified.append(sol)
@@ -559,9 +548,7 @@ def dirac_solutions(system: CroSystem) -> tuple[frozenset[TypeCode], ...]:
 
 def uniqueness_report(system: CroSystem) -> CroReport:
     nullity = len(system.variables) - system.rank
-    # the elimination has rejected every coefficient that is not an integer
-    rows = [(tuple((i, c.numerator) for i, c in r.coeffs), r.rhs) for r in system.rows]
-    uniform_ok = not _uniform_violations(rows, [v.level for v in system.variables])
+    uniform_ok = not _uniform_violations(system.rows, [v.level for v in system.variables])
     diracs = dirac_solutions(system)
     return CroReport(
         class_name=system.class_name,

@@ -94,7 +94,7 @@ class TestBuild:
 class TestOrbits:
     def test_shape(self, chain_file):
         r = run("orbits", "--in", str(chain_file), "--level", "2", "--k", "2",
-                "--fix", "0,3", "--seed", "0")
+                "--fix", "0,3")
         assert r.returncode == 0, r.stderr
         doc = json.loads(r.stdout)
         assert doc["k"] == 2 and doc["fix"] == [0, 3]
@@ -397,6 +397,24 @@ def test_bad_input_exits_2(case, chain_file, f2_chain, tampered_chain, loose_cha
     r = run(*argv)
     assert r.returncode == 2, (r.returncode, r.stderr)
     assert "error:" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+# Subcommands that draw nothing random refuse --seed rather than ignore it;
+# each argv is otherwise well formed.
+UNSEEDED = {
+    "orbits": ("--in", "{chain}", "--k", "1"),
+    "acl": ("--in", "{chain}", "--b", "1", "--fix", "0"),
+    "tau-path": ("--in", "{chain}", "--a", "0", "--b", "1", "--tau", "edge"),
+    "cro": ("--class", "graph", "--n", "2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNSEEDED))
+def test_seed_refused(command, chain_file):
+    r = run(command, *(a.format(chain=chain_file) for a in UNSEEDED[command]), "--seed", "5")
+    assert r.returncode == 2, (r.returncode, r.stderr)
+    assert "error: unrecognized arguments: --seed 5" in r.stderr
     assert r.stdout == ""
 
 

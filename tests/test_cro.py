@@ -79,7 +79,7 @@ def dense_kernel(system):
     for row in system.rows:
         vec = [Fraction(0)] * n
         for i, c in row.coeffs:
-            vec[i] = c
+            vec[i] = Fraction(c)
         dense.append(vec)
     reduced, pivots = dense_rref(dense)
     basis = []
@@ -96,7 +96,7 @@ def reference_system(class_name, max_level):
     """Reference assembler: base classes keyed by their least code, ordered
     types counted per representative, and each restriction row from the
     induced substructure with one canonical_type per insertion, all with
-    Fraction coefficients.  Returns (base_reps, variables, rows)."""
+    int coefficients.  Returns (base_reps, variables, rows)."""
     spec = class_by_name(class_name)
     base_reps, variables, var_index = {}, [], {}
     for k in range(1, max_level + 1):
@@ -121,19 +121,19 @@ def reference_system(class_name, max_level):
     for k in range(1, max_level + 1):
         for A in base_reps[k]:
             counts = Counter(canonical_type(A, p) for p in itertools.permutations(A.elements))
-            push({var_index[c]: Fraction(n) for c, n in counts.items()}, Fraction(1), "mass")
+            push({var_index[c]: n for c, n in counts.items()}, 1, "mass")
     for k in range(1, max_level):
         for B in base_reps[k + 1]:
             for v in B.elements:
                 rest = tuple(x for x in B.elements if x != v)
                 A = induced_substructure(B, rest)
                 for tau in itertools.permutations(range(k)):
-                    coeffs = {var_index[canonical_type(A, tau)]: Fraction(1)}
+                    coeffs = {var_index[canonical_type(A, tau)]: 1}
                     tau_b = [rest[i] for i in tau]
                     for pos in range(k + 1):
                         j = var_index[canonical_type(B, tuple(tau_b[:pos] + [v] + tau_b[pos:]))]
-                        coeffs[j] = coeffs.get(j, Fraction(0)) - 1
-                    push({i: c for i, c in coeffs.items() if c != 0}, Fraction(0), "restriction")
+                        coeffs[j] = coeffs.get(j, 0) - 1
+                    push({i: c for i, c in coeffs.items() if c != 0}, 0, "restriction")
     return base_reps, tuple(variables), tuple(rows)
 
 
@@ -149,7 +149,7 @@ class TestAssemblyOracle:
         base_reps, variables, rows = reference_system(cls, level)
         assert system.base_reps == base_reps
         assert system.variables == variables
-        # repr too: the coefficients must be Fractions, not equal ints
+        # repr too: the coefficients and rhs must be ints, not equal Fractions
         assert system.rows == rows and repr(system.rows) == repr(rows)
 
 
@@ -287,14 +287,14 @@ class TestUniformPoint:
             rows[r] = replace(row, rhs=row.rhs + Fraction(1, 2))
         tampered = replace(cro_graph4, rows=tuple(rows))
         levels = [v.level for v in tampered.variables]
-        assert _uniform_violations([(w.coeffs, w.rhs) for w in cro_graph4.rows], levels) == []
-        assert _uniform_violations([(w.coeffs, w.rhs) for w in tampered.rows], levels) == [r]
+        assert _uniform_violations(cro_graph4.rows, levels) == []
+        assert _uniform_violations(tampered.rows, levels) == [r]
         assert not uniqueness_report(tampered).uniform_feasible
         assert not satisfies(tampered, uniform_point(tampered))
 
     def test_report_rejects_non_integer_coefficient(self, cro_graph3):
-        # the report checks the uniform point on numerators, so a coefficient
-        # that is not an integer must be refused, not read as its numerator
+        # the report's rank runs every row through _integer_row, so a
+        # coefficient that is not an integer is refused, never truncated
         (i, c), *rest = cro_graph3.rows[-1].coeffs
         row = replace(cro_graph3.rows[-1], coeffs=((i, c + Fraction(1, 2)), *rest))
         tampered = replace(cro_graph3, rows=(*cro_graph3.rows[:-1], row))
@@ -391,6 +391,7 @@ def dense_rank(M):
 ECHELON_SYSTEMS = [
     (c, lv) for c in ("graph", "tournament", "kn_free_graph:3", "linear_order", "pure_set")
     for lv in (1, 2, 3, 4, 5)]
+CUT_SYSTEMS = ECHELON_SYSTEMS + [("kn_free_graph:4", lv) for lv in (1, 2, 3, 4, 5)]
 
 
 class TestEchelon:
@@ -399,7 +400,7 @@ class TestEchelon:
         system = build_cro_system(cls, level)
         assert system.rank == len(integer_rref(dict(r.coeffs) for r in system.rows))
 
-    @pytest.mark.parametrize("cls,level", ECHELON_SYSTEMS)
+    @pytest.mark.parametrize("cls,level", CUT_SYSTEMS)
     def test_level_cuts_match_gauss_jordan(self, cls, level):
         # the cut formula len(kept) - rank(A) + rank(A on the dropped columns),
         # with the cut rank from the Gauss-Jordan elimination
@@ -408,6 +409,11 @@ class TestEchelon:
             kept = sum(1 for v in system.variables if v.level <= j)
             cut = integer_rref({i: c for i, c in r.coeffs if i >= kept} for r in system.rows)
             assert projected_dimension(system, j) == kept - system.rank + len(cut)
+            # every level-j solution extends to level `level`: the cut equals
+            # the level-j system's own nullity.  Observed in every class and
+            # level tried, not proved.
+            below = build_cro_system(cls, j)
+            assert projected_dimension(system, j) == len(below.variables) - below.rank
         assert projected_dimension(system, level) == uniqueness_report(system).nullspace_dim
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

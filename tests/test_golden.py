@@ -15,6 +15,7 @@ import io
 import itertools
 import random
 import runpy
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,9 @@ def test_find_isomorphism_pinned():
 def cro_digest(system) -> str:
     parts = [structure_dumps(A) for k in sorted(system.base_reps) for A in system.base_reps[k]]
     parts += [repr((v.code, v.level, v.base_index, v.order_count)) for v in system.variables]
-    parts += [repr((r.coeffs, r.rhs, r.kind)) for r in system.rows]
+    # rows hold ints; rendering them as Fractions keeps the pinned bytes
+    parts += [repr((tuple((i, Fraction(c)) for i, c in r.coeffs), Fraction(r.rhs), r.kind))
+              for r in system.rows]
     return sha256("\n".join(parts))
 
 
