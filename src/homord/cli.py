@@ -8,7 +8,8 @@ long flags (no leading dashes, dashes may be written as underscores); flags
 given on the command line win.  Exit status: 0 on success and all requested
 verdicts passing, 1 when a verdict fails or no path exists, 2 on bad input.
 Every subcommand takes `--out`; `build`, `sample`, `estimate` and `test` also
-take `--seed` (default 0), and the others refuse it.
+take `--seed` (default 0), and the others refuse it.  In those four, the class,
+sampler or suite picks a mode, which reads its own flags and refuses the rest.
 A reader that closes the output early (`| head`) ends the run quietly with 0.
 
 Each subcommand imports the layers it uses, so `cro`, `orbits`, `acl` and
@@ -39,15 +40,53 @@ if TYPE_CHECKING:
 
 _SAMPLERS = ("uniform", "atoms", "pq", "bimin", "involution", "dual")
 
-# each test suite's flags beyond --suite, --n, --seed and --out, by dest, with
-# the value a flag left out takes; a suite refuses the others' flags
-_SAMPLER_FLAGS = {"infile": None, "level": -1, "sampler": "uniform", "atoms": None}
-_SUITE_FLAGS = {
-    "ergodicity": {"source": "iid_uniform", "length": 256, "block": 64},
-    "monotone": _SAMPLER_FLAGS,
-    "exchangeability": {**_SAMPLER_FLAGS, "pairs": None, "alpha": None},
-    "independence": {**_SAMPLER_FLAGS, "tuples": None, "alpha": None},
+# Each mode's flags beyond its command's common ones, by dest, with the value a
+# flag left out takes (_NEED: the mode cannot run without it).  Selectors pick
+# the mode: build's class (the name before ':'), the sampler, or test's suite
+# and then its sampler, if it reads one.  A mode refuses the flags only the
+# command's other modes read; one not listed passes through untouched.
+_NEED = object()
+_SAMPLER_MODES = {**dict.fromkeys(_SAMPLERS, {}), "atoms": {"atoms": _NEED}}
+_SAMPLER_SUITE = {"infile": _NEED, "level": -1, "sampler": "uniform"}
+_MODES = {
+    "build": {"klass": {
+        **dict.fromkeys(("pure_set", "graph", "kn_free_graph", "tournament"), {"sat": 1, "cap": 64}),
+        "two_predicate_PQ": {"size_p": 2, "size_q": 2}, "bipartite_deg2": {"m": 3},
+        "involution_order": {"pairs": (3,)}, "f2_vector_space": {},
+    }},
+    "sample": {"sampler": _SAMPLER_MODES},
+    "estimate": {"sampler": _SAMPLER_MODES},
+    "test": {"suite": {
+        "ergodicity": {"source": "iid_uniform", "length": 256, "block": 64},
+        "monotone": _SAMPLER_SUITE,
+        "exchangeability": {**_SAMPLER_SUITE, "pairs": _NEED, "alpha": 0.001},
+        "independence": {**_SAMPLER_SUITE, "tuples": _NEED, "alpha": 0.001},
+    }, "sampler": _SAMPLER_MODES},
 }
+
+
+def _flag(dest: str) -> str:
+    return "--" + {"infile": "in", "klass": "class"}.get(dest, dest).replace("_", "-")
+
+
+def _read_mode(args: argparse.Namespace) -> None:
+    """Check args against its mode's rows of _MODES; fill in their defaults."""
+    mode, row, others = "", {}, set()
+    for selector, rows in _MODES.get(args.command, {}).items():
+        others.update(*rows.values())
+        if mode and selector not in row:
+            continue  # the ergodicity suite draws no samples
+        name = getattr(args, selector, row.get(selector))
+        if name.partition(":")[0] not in rows:
+            return  # cmd_build names the unknown class
+        mode += f"{_flag(selector)} {name} "
+        row.update(rows[name.partition(":")[0]])
+    for dest in sorted((others - row.keys()) & vars(args).keys()):
+        raise ValidationError(f"{mode}takes no {_flag(dest)}")
+    for dest in sorted(row.keys() - vars(args).keys()):
+        if row[dest] is _NEED:
+            raise ValidationError(f"{mode}needs {_flag(dest)}")
+        setattr(args, dest, row[dest])
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -94,24 +133,22 @@ def _parse_atoms(text: str, S: FinStructure) -> samplers.AtomSpec:
     return samplers.AtomSpec(atoms=tuple(atoms), tie_break=ties)
 
 
-def _make_sampler(name: str, S: FinStructure, atoms_arg: str | None):
+def _make_sampler(args, S: FinStructure):
     from . import samplers
 
-    if name == "uniform":
+    if args.sampler == "uniform":
         return samplers.UniformOrderSampler(S)
-    if name == "atoms":
-        if not atoms_arg:
-            raise ValidationError("--atoms loc:mass[,loc:mass...] is required")
-        return samplers.AtomOrderSampler(S, _parse_atoms(atoms_arg, S))
-    if name == "pq":
+    if args.sampler == "atoms":
+        return samplers.AtomOrderSampler(S, _parse_atoms(args.atoms, S))
+    if args.sampler == "pq":
         return samplers.PQOrderSampler(S)
-    if name == "bimin":
+    if args.sampler == "bimin":
         return samplers.BipartiteMinSampler(S)
-    if name == "involution":
+    if args.sampler == "involution":
         return samplers.InvolutionOrderSampler(S)
-    if name == "dual":
+    if args.sampler == "dual":
         return samplers.DualFunctionalSampler(S)
-    raise ValidationError(f"unknown sampler {name!r}")
+    raise ValidationError(f"unknown sampler {args.sampler!r}")
 
 
 def _resolve_tau(S: FinStructure, name: str) -> bytes:
@@ -237,7 +274,7 @@ def cmd_sample(args) -> int:
         raise ValidationError("n must be positive")
     chain = _load_chain(args.infile)
     S = _pick_level(chain, args.level)
-    sampler = _make_sampler(args.sampler, S, args.atoms)
+    sampler = _make_sampler(args, S)
     points = _csv_ints(args.points) if args.points else tuple(sampler.elements)
     if len(set(points)) != len(points):
         raise ValidationError("points repeat")
@@ -272,7 +309,7 @@ def cmd_estimate(args) -> int:
 
     chain = _load_chain(args.infile)
     S = _pick_level(chain, args.level)
-    sampler = _make_sampler(args.sampler, S, args.atoms)
+    sampler = _make_sampler(args, S)
     points = _csv_ints(args.points)
     target = _csv_ints(args.target) if args.target else points
     est = stats.estimate_order_event(sampler, points, target, args.n, args.seed)
@@ -292,15 +329,6 @@ def cmd_test(args) -> int:
     from . import stats
 
     verdicts: list[stats.TestVerdict] = []
-    # a suite flag is in args only when given
-    reads = _SUITE_FLAGS[args.suite]
-    for dest in sorted(vars(args).keys() - reads):
-        if any(dest in flags for flags in _SUITE_FLAGS.values()):
-            flag = "in" if dest == "infile" else dest
-            raise ValidationError(f"the {args.suite} suite takes no --{flag}")
-    # the p-value suites keep their own default alpha when none is given
-    alpha = {"alpha": args.alpha} if "alpha" in args else {}
-    args = argparse.Namespace(**{**reads, **vars(args)})
     if args.suite == "ergodicity":
         sources = {
             "iid_uniform": lambda: stats.iid_uniform_sequences(args.length),
@@ -318,32 +346,24 @@ def cmd_test(args) -> int:
             )
         )
     else:
-        if args.infile is None:
-            raise ValidationError(f"--in is required for the {args.suite} suite")
         chain = _load_chain(args.infile)
         S = _pick_level(chain, args.level)
-        sampler = _make_sampler(args.sampler, S, args.atoms)
+        sampler = _make_sampler(args, S)
         if args.suite == "monotone":
             verdicts.append(stats.test_monotone_coupling(sampler, args.seed, args.n))
         elif args.suite == "exchangeability":
-            if not args.pairs:
-                raise ValidationError('need --pairs "a0,a1;b0,b1" at least once')
             tuple_pairs = []
             for spec_text in args.pairs:
                 left, _, right = spec_text.partition(";")
                 tuple_pairs.append((_csv_ints(left), _csv_ints(right)))
             verdicts.append(
-                stats.test_exchangeability(sampler, tuple_pairs, args.seed, args.n, **alpha)
-            )
-        elif args.suite == "independence":
-            if not args.tuples:
-                raise ValidationError('need --tuples "p0,p1" at least once')
-            tuples = [_csv_ints(t) for t in args.tuples]
-            verdicts.append(
-                stats.test_independence(sampler, tuples, args.seed, args.n, **alpha)
+                stats.test_exchangeability(sampler, tuple_pairs, args.seed, args.n, args.alpha)
             )
         else:
-            raise ValidationError(f"unknown suite {args.suite!r}")
+            tuples = [_csv_ints(t) for t in args.tuples]
+            verdicts.append(
+                stats.test_independence(sampler, tuples, args.seed, args.n, args.alpha)
+            )
     payload = {"verdicts": [_verdict_payload(v) for v in verdicts]}
     _emit(payload, args)
     for v in verdicts:
@@ -404,14 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = root.add_subparsers(dest="command", required=True)
 
+    # a mode flag is absent unless given; _read_mode fills in its mode's default
     p = sub.add_parser("build", help="build a structure chain, write JSON")
     p.add_argument("--class", dest="klass", required=True)
-    p.add_argument("--sat", type=int, default=1)
-    p.add_argument("--cap", type=int, default=64)
-    p.add_argument("--size-p", type=int, default=2)
-    p.add_argument("--size-q", type=int, default=2)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--pairs", type=_csv_ints, default=(3,))
+    p.add_argument("--sat", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--cap", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--size-p", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--size-q", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--m", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--pairs", type=_csv_ints, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_build)
@@ -447,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=-1)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--points", default="")
-    p.add_argument("--atoms", default=None, help="loc:mass[,loc:mass...]")
+    p.add_argument("--atoms", default=argparse.SUPPRESS, help="loc:mass[,loc:mass...]")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_sample)
@@ -459,13 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True)
     p.add_argument("--target", default=None, help="event order; default = points")
     p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--atoms", default=None)
+    p.add_argument("--atoms", default=argparse.SUPPRESS, help="loc:mass[,loc:mass...]")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_estimate)
 
-    # a flag without a default is absent unless given; cmd_test supplies
-    # the suite's defaults from _SUITE_FLAGS
     p = sub.add_parser(
         "test", help="hypothesis-test suites; exit 0 iff pass", argument_default=argparse.SUPPRESS
     )
@@ -478,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile")
     p.add_argument("--level", type=int)
     p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--alpha", type=float, help="exchangeability and independence; default 0.001")
+    p.add_argument("--alpha", type=float, help="exchangeability and independence")
     p.add_argument("--pairs", action="append", help='"a0,a1;b0,b1"')
     p.add_argument("--tuples", action="append", help='"p0,p1[,p2]"')
     p.add_argument("--atoms")
@@ -537,6 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
+        _read_mode(args)
         code = args.func(args)
         sys.stdout.flush()  # a reader gone after the last write shows up here
         return code

@@ -10,6 +10,7 @@ properly refines the type partition and callers see the gap.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .builders import StructureChain
@@ -72,9 +73,7 @@ def orbits(
     for x in fixed:
         if not (0 <= x < S.size):
             raise ValidationError(f"fixed point {x} out of range")
-    count = 1
-    for i in range(k):
-        count *= S.size - i
+    count = math.perm(S.size, k)
     if count > _TUPLE_BOUND:
         raise ResourceLimitError(f"{count} tuples exceed bound {_TUPLE_BOUND}")
     if aut is None:

@@ -197,21 +197,20 @@ class OrderSamplerBase:
         except ValueError:
             raise ValidationError(f"point {p} is not drawn by this sampler") from None
 
-    def batches(self, seed: int, n: int | None = None) -> Iterator[OrderBatch]:
-        """Yield one OrderBatch per chunk; n=None draws full chunks forever.
+    def batches(self, seed: int, n: int) -> Iterator[OrderBatch]:
+        """Yield n rows as one OrderBatch per chunk.
 
         The last chunk draws only the rows it returns, the first of that
         chunk's full draw, so row i is the same whatever n was requested.
         """
         for rng in _chunk_rngs(seed):
-            m = CHUNK if n is None else min(CHUNK, n)
+            m = min(CHUNK, n)
             if m <= 0:
                 return
             yield self._draw(rng, m)
-            if n is not None:
-                n -= m
+            n -= m
 
-    def stream(self, seed: int, n: int | None = None) -> Iterator:
+    def stream(self, seed: int, n: int) -> Iterator:
         """Yield the rows of `batches(seed, n)` one by one: OrderSample, or
         FieldSample for a sampler that draws no order."""
         pick = self.elements.__getitem__
@@ -326,23 +325,22 @@ class ConditionedAtomSampler(OrderSamplerBase):
 
     stream = OrderSamplerBase.stream
 
-    def batches(self, seed: int, n: int | None = None) -> Iterator[OrderBatch]:
+    def batches(self, seed: int, n: int) -> Iterator[OrderBatch]:
         """The accepted rows of each chunk of base draws, as one batch.
 
         The budget trips at the same draw, with the same acceptance count,
         as a loop over single rows: rows after the n-th acceptance are not
         tried, and a chunk that would pass max_tries yields its accepted
         rows up to the limit before raising."""
-        remaining = n
         tried = accepted = 0
         for rng in _chunk_rngs(seed):
-            if remaining is not None and remaining <= 0:
+            if n <= 0:
                 return
             values, tags = self.base._draw_tagged(rng, CHUNK)
             rows = np.flatnonzero((tags[:, self._cols] == self.atom_index).all(axis=1))
             used = CHUNK
-            if remaining is not None and len(rows) >= remaining:
-                rows = rows[:remaining]
+            if len(rows) >= n:
+                rows = rows[:n]
                 used = int(rows[-1]) + 1
             left = self.max_tries - tried
             if used > left:
@@ -358,8 +356,7 @@ class ConditionedAtomSampler(OrderSamplerBase):
                     f"(observed acceptance rate {rate:.3g})"
                 )
             tried += used
-            if remaining is not None:
-                remaining -= len(rows)
+            n -= len(rows)
 
 
 class PQOrderSampler(OrderSamplerBase):

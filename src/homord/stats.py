@@ -27,6 +27,7 @@ suites need it, so `import homord` and every other command skip it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -228,10 +229,9 @@ def test_exchangeability(
 
 def _bin_column(col: np.ndarray) -> np.ndarray:
     """Integer bin labels: distinct values if few, else quartiles."""
-    uniq = np.unique(col)
+    uniq, labels = np.unique(col, return_inverse=True)
     if len(uniq) <= 4:
-        lookup = {v: i for i, v in enumerate(uniq.tolist())}
-        return np.array([lookup[v] for v in col.tolist()])
+        return labels
     edges = np.quantile(col, [0.25, 0.5, 0.75])
     return np.searchsorted(np.unique(edges), col, side="right")
 
@@ -250,11 +250,7 @@ def _joint_chi2_pvalue(cols: list[np.ndarray]) -> float:
     flat = np.zeros(int(np.prod(sizes)))
     idx = np.ravel_multi_index([b for b in binned], sizes)
     np.add.at(flat, idx, 1.0)
-    expected = n * np.ones_like(flat)
-    for axis, m in enumerate(marg):
-        reps_inner = int(np.prod(sizes[axis + 1:])) if axis + 1 < len(sizes) else 1
-        pattern = np.repeat(m, reps_inner)
-        expected *= np.tile(pattern, int(len(flat) // len(pattern)))
+    expected = functools.reduce(np.multiply.outer, marg, np.float64(n)).ravel()
     dof = int(np.prod(sizes)) - 1 - sum(s - 1 for s in sizes)
     if dof <= 0:
         return 1.0

@@ -14,6 +14,7 @@ built by direct serialization, never from `hash()`.
 from __future__ import annotations
 
 import itertools
+import math
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -315,9 +316,7 @@ def enumerate_types(S: FinStructure, k: int) -> set[TypeCode]:
         return {canonical_type(S, ())}
     if k > S.size:
         raise ValidationError(f"k {k} exceeds size {S.size}")
-    count = 1
-    for i in range(k):
-        count *= S.size - i
+    count = math.perm(S.size, k)
     if count > _ENUM_CAP:
         raise ResourceLimitError(f"{count} tuples exceed enumeration cap {_ENUM_CAP}")
     return {canonical_type(S, tup) for tup in itertools.permutations(range(S.size), k)}

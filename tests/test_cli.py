@@ -1,5 +1,6 @@
 """End-to-end runs of the homord command line via subprocess."""
 
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import homord
-from homord.builders import chain_dumps, chain_loads
+from homord.builders import chain_dumps, chain_loads, class_by_name
 
 # The child process runs the same homord these tests import.
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -313,6 +314,31 @@ def loose_chains(tmp_path_factory):
     return out
 
 
+# Flags that only other modes of the command read (another build class, another
+# sampler), each with the error it gets; ignoring them would exit 0.
+STRAY_FLAGS = {
+    "graph": (("build", "--class", "graph", "--sat", "1", "--cap", "12", "--size-p", "5",
+               "--m", "9", "--pairs", "4,4"), "--class graph takes no --m"),
+    "pure_set": (("build", "--class", "pure_set", "--cap", "12", "--pairs", "9,9", "--m", "4"),
+                 "--class pure_set takes no --m"),
+    "two_predicate_PQ": (("build", "--class", "two_predicate_PQ", "--size-p", "1", "--sat", "2"),
+                         "--class two_predicate_PQ takes no --sat"),
+    "bipartite_deg2": (("build", "--class", "bipartite_deg2", "--pairs", "3"),
+                       "--class bipartite_deg2 takes no --pairs"),
+    "involution_order": (("build", "--class", "involution_order", "--cap", "3"),
+                         "--class involution_order takes no --cap"),
+    "f2_vector_space": (("build", "--class", "f2_vector_space:2", "--m", "3"),
+                        "--class f2_vector_space:2 takes no --m"),
+    "sample_uniform": (("sample", "--sampler", "uniform", "--in", "{chain}", "--n", "5",
+                        "--atoms", "0:0.5"), "--sampler uniform takes no --atoms"),
+    "estimate_uniform": (("estimate", "--sampler", "uniform", "--in", "{chain}", "--points", "0,1",
+                          "--n", "10", "--atoms", "0:0.5"), "--sampler uniform takes no --atoms"),
+    "monotone_uniform": (("test", "--suite", "monotone", "--in", "{chain}", "--n", "10",
+                          "--atoms", "0:0.5"),
+                         "--suite monotone --sampler uniform takes no --atoms"),
+}
+
+
 # Malformed input on every flag that takes points, and chain files that do not
 # hold: each must exit 2 with an error line, never a traceback.  "{chain}",
 # "{f2}", "{tampered}" and the LOOSE_CHAINS names stand for chain files.
@@ -387,6 +413,12 @@ BAD_INPUT = {
                                "--n", "50", "--pairs", "0,1;2,3", "--tuples", "0,1"),
     "config_prefix": ("--conf", "homord.cfg", "cro", "--class", "graph", "--n", "2"),
     **{f"chain_{name}": ("orbits", "--in", f"{{{name}}}", "--k", "1") for name in LOOSE_CHAINS},
+    **{f"stray_{name}": argv for name, (argv, _) in STRAY_FLAGS.items()},
+    "atoms_sampler_no_atoms": ("sample", "--sampler", "atoms", "--in", "{chain}", "--n", "5"),
+    "exchangeability_no_pairs": ("test", "--suite", "exchangeability", "--in", "{chain}",
+                                 "--n", "10"),
+    "independence_no_tuples": ("test", "--suite", "independence", "--in", "{chain}",
+                               "--n", "10"),
 }
 
 
@@ -398,6 +430,74 @@ def test_bad_input_exits_2(case, chain_file, f2_chain, tampered_chain, loose_cha
     assert r.returncode == 2, (r.returncode, r.stderr)
     assert "error:" in r.stderr and "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_FLAGS))
+def test_stray_flag_names_mode(case, chain_file, capsys):
+    # in-process: the flag is refused before the subcommand runs
+    from homord.cli import main
+
+    argv, error = STRAY_FLAGS[case]
+    assert main([a.format(chain=chain_file) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# Options each subcommand with modes reads whatever its mode, by dest.
+COMMON_FLAGS = {
+    "build": {"klass", "seed", "out"},
+    "sample": {"sampler", "infile", "level", "n", "points", "seed", "out"},
+    "estimate": {"sampler", "infile", "level", "points", "target", "n", "seed", "out"},
+    "test": {"suite", "n", "seed", "out"},
+}
+
+
+def test_modes_match_parser():
+    """Every dest in _MODES is an option of its subcommand, with no parser
+    default; every mode is one its selector accepts; every option that is not
+    common belongs to some mode."""
+    from homord.cli import _MODES, build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert _MODES.keys() == COMMON_FLAGS.keys()
+    for command, selectors in _MODES.items():
+        options = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+        read = set()
+        for selector, rows in selectors.items():
+            if options[selector].choices is None:
+                for mode in rows:
+                    class_by_name(mode)  # raises on a name that is no class
+            else:
+                assert set(rows) == set(options[selector].choices), (command, selector)
+            for mode, row in rows.items():
+                assert row.keys() <= options.keys(), (command, mode)
+                read |= row.keys()
+        assert read.isdisjoint(COMMON_FLAGS[command]), command
+        assert read | COMMON_FLAGS[command] == options.keys(), command
+        assert all(options[dest].default is argparse.SUPPRESS for dest in read), command
+
+
+# Each build family's flags at the values they take when left out.
+BUILD_DEFAULTS = {
+    "pure_set": ("--sat", "1", "--cap", "64"),
+    "graph": ("--sat", "1", "--cap", "64"),
+    "kn_free_graph:3": ("--sat", "1", "--cap", "64"),
+    "tournament": ("--sat", "1", "--cap", "64"),
+    "two_predicate_PQ": ("--size-p", "2", "--size-q", "2"),
+    "bipartite_deg2": ("--m", "3"),
+    "involution_order": ("--pairs", "3"),
+}
+
+
+@pytest.mark.parametrize("klass", sorted(BUILD_DEFAULTS))
+def test_build_defaults_match_explicit_flags(klass, tmp_path, capsys):
+    from homord.cli import main
+
+    texts = []
+    for flags in ((), BUILD_DEFAULTS[klass]):
+        out = tmp_path / "chain.json"
+        assert main(["build", "--class", klass, *flags, "--seed", "1", "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
 
 
 # Subcommands that draw nothing random refuse --seed rather than ignore it;
