@@ -287,7 +287,7 @@ def cmd_sample(args) -> int:
             eta = b.eta[:, cols]
             # each row's order restricted to the points, as element ids
             ordered = np.empty((len(b), 0), dtype=int)
-            if b.order is not None:
+            if b.keys is not None:
                 ordered = element[b.order[np.isin(b.order, cols)]].reshape(len(b), -1)
             if start == 0:
                 k = ordered.shape[1]

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -103,7 +103,7 @@ class CroSystem:
     def pivots(self) -> frozenset[int]:
         """Pivot columns of the row coefficients' echelon, computed once per
         system; the rank, the nullity and the level cuts read them."""
-        return frozenset(integer_echelon(dict(row.coeffs) for row in self.rows))
+        return frozenset(integer_echelon(row.coeffs for row in self.rows))
 
     @property
     def rank(self) -> int:
@@ -358,9 +358,11 @@ def satisfies(system: CroSystem, x: list[Fraction]) -> bool:
 
 
 Row = dict[int, int]
+# a row as given: column -> value, as a mapping or as (column, value) pairs
+Coeffs = Mapping[int, int] | Iterable[tuple[int, int]]
 
 
-def integer_echelon(rows: Iterable[dict[int, int]]) -> dict[int, Row]:
+def integer_echelon(rows: Iterable[Coeffs]) -> dict[int, Row]:
     """Fraction-free forward elimination over the integers, as pivot column
     -> row; the number of pivots is the rank.
 
@@ -381,7 +383,7 @@ def integer_echelon(rows: Iterable[dict[int, int]]) -> dict[int, Row]:
     return pivots
 
 
-def integer_rref(rows: Iterable[dict[int, int]]) -> dict[int, Row]:
+def integer_rref(rows: Iterable[Coeffs]) -> dict[int, Row]:
     """Fraction-free Gauss-Jordan over the integers, as pivot column -> row.
 
     Rows go in shortest first.  Each is cleared of the pivot columns so far,
@@ -404,11 +406,12 @@ def integer_rref(rows: Iterable[dict[int, int]]) -> dict[int, Row]:
     return pivots
 
 
-def _integer_row(coeffs: dict[int, Fraction]) -> Row:
-    bad = [v for v in coeffs.values() if getattr(v, "denominator", None) != 1]
+def _integer_row(coeffs: Coeffs) -> Row:
+    row = dict(coeffs)
+    bad = [v for v in row.values() if getattr(v, "denominator", None) != 1]
     if bad:
         raise ValidationError(f"coefficient {bad[0]!r} is not an integer")
-    return _primitive({c: int(v) for c, v in coeffs.items() if v})
+    return _primitive({c: int(v) for c, v in row.items() if v})
 
 
 def _cancel(row: Row, pivot: Row, c: int) -> Row:
@@ -438,7 +441,7 @@ def kernel_basis(system: CroSystem) -> list[list[Fraction]]:
     """Basis of the homogeneous solution space of the row coefficient matrix,
     one vector per free column in column order."""
     n = len(system.variables)
-    pivots = integer_rref(dict(row.coeffs) for row in system.rows)
+    pivots = integer_rref(row.coeffs for row in system.rows)
     zero = Fraction(0)
     basis = {c: [zero] * n for c in range(n) if c not in pivots}
     for pc, row in pivots.items():

@@ -2,13 +2,16 @@
 
 Each sampler owns the elements it orders and draws one OrderBatch of arrays
 per chunk from `batches(seed, n)`; `stream(seed, n)` yields the same draws
-row by row as OrderSample (or FieldSample) objects.  Draws come in fixed
-chunks of 4096 samples; chunk c is seeded by SeedSequence([seed, c]), so any
-partition of whole chunks across workers reproduces the identical sample set
-and estimates merge by counting.  A request for n samples draws n rows, not
-whole chunks: `_draw(rng, m)` returns exactly the first m rows of
-`_draw(rng, 4096)`, so row i is the same whatever n was asked for.  Same
-seed, same platform or not: the draws are bit-for-bit reproducible.
+row by row as OrderSample (or FieldSample) objects.  A batch carries the
+sort keys of its order, not the sorted order: `order` is sorted on first
+read, and `ranks(cols)` sorts only the columns a statistic reads.  Draws
+come in fixed chunks of 4096 samples; chunk c is seeded by
+SeedSequence([seed, c]), so any partition of whole chunks across workers
+reproduces the identical sample set and estimates merge by counting.  A
+request for n samples draws n rows, not whole chunks: `_draw(rng, m)`
+returns exactly the first m rows of `_draw(rng, 4096)`, so row i is the same
+whatever n was asked for.  Same seed, same platform or not: the draws are
+bit-for-bit reproducible.
 
 The constructions:
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -67,19 +71,43 @@ def derive_seed(seed: int, *tags: int) -> int:
 class OrderBatch:
     """One chunk of draws, one row per sample.
 
-    order holds column indices into the sampler's elements, least to
-    greatest, or None for a sampler that draws no order; latent is the raw
+    keys holds the (m, k) sort keys of the order, one column per element, in
+    `np.lexsort` order (primary key last), or None for a sampler that draws
+    no order (reading `order` or `ranks` then raises); latent is the raw
     randomness, one column per latent key; eta, when present, the
     per-element statistic (often the latent array itself); tiebreak the
-    auxiliary uniforms, one column per element."""
+    auxiliary uniforms, one column per element.  Keys that tie fall to the
+    lower column, as a stable sort leaves them."""
 
-    order: np.ndarray | None
+    keys: tuple[np.ndarray, ...] | None
     latent: np.ndarray
     eta: np.ndarray | None
     tiebreak: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.latent)
+
+    def _sort_keys(self) -> tuple[np.ndarray, ...]:
+        if self.keys is None:
+            raise ValidationError("sampler draws no order")
+        return self.keys
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Column indices least to greatest, row by row; sorted on first read."""
+        return np.lexsort(self._sort_keys(), axis=1)
+
+    def ranks(self, cols) -> np.ndarray:
+        """(m, len(cols)) ranks of the given distinct columns among
+        themselves, in the caller's column order.  Only these columns are
+        sorted, taken in ascending order so that ties fall to the lower
+        column; so the ranks compare exactly as positions in `order` do."""
+        cols = np.asarray(cols, dtype=np.intp)
+        up = np.argsort(cols)
+        sub = np.lexsort([key[:, cols[up]] for key in self._sort_keys()], axis=1)
+        pos = np.empty_like(sub)
+        np.put_along_axis(pos, up[sub], np.arange(len(cols)), axis=1)
+        return pos
 
 
 @dataclass(frozen=True)
@@ -173,8 +201,9 @@ class OrderSamplerBase:
     returns one OrderBatch of m rows, exactly the first m rows of
     _draw(rng, CHUNK).  A draw that another draw from the same generator
     follows is therefore taken at CHUNK rows and cut; only the last one may
-    be taken at m.  Orders come from stable sorts, so ties fall to the lower
-    column: the lower element id wherever a construction can tie."""
+    be taken at m.  A batch's order is a stable sort of its keys, so ties
+    fall to the lower column: the lower element id wherever a construction
+    can tie."""
 
     structure: FinStructure
     elements: tuple[int, ...]
@@ -217,7 +246,7 @@ class OrderSamplerBase:
         for b in self.batches(seed, n):
             for i in range(len(b)):
                 eta = _row(self.elements, b.eta, i)
-                if b.order is None:
+                if b.keys is None:
                     yield FieldSample(eta=eta)
                     continue
                 yield OrderSample(
@@ -245,7 +274,7 @@ class UniformOrderSampler(OrderSamplerBase):
 
     def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
         z = rng.random((m, len(self.elements)))
-        return OrderBatch(np.argsort(z, axis=1, kind="stable"), z, z)
+        return OrderBatch((z,), z, z)
 
 
 class AtomOrderSampler(OrderSamplerBase):
@@ -284,15 +313,14 @@ class AtomOrderSampler(OrderSamplerBase):
         idx[cont] = -1
         return values, idx
 
-    def _order(self, values: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        """Order columns row by row: by value, then by the tie rank of the
-        atom a tag names (continuous draws rank 0), then by element."""
-        ranks = self._tie_rank[tags, np.arange(values.shape[1])]
-        return np.lexsort((ranks, values), axis=1)
+    def _keys(self, values: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sort keys: by value, then by the tie rank of the atom a tag names
+        (continuous draws rank 0), then by element."""
+        return self._tie_rank[tags, np.arange(values.shape[1])], values
 
     def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
         values, tags = self._draw_tagged(rng, m)
-        return OrderBatch(self._order(values, tags), values, values)
+        return OrderBatch(self._keys(values, tags), values, values)
 
 
 class ConditionedAtomSampler(OrderSamplerBase):
@@ -347,7 +375,7 @@ class ConditionedAtomSampler(OrderSamplerBase):
                 rows = rows[rows < left]
             if len(rows):
                 kept = values[rows]
-                yield OrderBatch(self.base._order(kept, tags[rows]), kept, kept)
+                yield OrderBatch(self.base._keys(kept, tags[rows]), kept, kept)
             accepted += len(rows)
             if used > left:
                 rate = accepted / (self.max_tries + 1)
@@ -375,7 +403,7 @@ class PQOrderSampler(OrderSamplerBase):
     def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
         z = rng.random((m, len(self.elements)))
         block = np.broadcast_to(self._block, z.shape)
-        return OrderBatch(np.lexsort((z, block), axis=1), z, z)
+        return OrderBatch((z, block), z, z)
 
 
 class BipartiteMinSampler(OrderSamplerBase):
@@ -405,7 +433,7 @@ class BipartiteMinSampler(OrderSamplerBase):
         z = rng.random((m, k1 + len(self.elements)))
         field_vals, ties = z[:, :k1], z[:, k1:]
         xi = np.minimum(field_vals[:, self._nbr_cols[0]], field_vals[:, self._nbr_cols[1]])
-        return OrderBatch(np.lexsort((ties, xi), axis=1), field_vals, xi, ties)
+        return OrderBatch((ties, xi), field_vals, xi, ties)
 
 
 class InvolutionOrderSampler(OrderSamplerBase):
@@ -429,7 +457,7 @@ class InvolutionOrderSampler(OrderSamplerBase):
         k = len(self.elements)
         bits = rng.integers(0, 2, size=(m, k))
         ranks = self._image_rank[bits, np.arange(k)]
-        return OrderBatch(np.argsort(ranks, axis=1, kind="stable"), bits, bits)
+        return OrderBatch((ranks,), bits, bits)
 
 
 class DualFunctionalSampler(OrderSamplerBase):

@@ -76,7 +76,9 @@ def order_pattern(order: tuple[int, ...], points: tuple[int, ...]) -> tuple[int,
     return tuple(sorted(range(len(points)), key=lambda i: pos[points[i]]))
 
 
-# --- batch readers: every reducer reads one OrderBatch (one chunk) at a time ---
+# --- batch readers: every reducer reads one OrderBatch (one chunk) at a time.
+# A suite that compares a few points reads `b.ranks(cols)`, which sorts only
+# those columns; only the all-pairs monotone check reads the full `b.order`.
 
 
 def _check_n(n: int) -> None:
@@ -88,20 +90,6 @@ def _check_alpha(alpha: float) -> None:
     # written so that nan fails too
     if not 0 < alpha < 1:
         raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-
-
-def _order(b: OrderBatch) -> np.ndarray:
-    if b.order is None:
-        raise ValidationError("sampler draws no order")
-    return b.order
-
-
-def _ranks(b: OrderBatch) -> np.ndarray:
-    """(m, k) position of each column in its row's order."""
-    order = _order(b)
-    pos = np.empty_like(order)
-    np.put_along_axis(pos, order, np.arange(order.shape[1]), axis=1)
-    return pos
 
 
 def _eta(b: OrderBatch) -> np.ndarray:
@@ -139,7 +127,7 @@ def estimate_order_event(
     cols = [sampler.column(p) for p in target_order]
     count = 0
     for b in sampler.batches(seed, n):
-        pos = _ranks(b)[:, cols]
+        pos = b.ranks(cols)
         count += int((pos[:, :-1] < pos[:, 1:]).all(axis=1).sum())
     return Estimate.frequency(count, n)
 
@@ -158,7 +146,7 @@ def _pattern_counts(sampler, points: tuple[int, ...], seed: int, n: int) -> dict
     place = k ** np.arange(k - 1, -1, -1)
     counts: dict[tuple[int, ...], int] = {}
     for b in sampler.batches(seed, n):
-        pats = np.argsort(_ranks(b)[:, cols], axis=1)
+        pats = np.argsort(b.ranks(cols), axis=1)
         _, first, hits = np.unique(pats @ place, return_index=True, return_counts=True)
         for pat, hit in zip(map(tuple, pats[first].tolist()), hits.tolist()):
             counts[pat] = counts.get(pat, 0) + hit
@@ -198,6 +186,8 @@ def test_exchangeability(
     for idx, (ta, tb) in enumerate(tuple_pairs):
         if len(ta) != len(tb):
             raise ValidationError(f"pair {idx}: tuple lengths differ")
+        if len(ta) < 2:
+            raise ValidationError(f"pair {idx}: tuples too short")
         ca, cb = sampler.pattern_type(ta), sampler.pattern_type(tb)
         if require_equal_types and ca != cb:
             raise ValidationError(
@@ -330,19 +320,27 @@ def test_monotone_coupling(
     order positions is a complete check."""
     _check_n(n)
     k = len(sampler.elements)
+    if pairs is not None and not pairs:
+        raise ValidationError("no pairs")
+    for idx, pair in enumerate(pairs or ()):
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise ValidationError(f"pair {idx} is not two distinct points")
     cols = [[sampler.column(p) for p in pair] for pair in pairs or ()]
     a, b = np.array(cols, dtype=int).reshape(-1, 2).T
+    # the distinct columns the pairs read, and each pair's two indices into them
+    used, ends = np.unique(cols, return_inverse=True)
+    ia, ib = ends.reshape(-1, 2).T
     checked = k * (k - 1) // 2 if pairs is None else len(pairs)
     violations = 0
     for batch in sampler.batches(seed, n):
         eta = _eta(batch)
         if pairs is None:
-            along = np.take_along_axis(eta, _order(batch), axis=1)
+            along = np.take_along_axis(eta, batch.order, axis=1)
             bad = (along[:, :-1] > along[:, 1:]).any(axis=1)
         else:
             # a pair violates when the earlier of its two points has more eta
-            pos = _ranks(batch)
-            bad = np.where(pos[:, a] < pos[:, b], eta[:, a] > eta[:, b], eta[:, b] > eta[:, a])
+            pos = batch.ranks(used)
+            bad = np.where(pos[:, ia] < pos[:, ib], eta[:, a] > eta[:, b], eta[:, b] > eta[:, a])
             bad = bad.any(axis=1)
         violations += int(bad.sum())
     return TestVerdict(
@@ -502,7 +500,7 @@ class BiasedEdgeOrderSampler(OrderSamplerBase):
     def _draw(self, rng: np.random.Generator, m: int) -> OrderBatch:
         z = rng.random((m, len(self.elements)))
         score = z + self._offset
-        return OrderBatch(np.argsort(score, axis=1, kind="stable"), z, score)
+        return OrderBatch((score,), z, score)
 
 
 class BrokenCouplingSampler(OrderSamplerBase):
@@ -519,4 +517,4 @@ class BrokenCouplingSampler(OrderSamplerBase):
         # the eta draw follows the order draw, so that one is a whole chunk
         z_order = rng.random((CHUNK, k))[:m]
         z_eta = rng.random((m, k))
-        return OrderBatch(np.argsort(z_order, axis=1, kind="stable"), z_order, z_eta)
+        return OrderBatch((z_order,), z_order, z_eta)

@@ -174,7 +174,8 @@ class TestSample:
                     "--level", "0", "--n", "20", "--seed", "3", "--out", str(p))
             assert r.returncode == 0, r.stderr
         assert a.read_text() == b.read_text()
-        rows = list(csv.reader(a.open()))
+        with a.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][0] == "sampleIndex"
         assert len(rows) == 21
 
@@ -377,6 +378,10 @@ BAD_INPUT = {
                                     "--n", "10", "--tuples", "0,1", "--alpha", "-1"),
     "independence_alpha_nan": ("test", "--suite", "independence", "--in", "{chain}",
                                "--n", "10", "--tuples", "0,1", "--alpha", "nan"),
+    "exchangeability_one_point": ("test", "--suite", "exchangeability", "--in", "{chain}",
+                                  "--n", "10", "--pairs", "1;2"),
+    "exchangeability_no_points": ("test", "--suite", "exchangeability", "--in", "{chain}",
+                                  "--n", "10", "--pairs", ";"),
     "exchangeability_no_samples": ("test", "--suite", "exchangeability", "--in", "{chain}",
                                    "--n", "0", "--pairs", "0,1;2,3"),
     "ergodicity_no_sequences": ("test", "--suite", "ergodicity", "--n", "0"),

@@ -28,7 +28,11 @@ nodes allowed, leads from a to b.
 Every sampler, the rejection and planted-defect ones included, must give a
 stream whose first m rows do not depend on how many rows were asked for,
 across the chunk edges; and each `_draw(rng, m)` must return the first m rows
-of the full-chunk draw from a generator in the same state.
+of the full-chunk draw from a generator in the same state.  A batch's
+`ranks(cols)`, which sorts only the given columns, must rank them as the full
+`order` restricted to them does, for distinct columns in any order, also on
+draws from a coarse generator whose uniforms take four values, so that keys
+tie across columns.
 """
 
 import itertools
@@ -48,7 +52,7 @@ from homord.builders import (
     class_by_name,
     paley_graph,
 )
-from homord.errors import ResourceLimitError
+from homord.errors import ResourceLimitError, ValidationError
 from homord.groups import automorphisms
 from homord.samplers import (
     CHUNK,
@@ -453,11 +457,16 @@ FIELDS = ("order", "latent", "eta", "tiebreak")
 PREFIX_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 
+def _field(batch, f):
+    """A batch's field, None where absent: a batch without keys has no order."""
+    return None if f == "order" and batch.keys is None else getattr(batch, f)
+
+
 def _rows(batches):
     """Each field of a run of batches stacked over rows, None where absent."""
     batches = list(batches)
-    return [None if getattr(batches[0], f) is None
-            else np.concatenate([getattr(b, f) for b in batches]) for f in FIELDS]
+    return [None if _field(batches[0], f) is None
+            else np.concatenate([_field(b, f) for b in batches]) for f in FIELDS]
 
 
 def _assert_prefix(part, full, m):
@@ -492,4 +501,53 @@ def test_draw_prefix(name, seed, m):
     part = sampler._draw(np.random.default_rng(ss), m)
     full = sampler._draw(np.random.default_rng(ss), CHUNK)
     assert len(part) == m and len(full) == CHUNK
-    _assert_prefix([getattr(part, f) for f in FIELDS], [getattr(full, f) for f in FIELDS], m)
+    _assert_prefix([_field(part, f) for f in FIELDS], [_field(full, f) for f in FIELDS], m)
+
+
+class CoarseRng:
+    """A generator whose uniforms are multiples of 1/4.  Keys then tie
+    across columns: an atom sampler's continuous draws land on its atom
+    locations and on each other, and bimin's neighbours that share a minimum
+    draw the same tie uniform too."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return np.floor(self._rng.random(size) * 4) / 4
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+RANK_SAMPLERS = {
+    **SAMPLERS,
+    # everything lands on the one atom; its tie order is not the column order
+    "one_atom": lambda: AtomOrderSampler(
+        PALEY13, AtomSpec(((0.5, 1.0),), {0.5: FixedOrder("mixed", (*range(7, 13), *range(7)))})
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_SAMPLERS))
+@PREFIX_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_ranks_match_restricted_order(name, seed, coarse, data):
+    sampler = RANK_SAMPLERS[name]()
+    if coarse and name != "conditioned":
+        batch = sampler._draw(CoarseRng(seed), 300)
+    else:
+        batch = next(sampler.batches(seed, 300))
+    k = len(sampler.elements)
+    cols = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    if batch.keys is None:
+        with pytest.raises(ValidationError, match="draws no order"):
+            batch.ranks(cols)
+        with pytest.raises(ValidationError, match="draws no order"):
+            batch.order
+        return
+    want = []
+    for row in batch.order.tolist():
+        kept = [c for c in row if c in cols]
+        want.append([kept.index(c) for c in cols])
+    assert batch.ranks(cols).tolist() == want

@@ -203,7 +203,7 @@ class TestAtomSampler:
         sampler = AtomOrderSampler(K3, AtomSpec(atoms=((0.5, 0.5),), tie_break={0.5: desc}))
         values = np.full((2, 3), 0.5)
         tags = np.array([[0, -1, 0], [0, 0, 0]])
-        assert sampler._order(values, tags).tolist() == [[1, 2, 0], [2, 1, 0]]
+        assert np.lexsort(sampler._keys(values, tags), axis=1).tolist() == [[1, 2, 0], [2, 1, 0]]
 
     def test_two_atoms_ordered_by_location(self):
         spec = AtomSpec(

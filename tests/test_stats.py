@@ -14,6 +14,7 @@ import pytest
 
 from homord.errors import ValidationError
 from homord.samplers import (
+    CHUNK,
     BipartiteMinSampler,
     DualFunctionalSampler,
     OrderBatch,
@@ -64,7 +65,7 @@ class NoEtaSampler(OrderSamplerBase):
         self.elements = (0, 1, 2)
 
     def _draw(self, rng, m):
-        return OrderBatch(order=np.tile([0, 1, 2], (m, 1)), latent=np.empty((m, 0)), eta=None)
+        return OrderBatch(keys=(np.tile([0, 1, 2], (m, 1)),), latent=np.empty((m, 0)), eta=None)
 
 
 class TestEstimate:
@@ -178,6 +179,12 @@ class TestExchangeability:
         with pytest.raises(ValidationError):
             exchangeability_verdict(UniformOrderSampler(K3), [], seed=1, n=10)
 
+    @pytest.mark.parametrize("pair", [((0,), (1,)), ((), ())])
+    def test_short_tuples_rejected(self, pair):
+        # one point, or none, has a single order pattern: p would always be 1
+        with pytest.raises(ValidationError, match="too short"):
+            exchangeability_verdict(UniformOrderSampler(K3), [pair], seed=1, n=10)
+
     @pytest.mark.parametrize("points", [(3,), (9, 2), (4, 0, 7), tuple(range(15, 0, -1))])
     def test_pattern_counts_match_rows(self, points):
         # counted per chunk by integer code, across the chunk edge, against
@@ -288,11 +295,55 @@ class TestMonotoneCoupling:
         with pytest.raises(ValidationError):
             monotone_verdict(NoEtaSampler(), seed=1, n=10)
 
+    def test_no_pairs_rejected(self):
+        # an empty pair list would pass with nothing checked
+        with pytest.raises(ValidationError, match="no pairs"):
+            monotone_verdict(UniformOrderSampler(K3), seed=1, n=10, pairs=[])
+
+    @pytest.mark.parametrize("pairs", [[(0, 1), (2, 2)], [(0, 1, 2)], [(1,)]])
+    def test_pair_of_one_point_rejected(self, pairs):
+        # a point never comes before itself, so (2, 2) could never fail
+        with pytest.raises(ValidationError, match="pair [01] is not two distinct points"):
+            monotone_verdict(UniformOrderSampler(K3), seed=1, n=10, pairs=pairs)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_samples_rejected(self, n):
         # zero samples would otherwise pass vacuously
         with pytest.raises(ValidationError, match="n must be positive"):
             monotone_verdict(UniformOrderSampler(K3), seed=1, n=n)
+
+
+# Each suite over two batches of the uniform sampler on K3.
+SORT_READERS = {
+    "estimate": lambda s, n: estimate_order_event(s, (0, 2), (2, 0), n, 1),
+    "exchangeability": lambda s, n: exchangeability_verdict(s, [((0, 1), (1, 2))], 1, n),
+    "independence": lambda s, n: independence_verdict(s, [(0, 1)], 1, n),
+    "covariance": lambda s, n: estimate_eta_covariance(s, (0, 1), 1, n),
+    "monotone_pairs": lambda s, n: monotone_verdict(s, 1, n, pairs=[(0, 1), (2, 1)]),
+}
+
+
+class TestFullSorts:
+    """Only the all-pairs monotone check sorts whole batches; every other
+    suite reads eta alone or ranks the few columns it compares."""
+
+    N = CHUNK + 100
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        count = []
+        sort = OrderBatch.order.func
+        monkeypatch.setattr(OrderBatch, "order", property(lambda b: count.append(1) or sort(b)))
+        return count
+
+    @pytest.mark.parametrize("suite", sorted(SORT_READERS))
+    def test_suite_reads_no_full_order(self, reads, suite):
+        SORT_READERS[suite](UniformOrderSampler(K3), self.N)
+        assert reads == []
+
+    def test_all_pairs_monotone_sorts_each_batch_once(self, reads):
+        assert monotone_verdict(UniformOrderSampler(K3), 1, self.N).passed
+        assert len(reads) == 2
 
 
 class TestShiftErgodicity:
