@@ -59,13 +59,18 @@ _WIRING_RETRIES = 32
 
 @dataclass(frozen=True)
 class FraisseClassSpec:
-    """A named amalgamation class: signature plus a membership checker."""
+    """A named amalgamation class: signature plus a membership checker.
+
+    wiring says how one bit per pair a < b sets a class whose one relation is
+    binary: "edge" switches the edge {a, b} on, "arc" turns the arc (a, b)
+    into (b, a); None for every other class."""
 
     name: str
     signature: Signature
     is_member: Callable[[FinStructure], bool] = field(compare=False)
     witnessable: bool = False
     params: tuple[int, ...] = ()
+    wiring: str | None = None
 
     def validate(self, S: FinStructure) -> None:
         if not self.is_member(S):
@@ -79,6 +84,28 @@ def _symmetric_irreflexive(S: FinStructure, rel: str) -> bool:
     return True
 
 
+def _tournament(S: FinStructure, rel: str) -> bool:
+    """Whether rel holds exactly one of (a, b) and (b, a) for each pair a != b:
+    no loop, no 2-cycle, and one tuple per pair."""
+    arcs = S.table(rel)
+    return len(arcs) == S.size * (S.size - 1) // 2 and all(
+        a != b and (b, a) not in arcs for a, b in arcs
+    )
+
+
+def _places(S: FinStructure) -> Counter:
+    """Each point's number of predecessors in "lt" (0 for an absent point)."""
+    return Counter(b for _, b in S.table("lt"))
+
+
+def _linear_order(S: FinStructure) -> bool:
+    """Whether "lt" is a strict linear order: a tournament whose places are
+    0..n-1, since a tournament is transitive iff its scores are distinct
+    (Landau)."""
+    places = _places(S)
+    return _tournament(S, "lt") and set(map(places.__getitem__, S.elements)) == set(range(S.size))
+
+
 def pure_set_class() -> FraisseClassSpec:
     sig = Signature(())
     return FraisseClassSpec("pure_set", sig, lambda S: S.signature == sig, witnessable=True)
@@ -88,7 +115,7 @@ def graph_class() -> FraisseClassSpec:
     sig = Signature((("E", 2),))
     return FraisseClassSpec(
         "graph", sig, lambda S: S.signature == sig and _symmetric_irreflexive(S, "E"),
-        witnessable=True,
+        witnessable=True, wiring="edge",
     )
 
 
@@ -104,47 +131,24 @@ def kn_free_graph_class(n: int) -> FraisseClassSpec:
             and not _clique_in(_bits_of(S), (1 << S.size) - 1, n)
         )
 
-    return FraisseClassSpec(f"kn_free_graph:{n}", sig, member, witnessable=True, params=(n,))
+    return FraisseClassSpec(
+        f"kn_free_graph:{n}", sig, member, witnessable=True, params=(n,), wiring="edge"
+    )
 
 
 def tournament_class() -> FraisseClassSpec:
     sig = Signature((("A", 2),))
-
-    def member(S: FinStructure) -> bool:
-        if S.signature != sig:
-            return False
-        arcs = S.table("A")
-        for a, b in arcs:
-            if a == b:
-                return False
-        for a, b in itertools.combinations(range(S.size), 2):
-            if ((a, b) in arcs) == ((b, a) in arcs):
-                return False
-        return True
-
-    return FraisseClassSpec("tournament", sig, member, witnessable=True)
+    return FraisseClassSpec(
+        "tournament", sig, lambda S: S.signature == sig and _tournament(S, "A"),
+        witnessable=True, wiring="arc",
+    )
 
 
 def linear_order_class() -> FraisseClassSpec:
     sig = Signature((("lt", 2),))
-
-    def member(S: FinStructure) -> bool:
-        if S.signature != sig:
-            return False
-        lt = S.table("lt")
-        for a, b in lt:
-            if a == b or (b, a) in lt:
-                return False
-        for a, b in itertools.combinations(range(S.size), 2):
-            if (a, b) not in lt and (b, a) not in lt:
-                return False
-        for a, b in lt:
-            for c, d in lt:
-                if b == c and (a, d) not in lt:
-                    return False
-        return True
-
-    return FraisseClassSpec("linear_order", sig, member)
+    return FraisseClassSpec(
+        "linear_order", sig, lambda S: S.signature == sig and _linear_order(S), wiring="arc"
+    )
 
 
 def two_predicate_class() -> FraisseClassSpec:
@@ -183,13 +187,9 @@ def bipartite_deg2_class() -> FraisseClassSpec:
 
 def involution_order_class() -> FraisseClassSpec:
     sig = Signature((("lt", 2), ("f", 2)))
-    lo = linear_order_class()
 
     def member(S: FinStructure) -> bool:
-        if S.signature != sig:
-            return False
-        order_part = make_structure(lo.signature, S.size, {"lt": set(S.table("lt"))})
-        if not lo.is_member(order_part):
+        if S.signature != sig or not _linear_order(S):
             return False
         f = S.table("f")
         partner: dict[int, int] = {}
@@ -382,10 +382,10 @@ def _bits_of(S: FinStructure) -> list[int]:
 
 
 def _forbid(spec: FraisseClassSpec) -> int | None:
-    """n for K_n-free graphs, None for the other witnessable classes."""
+    """n for K_n-free graphs, the one witnessable class with a parameter; else None."""
     if not spec.witnessable:
         raise ValidationError(f"class {spec.name} is not witnessable")
-    return spec.params[0] if spec.name.startswith("kn_free_graph") else None
+    return spec.params[0] if spec.params else None
 
 
 def _witness_mask(bits: list[int], a_set, b_set) -> int:
@@ -457,7 +457,7 @@ class _WitnessState:
 
     def __init__(self, spec: FraisseClassSpec):
         self.forbid = _forbid(spec)
-        self.tournament = spec.name == "tournament"
+        self.tournament = spec.wiring == "arc"
         self.bits = [0b10, 0] if self.tournament else [0, 0]  # 1 beats 0
 
     @property
@@ -497,7 +497,7 @@ def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     """
     if t < 0:
         raise ValidationError(f"depth {t} < 0")
-    bits, forbid, pure = _bits_of(S), _forbid(spec), spec.name == "pure_set"
+    bits, forbid, pure = _bits_of(S), _forbid(spec), not spec.signature.relations
     for size in range(t + 1):
         if _open_instances(bits, size, 0, forbid, pure, first=True):
             return max(size - 1, 0)
@@ -520,8 +520,8 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
 
     rng = np.random.default_rng(seed)
 
-    if spec.name == "pure_set":
-        # trivially saturated once the size clears the depth
+    if not spec.signature.relations:
+        # a pure set is trivially saturated once the size clears the depth
         level = make_structure(spec.signature, cap, {})
         return StructureChain(spec.name, (level,), (audit_saturation(level, spec, t),))
 
@@ -718,7 +718,7 @@ def involution_m_view(S: FinStructure) -> tuple[FinStructure, tuple[int, ...]]:
         raise ValidationError("involution structure lacks sorts")
     lt = S.table("lt")
     fmap = {a: b for a, b in S.table("f")}
-    carrier = tuple(sorted(S.elements_of_sort("M"), key=lambda a: sum(1 for x, y in lt if y == a)))
+    carrier = tuple(sorted(S.elements_of_sort("M"), key=_places(S).__getitem__))
     sig = Signature((("lt", 2), ("flt", 2), ("fltf", 2)))
     tables: dict[str, set[tuple[int, ...]]] = {"lt": set(), "flt": set(), "fltf": set()}
     for i, a in enumerate(carrier):
@@ -754,7 +754,7 @@ def _pair_patterns(S: FinStructure) -> Callable[[int, int], str]:
     """The pair-pattern function of a validated involution structure; a
     point's place in the order is its number of predecessors."""
     fmap = dict(S.table("f"))
-    place = Counter(q for _, q in S.table("lt"))
+    place = _places(S)
 
     def pattern_of(a: int, b: int) -> str:
         names = {a: "a", b: "b", fmap[a]: "fa", fmap[b]: "fb"}

@@ -38,9 +38,11 @@ The verdicts count pivot columns only.  `integer_echelon`, a fraction-free
 forward elimination pivoting at each row's largest column, finds them once
 per system, for the nullity and every `projected_dimension` level cut.  Only
 `kernel_basis` needs the reduced row echelon form; it runs the Gauss-Jordan
-`integer_rref` when called.  Graphs, K_n-free graphs and tournaments go up to
-level 6, where graph L=6 (33,867 variables, nullity 12,059) assembles in
-about 0.9 s and ranks in about 4 s on a 2-core Xeon.
+`integer_rref` when called.  A class enumerates through its spec's wiring
+(or has no relation at all), so pure sets, linear orders, graphs, K_n-free
+graphs and tournaments all go up to level 6, where graph L=6 (33,867
+variables, nullity 12,059) assembles in about 0.9 s and ranks in about 4 s
+on a 2-core Xeon.
 
 Everything here is exact; no floats."""
 
@@ -133,33 +135,21 @@ class CroReport:
 
 # A member on k points is a mask with one bit per pair a < b, the pairs in
 # `itertools.combinations` order and the first pair most significant, so
-# ascending masks run in `itertools.product` order.  Each class's bit sets its
-# one binary relation: "edge" switches the edge {a, b} on, "arc" turns the arc
-# (a, b) into (b, a), and None means no relation and no pairs.  The pairs
-# through point 0 are the top k - 1 bits, so the low C(k - 1, 2) bits are the
-# mask of the member induced on points 1..k-1.
-_ENUMERATORS = {  # class -> (how far the enumeration may run, wiring)
-    "pure_set": (6, None),
-    "graph": (6, "edge"),
-    "kn_free_graph": (6, "edge"),
-    "tournament": (6, "arc"),
-    "linear_order": (5, "arc"),
-}
-
-
-def _enumerator(spec: FraisseClassSpec) -> tuple[int, str | None]:
-    try:
-        return _ENUMERATORS[spec.name.split(":")[0]]
-    except KeyError:
-        raise ValidationError(f"class {spec.name!r} has no member enumerator") from None
+# ascending masks run in `itertools.product` order.  The bit sets the class's
+# one binary relation as its spec's wiring says ("edge" or "arc"); a class
+# with no relation has no pairs.  The pairs through point 0 are the top k - 1
+# bits, so the low C(k - 1, 2) bits are the mask of the member induced on
+# points 1..k-1.
+_LEVEL_CAP = 6  # how far the enumeration may run
 
 
 def _check_level(spec: FraisseClassSpec, k: int) -> str | None:
-    """The class's wiring, once k is checked against its level cap."""
-    cap, wiring = _enumerator(spec)
-    if not (1 <= k <= cap):
-        raise ValidationError(f"level {k} outside [1, {cap}] for {spec.name}")
-    return wiring
+    """The class's wiring, once k is checked against the level cap."""
+    if spec.wiring is None and spec.signature.relations:
+        raise ValidationError(f"class {spec.name!r} has no member enumerator")
+    if not (1 <= k <= _LEVEL_CAP):
+        raise ValidationError(f"level {k} outside [1, {_LEVEL_CAP}] for {spec.name}")
+    return spec.wiring
 
 
 def _pair_count(k: int, wiring: str | None) -> int:
@@ -168,7 +158,7 @@ def _pair_count(k: int, wiring: str | None) -> int:
 
 def _mask_structure(spec: FraisseClassSpec, k: int, mask: int) -> FinStructure:
     """The structure on k points that mask wires; not checked for membership."""
-    wiring = _enumerator(spec)[1]
+    wiring = spec.wiring
     if wiring is None:
         return FinStructure(spec.signature, k, {})
     ((name, _),) = spec.signature.relations

@@ -43,6 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .builders import (
+    _places,
     bipartite_m_view,
     involution_m_view,
     linear_order_class,
@@ -147,8 +148,7 @@ class FixedOrder:
 def structure_order(S: FinStructure, reverse: bool = False) -> FixedOrder:
     """The order a linear_order structure carries, or its reverse."""
     linear_order_class().validate(S)
-    lt = S.table("lt")
-    ranking = tuple(sorted(S.elements, key=lambda a: sum(1 for t in lt if t[1] == a)))
+    ranking = tuple(sorted(S.elements, key=_places(S).__getitem__))
     if reverse:
         return FixedOrder("reverse", tuple(reversed(ranking)))
     return FixedOrder("identity", ranking)
@@ -444,8 +444,7 @@ class InvolutionOrderSampler(OrderSamplerBase):
         # the view validates S; its carrier lists M in the ambient order
         self._view, self.elements = involution_m_view(S)
         self.structure = S
-        lt = S.table("lt")
-        self._rank = {a: sum(1 for t in lt if t[1] == a) for a in S.elements}
+        self._rank = _places(S)
         partner = dict(S.table("f"))
         # (2, k): ambient rank of each element's image for bit 0 and bit 1
         self._image_rank = np.array(

@@ -282,6 +282,8 @@ def test_independence(
     for idx, tup in enumerate(point_tuples):
         if len(tup) < 2:
             raise ValidationError(f"tuple {idx} too short")
+        if len(set(tup)) != len(tup):
+            raise ValidationError(f"repeated point in {tup}")
         cols = [values[p] for p in tup]
         p_grid = _joint_chi2_pvalue(cols)
         pvals.append(p_grid)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -82,6 +83,21 @@ class TestMembership:
         assert spec.is_member(chain3)
         cyclic = make_structure(sig, 3, {"lt": {(0, 1), (1, 2), (2, 0)}})
         assert not spec.is_member(cyclic)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_linear_order_brute_force(self, k):
+        # of the arc wirings (one direction per pair), the checker accepts
+        # exactly those transitive on every triple, and there are k! of them
+        spec = linear_order_class()
+        pairs = list(itertools.combinations(range(k), 2))
+        accepted = 0
+        for flips in itertools.product((False, True), repeat=len(pairs)):
+            lt = {(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)}
+            transitive = all((a, c) in lt for a, b, c in itertools.permutations(range(k), 3)
+                             if (a, b) in lt and (b, c) in lt)
+            assert spec.is_member(make_structure(spec.signature, k, {"lt": lt})) == transitive
+            accepted += transitive
+        assert accepted == math.factorial(k)
 
     def test_two_predicate(self):
         spec = two_predicate_class()

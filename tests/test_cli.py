@@ -359,6 +359,8 @@ BAD_INPUT = {
                                "--points", "0,99", "--n", "10"),
     "independence_undrawn_point": ("test", "--suite", "independence", "--in", "{chain}",
                                    "--n", "10", "--tuples", "0,99"),
+    "independence_repeated_point": ("test", "--suite", "independence", "--in", "{chain}",
+                                    "--n", "10", "--tuples", "1,1"),
     "sample_undrawn_point": ("sample", "--sampler", "uniform", "--in", "{chain}",
                              "--points", "0,99"),
     "sample_repeated_point": ("sample", "--sampler", "uniform", "--in", "{chain}",
@@ -393,6 +395,7 @@ BAD_INPUT = {
     "build_plain_param": ("build", "--class", "graph:5", "--sat", "1", "--cap", "10"),
     "cro_plain_param": ("cro", "--class", "tournament:9", "--n", "2"),
     "cro_past_level_cap": ("cro", "--class", "graph", "--n", "7"),
+    "cro_no_enumerator": ("cro", "--class", "involution_order", "--n", "3"),
     "tampered_saturation": ("orbits", "--in", "{tampered}", "--k", "1"),
     "monotone_no_in": ("test", "--suite", "monotone", "--n", "10"),
     "exchangeability_no_in": ("test", "--suite", "exchangeability", "--n", "10",

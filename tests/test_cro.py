@@ -20,7 +20,6 @@ import homord.cro
 from homord.cro import (
     CroRow,
     OrderedType,
-    _enumerator,
     _mask_action,
     _mask_images,
     _mask_structure,
@@ -181,6 +180,13 @@ class TestBaseClasses:
             for k in (1, 2, 3):
                 assert len(enumerate_base_classes(spec, k)) == 1
 
+    @pytest.mark.parametrize("name", ["two_predicate_PQ", "bipartite_deg2", "involution_order",
+                                      "f2_vector_space:3"])
+    def test_no_enumerator(self, name):
+        # a class with relations but no wiring has no masks to walk
+        with pytest.raises(ValidationError, match="has no member enumerator"):
+            build_cro_system(name, 2)
+
     def test_reps_pairwise_nonisomorphic(self):
         reps = enumerate_base_classes(class_by_name("graph"), 4)
         for A, B in itertools.combinations(reps, 2):
@@ -205,7 +211,7 @@ class TestMaskAction:
         p = tuple(data.draw(st.permutations(range(k)), label="p"))
         S = _mask_structure(spec, k, mask)
         # the image under p is the member listed in p's order
-        (image,) = _mask_images(mask, _mask_action([p], _enumerator(spec)[1]))
+        (image,) = _mask_images(mask, _mask_action([p], spec.wiring))
         assert canonical_type(S, p) == canonical_type(_mask_structure(spec, k, image), range(k))
         # the low bits are the member induced on positions 1..k-1
         low = (1 << (k - 1) * (k - 2) // 2) - 1
@@ -465,6 +471,14 @@ class TestRegressionBaselines:
             a, b = rep.dirac_solutions
             assert a != b
         assert dims == {2: 1, 3: 3, 4: 12}
+
+    def test_linear_order_level6(self):
+        system = build_cro_system("linear_order", 6)
+        rep = uniqueness_report(system)
+        assert (rep.num_variables, rep.num_rows) == (873, 877)
+        assert (rep.nullspace_dim, rep.dirac_count) == (321, 2)
+        assert rep.uniform_feasible
+        assert [projected_dimension(system, j) for j in range(1, 6)] == [0, 1, 3, 12, 56]
 
     def test_graph_dimensions(self, cro_graph3, cro_graph4):
         r3 = uniqueness_report(cro_graph3)

@@ -266,6 +266,11 @@ class TestIndependence:
         with pytest.raises(ValidationError):
             independence_verdict(UniformOrderSampler(K3), [(0,)], seed=1, n=50)
 
+    def test_repeated_point_rejected(self):
+        # a point against itself is a usage error, not a dependence to report
+        with pytest.raises(ValidationError, match=r"repeated point in \(1, 1\)"):
+            independence_verdict(UniformOrderSampler(K3), [(0, 2), (1, 1)], seed=1, n=50)
+
 
 class TestMonotoneCoupling:
     def test_uniform_passes(self):
