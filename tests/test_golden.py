@@ -88,6 +88,11 @@ CHAINS = [
      "a74dbd5aa9941c921f15c9d19ca0f43e9b9abb441cd97e1459d146c28eac2e1d"),
     ("kn_free_graph:4", 2, 200, 0, (0, 1, 1, 1, 1, 2),
      "7987fe9eb36055bec30b532c3b1ed4f1487088c8fa662f02c06e30db8d742fba"),
+    # a K5-free chain (19 vertices) and a second K4-free seed
+    ("kn_free_graph:5", 2, 200, 0, (0, 1, 1, 1, 2),
+     "cc1d22a43fbbd3059292842656f78e1e8534b5e2b2e5da651d1e2c260c83f430"),
+    ("kn_free_graph:4", 2, 200, 1, (0, 1, 1, 1, 2),
+     "1b04153f9aecdbad323feb414a32df28030d976f5572a48ce937c70dd43b4e27"),
 ]
 
 
