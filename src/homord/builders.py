@@ -398,28 +398,69 @@ def _witness_mask(bits: list[int], a_set, b_set) -> int:
     return cand
 
 
-def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, pure: bool = False,
+def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, wiring: str | None,
                     first: bool = False):
     """Admissible (A, B) with |A|+|B| <= t, max(A ∪ B) >= lo, and no witness.
 
     Elements are chosen in decreasing order and sent to A or B, so each pair
     is reached once, and its witness mask is its prefix's mask ANDed with the
-    mask of ({x}, {}) or ({}, {x}).  lo = 0 walks every instance, the empty
-    one too.  Each choice tries the largest element first: the open instances
-    of a built level involve its newest vertices, so first=True, which stops
-    the walk at the first open instance (the list then holds at most one),
-    tends to stop early.  The full list comes in no fixed order.
+    mask of ({x}, {}) or ({}, {x}).  lo <= len(bits); lo = 0 walks every
+    instance, the empty one too.  wiring is the class's (None for a pure
+    set, whose witness need only be new).  Each choice tries the largest
+    element first: the open instances of a built level involve its newest
+    vertices, so first=True, which stops the walk at the first open instance
+    (the list then holds at most one), tends to stop early.  The full list
+    comes in no fixed order.
+
+    The last element is settled for every x in [low, top) at once, from the
+    witness side.  keep[w] is the transposed step masks: the x with w outside
+    pos[x], and n bits up, the x with w outside neg[x].  ANDing keep[w] over
+    the prefix's witnesses w leaves the x whose ({x}, {}) or ({}, {x}) step
+    leaves the prefix no witness.  The AND stops once nothing is left (after
+    about log2(top) witnesses on a random graph), and the clique test runs
+    only on the x that are left.
     """
     n = len(bits)
     full = _witness_mask(bits, (), ())
     neg = [_witness_mask(bits, (), (x,)) for x in range(n)]
-    # a pure set has no relation (bits are all 0): a witness need only be new
-    pos = neg if pure else [_witness_mask(bits, (x,), ()) for x in range(n)]
+    # keep[w] holds {x : w not in pos[x]} in its low n bits and
+    # {x : w not in neg[x]} in the n bits above, so one AND settles both sides
+    if wiring is None:
+        pos = neg  # bits are all 0: only x = w keeps w out of either mask
+        keep = [1 << w | 1 << w + n for w in range(n)]
+    else:
+        pos = [_witness_mask(bits, (x,), ()) for x in range(n)]
+        # above[w] = {x != w : w in bits[x]}, the relation transposed
+        above = bits if wiring == "edge" else [full & ~(b | 1 << w) for w, b in enumerate(bits)]
+        keep = [full & ~m | (m | 1 << w) << n for w, m in enumerate(above)]
     k = forbid - 1 if forbid else 0  # A holding a k-clique is inadmissible
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
+    def last(a_set, b_set, a_mask, cand, low, top):
+        """The open instances one element below top; True once first has been met."""
+        hit = (1 << top) - (1 << low)
+        hit |= hit << n
+        while cand and hit:
+            w = cand & -cand
+            cand ^= w
+            hit &= keep[w.bit_length() - 1]
+        if not hit:
+            return False
+        for x in _members(hit & full):
+            if not k or not _clique_in(bits, a_mask & pos[x], k - 1):
+                found.append(((x, *a_set), b_set))
+                if first:
+                    return True
+        for x in _members(hit >> n):
+            found.append((a_set, (x, *b_set)))
+            if first:
+                return True
+        return False
+
     def walk(a_set, b_set, a_mask, cand, low, top, room):
         """Walk the extensions below top; True once first has been met."""
+        if room == 1:
+            return last(a_set, b_set, a_mask, cand, low, top)
         for x in range(top - 1, low - 1, -1):
             if not k or not _clique_in(bits, a_mask & pos[x], k - 1):
                 c = cand & pos[x]
@@ -427,14 +468,14 @@ def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, pure: 
                     found.append(((x, *a_set), b_set))
                     if first:
                         return True
-                if room > 1 and walk((x, *a_set), b_set, a_mask | 1 << x, c, 0, x, room - 1):
+                if walk((x, *a_set), b_set, a_mask | 1 << x, c, 0, x, room - 1):
                     return True
             c = cand & neg[x]
             if not c:
                 found.append((a_set, (x, *b_set)))
                 if first:
                     return True
-            if room > 1 and walk(a_set, (x, *b_set), a_mask, c, 0, x, room - 1):
+            if walk(a_set, (x, *b_set), a_mask, c, 0, x, room - 1):
                 return True
         return False
 
@@ -497,9 +538,9 @@ def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     """
     if t < 0:
         raise ValidationError(f"depth {t} < 0")
-    bits, forbid, pure = _bits_of(S), _forbid(spec), not spec.signature.relations
+    bits, forbid = _bits_of(S), _forbid(spec)
     for size in range(t + 1):
-        if _open_instances(bits, size, 0, forbid, pure, first=True):
+        if _open_instances(bits, size, 0, forbid, spec.wiring, first=True):
             return max(size - 1, 0)
     return t
 
@@ -516,15 +557,13 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
         raise ValidationError(f"cap {cap} < 1")
     if not spec.witnessable:
         raise ValidationError(f"class {spec.name} is not witnessable")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-
     if not spec.signature.relations:
         # a pure set is trivially saturated once the size clears the depth
         level = make_structure(spec.signature, cap, {})
         return StructureChain(spec.name, (level,), (audit_saturation(level, spec, t),))
+    import numpy as np
 
+    rng = np.random.default_rng(seed)
     state = _WitnessState(spec)
     if state.size > cap:
         raise SaturationInfeasibleError(f"cap {cap} below the initial structure")
@@ -534,7 +573,7 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
         start = state.size
         # the order a full rescan meets them in, which fixes the seeded coin flips
         frontier = sorted(
-            _open_instances(state.bits, t, done, state.forbid),
+            _open_instances(state.bits, t, done, state.forbid, spec.wiring),
             key=lambda ab: (len(ab[0]) + len(ab[1]), len(ab[0]), ab),
         )
         for a_set, b_set in frontier:

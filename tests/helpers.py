@@ -42,6 +42,41 @@ def all_members(spec, k):
     return members
 
 
+def plain_open_instances(S, kind, t, lo):
+    """Every open instance of a witnessable class, enumerated from the tables.
+
+    The disjoint (A, B) with |A|+|B| <= t and max(A ∪ B) >= lo (the empty
+    instance counts as max 0) that are admissible, so that for
+    kn_free_graph:n A holds no K_{n-1}, and have no witness: no w outside
+    A ∪ B with (w, a) in the relation for every a in A and (w, b) outside it
+    for every b in B.  A pure set's witness need only be outside A ∪ B.
+    Returns a set of (A, B), each an ascending tuple."""
+    base, _, arg = kind.partition(":")
+    rel = set().union(*S.tables.values())
+    into = [{w for w in range(S.size) if (w, v) in rel} for v in range(S.size)]
+    clique = int(arg) - 1 if base == "kn_free_graph" else 0
+    found = set()
+    for size in range(t + 1):
+        for points in itertools.combinations(range(S.size), size):
+            if max(points, default=0) < lo:
+                continue
+            for in_a in itertools.product((True, False), repeat=size):
+                A = tuple(p for p, flag in zip(points, in_a) if flag)
+                B = tuple(p for p, flag in zip(points, in_a) if not flag)
+                if clique and any(all((a, b) in rel for a, b in itertools.combinations(K, 2))
+                                  for K in itertools.combinations(A, clique)):
+                    continue
+                witnesses = set(range(S.size)).difference(points)
+                if base != "pure_set":
+                    for a in A:
+                        witnesses &= into[a]
+                    for b in B:
+                        witnesses -= into[b]
+                if not witnesses:
+                    found.add((A, B))
+    return found
+
+
 def reference_tau_path(index, a, b, tau, avoid, state_cap):
     """The breadth-first tau-path search with no reachability check up front.
 

@@ -650,6 +650,13 @@ class TestStartup:
                      ("acl", "--in", str(chain_file), "--fix", "0", "--b", "1")):
             assert self.probe(*argv, tmp_path=tmp_path) == ["0", "False", "False"], argv
 
+    def test_build_pure_set_skips_numpy(self, tmp_path):
+        """A pure set draws nothing; the graph builder's coin flips need numpy."""
+        assert self.probe("build", "--class", "pure_set", "--cap", "5",
+                          tmp_path=tmp_path) == ["0", "False", "False"]
+        assert self.probe("build", "--class", "graph",
+                          tmp_path=tmp_path) == ["0", "False", "True"]
+
     def test_sample_loads_numpy(self, chain_file, tmp_path):
         assert self.probe("sample", "--sampler", "uniform", "--in", str(chain_file),
                           "--n", "5", "--seed", "1",

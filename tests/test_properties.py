@@ -1,12 +1,15 @@
 """Property tests against brute-force oracles written out here.
 
 Random graphs, tournaments and triangle-free graphs on at most 9 vertices
-(and pure sets, for the audit): the saturation audit must agree with the definition of witness depth, and
-the backtracker behind `automorphisms` and `find_isomorphism` must agree
-with a walk over every permutation.  Random members this small rarely reach
-depth 2, so the audit also sees three saturated fixtures: the 3x3 rook's
-graph (depth 2), the quadratic-residue tournament on 7 vertices (depth 2)
-and the triangle-free Clebsch graph (depth 3).
+(and K4-free graphs and pure sets, for the audit): the saturation audit must
+agree with the definition of witness depth, the walk behind it must list
+exactly the open instances that a plain enumeration from the tables (kept
+in tests/helpers.py) finds, and the backtracker behind `automorphisms` and
+`find_isomorphism` must agree with a walk over every permutation.  Random
+members this small rarely reach depth 2, so the audit and the walk also see
+four saturated fixtures: the 3x3 rook's graph (depth 2), the
+quadratic-residue tournament on 7 vertices (depth 2), the triangle-free
+Clebsch graph (depth 3) and a built K4-free graph on 15 vertices (depth 2).
 
 The backtracker is checked again on relations no class member has: two
 binary relations, a ternary and a unary one, with loops and optional sorts,
@@ -42,11 +45,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import reference_tau_path
+from helpers import plain_open_instances, reference_tau_path
 from homord.builders import (
+    _bits_of,
+    _forbid,
+    _open_instances,
     audit_saturation,
     build_bipartite_deg2,
     build_f2_vector_space,
+    build_generic,
     build_involution_order,
     build_two_predicate_PQ,
     class_by_name,
@@ -86,13 +93,13 @@ def members(draw, kind, max_size, sorted_=False):
     n = draw(st.integers(0, max_size))
     m = n * (n - 1) // 2
     coins = iter(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    base, _, arg = kind.partition(":")
     pairs = set()
     for a, b in itertools.combinations(range(n), 2):
         coin = next(coins)
         if kind == "tournament":
             pairs.add((a, b) if coin else (b, a))
-        elif coin and not (kind == "kn_free_graph:3" and any(
-                (a, c) in pairs and (b, c) in pairs for c in range(n))):
+        elif coin and not (base == "kn_free_graph" and closes_clique(pairs, n, a, b, int(arg))):
             pairs |= {(a, b), (b, a)}
     sorts = None
     if sorted_ and n and kind != "tournament" and draw(st.booleans()):
@@ -104,6 +111,13 @@ def members(draw, kind, max_size, sorted_=False):
     return S
 
 
+def closes_clique(pairs, n, a, b, size):
+    """Whether adding the edge {a, b} to pairs would complete a K_size."""
+    common = [c for c in range(n) if (a, c) in pairs and (b, c) in pairs]
+    return any(all((c, d) in pairs for c, d in itertools.combinations(K, 2))
+               for K in itertools.combinations(common, size - 2))
+
+
 def _fixture(kind, n, related):
     spec = class_by_name(kind)
     rel = {(a, b) for a in range(n) for b in range(n) if a != b and related(a, b)}
@@ -113,6 +127,8 @@ def _fixture(kind, n, related):
 ROOK = _fixture("graph", 9, lambda a, b: a // 3 == b // 3 or a % 3 == b % 3)
 QR7 = _fixture("tournament", 7, lambda a, b: (b - a) % 7 in (1, 2, 4))
 CLEBSCH = _fixture("kn_free_graph:3", 16, lambda a, b: bin(a ^ b).count("1") == 1 or a ^ b == 15)
+# a depth-2 K4-free graph on 15 vertices that holds triangles
+K4FREE = build_generic(class_by_name("kn_free_graph:4"), 2, 200, 0).top
 
 
 def relabel(S, perm):
@@ -133,39 +149,46 @@ def is_isomorphism(S, T, perm):
 
 
 def brute_saturation(S, kind, t):
-    rel = set().union(*S.tables.values())
-    n = S.size
-    for depth in range(t + 1):
-        for points in itertools.combinations(range(n), depth):
-            for in_a in itertools.product((True, False), repeat=depth):
-                A = [p for p, flag in zip(points, in_a) if flag]
-                B = [p for p, flag in zip(points, in_a) if not flag]
-                if kind == "kn_free_graph:3" and any((a, b) in rel for a in A for b in A):
-                    continue  # A holds an edge: no triangle-free witness exists
-                if kind == "pure_set":
-                    def fits(w):
-                        return True
-                elif kind == "tournament":
-                    def fits(w):
-                        return all((w, a) in rel for a in A) and all((b, w) in rel for b in B)
-                else:
-                    def fits(w):
-                        return all((w, a) in rel for a in A) and all((w, b) not in rel for b in B)
-                if not any(fits(w) for w in range(n) if w not in points):
-                    return max(depth - 1, 0)
-    return t
+    """The definition: one less than the smallest open instance, at most t."""
+    sizes = {len(A) + len(B) for A, B in plain_open_instances(S, kind, t, 0)}
+    return max(min(sizes) - 1, 0) if sizes else t
+
+
+WITNESSABLE = st.sampled_from(KINDS + ("kn_free_graph:4", "pure_set")).flatmap(
+    lambda k: st.tuples(st.just(k), members(k, 9)))
 
 
 @SETTINGS
-@given(st.sampled_from(KINDS + ("pure_set",)).flatmap(
-    lambda k: st.tuples(st.just(k), members(k, 9))),
-       st.integers(0, 3))
+@given(WITNESSABLE, st.integers(0, 3))
 @example(("graph", ROOK), 3)
 @example(("tournament", QR7), 3)
 @example(("kn_free_graph:3", CLEBSCH), 3)
+@example(("kn_free_graph:4", K4FREE), 3)
 def test_audit_matches_definition(kind_and_S, t):
     kind, S = kind_and_S
     assert audit_saturation(S, class_by_name(kind), t) == brute_saturation(S, kind, t)
+
+
+@SETTINGS
+@given(WITNESSABLE, st.integers(0, 3), st.integers(0, 16))
+@example(("graph", ROOK), 3, 5)
+@example(("tournament", QR7), 3, 3)
+@example(("kn_free_graph:3", CLEBSCH), 3, 9)
+@example(("kn_free_graph:4", K4FREE), 3, 12)
+@example(("pure_set", make_structure(Signature(()), 4, {})), 3, 0)
+def test_open_instances_match_enumeration(kind_and_S, t, lo):
+    """The walk lists each open instance once, and exactly those the plain
+    enumeration finds; first=True gives one of them, if there are any.  lo
+    wraps into 0..S.size."""
+    kind, S = kind_and_S
+    spec = class_by_name(kind)
+    lo %= S.size + 1
+    args = (_bits_of(S), t, lo, _forbid(spec), spec.wiring)
+    want = plain_open_instances(S, kind, t, lo)
+    got = _open_instances(*args)
+    assert len(got) == len(set(got)) and set(got) == want
+    one = _open_instances(*args, first=True)
+    assert len(one) == min(len(want), 1) and set(one) <= want
 
 
 @SETTINGS
