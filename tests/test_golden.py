@@ -66,6 +66,7 @@ from homord.structures import (
     canonical_type,
     enumerate_types,
     find_isomorphism,
+    isomorphisms,
     make_structure,
     structure_dumps,
 )
@@ -117,6 +118,8 @@ GROUPS = {
                 "7d604984e1b08c8f11d1861c9457a51bd097cd21c850f3ad7bbe8e2465eb518b"),
     "cube4": (lambda: hypercube_graph(4), 384,
               "a31cf730e4bc0f697a761f326386a7e1feb1792c9fbdd7003d8e122bffdc8f8c"),
+    "cube5": (lambda: hypercube_graph(5), 3840,
+              "cfb125e9a17cb2c6010bcd034e38059cbe6afbe6d42aef078524581463ee8904"),
     "f2_3": (lambda: build_f2_vector_space(3), 168,
              "fd6a60f80274d562c33c7bffa026665d2ae98b9b6bc1078becb45ab7f6b811da"),
     "involution4": (lambda: build_involution_order(4, 1), 1,
@@ -136,6 +139,10 @@ def test_automorphism_digest(name):
 # truncated Paley 17 run pins which elements come first, not just the set.
 PALEY29 = "7f3e67162c56376e9a460d951c45f565dd764b824bccecbd0465dce23cf51278"
 PALEY17_FIRST50 = "b28f6a14c607691811e0c991b8226403ed47f829d7f982c8a6db573f9e0b04c7"
+# The first 5,000 of the 40,320 automorphisms of the empty graph on 8 points:
+# every level of the search has more than one image, and the bound cuts the
+# list inside the third.
+EMPTY8_FIRST5000 = "545d0c130ff4bbf21503a4bb431143d34b8d90bbe8720c873ffb9d82aba23f9b"
 
 
 def test_paley29_automorphism_digest():
@@ -150,6 +157,13 @@ def test_paley17_truncated_digest():
     assert sha256(repr(group.elements)) == PALEY17_FIRST50
 
 
+def test_empty8_truncated_digest():
+    S = make_structure(graph_class().signature, 8, {})
+    group = automorphisms(S, bound=5000)
+    assert not group.complete and len(group) == 5000
+    assert sha256(repr(group.elements)) == EMPTY8_FIRST5000
+
+
 # find_isomorphism returns the first isomorphism in search order; pinned
 # from Paley 17 to a fixed relabelling of it.
 RELABEL17 = (2, 14, 3, 16, 10, 1, 9, 5, 11, 15, 6, 7, 8, 4, 0, 13, 12)
@@ -160,6 +174,20 @@ def test_find_isomorphism_pinned():
     T = make_structure(S.signature, S.size,
                        {"E": {(RELABEL17[a], RELABEL17[b]) for a, b in S.tables["E"]}})
     assert find_isomorphism(S, T) == [0, 1, 4, 10, 8, 16, 7, 3, 6, 14, 15, 2, 11, 12, 5, 13, 9]
+
+
+# Every isomorphism from the 4-cube to a fixed relabelling of it, in order.
+RELABEL16 = (10, 8, 12, 1, 2, 5, 9, 15, 0, 13, 3, 6, 4, 14, 7, 11)
+CUBE4_ISOMORPHISMS = "e5ba5c6d34f54c3865f06f6e094c6248a71c843cc139f4891cde220a67f311d5"
+
+
+def test_cube4_isomorphisms_digest():
+    S = hypercube_graph(4)
+    T = make_structure(S.signature, S.size,
+                       {"E": {(RELABEL16[a], RELABEL16[b]) for a, b in S.tables["E"]}})
+    found = list(isomorphisms(S, T))
+    assert len(found) == 384
+    assert sha256(repr(found)) == CUBE4_ISOMORPHISMS
 
 
 # --- exact layer: type codes, CRO systems, kernel bases -------------------------
