@@ -1,8 +1,8 @@
 """Automorphism groups, orbit partitions, closure profiles, invariant congruences.
 
 Orbit computations use the finite structure's actual automorphisms: the
-isomorphisms from the structure to itself, enumerated by the backtracker in
-`structures.isomorphisms`.  No homogeneity is assumed: when the finite level
+isomorphisms from the structure to itself, listed by `structures.isomorphisms`
+(a backtracker finds one transversal table, a coset walk lists the group).  No homogeneity is assumed: when the finite level
 is less symmetric than the limit it approximates, the orbit partition
 properly refines the type partition and callers see the gap.
 """
@@ -36,11 +36,22 @@ class AutGroup:
 
 
 def automorphisms(S: FinStructure, bound: int = _GROUP_BOUND) -> AutGroup:
-    """Enumerate Aut(S) by backtracking.  Stops (complete=False) at bound."""
+    """List Aut(S) in the order of `structures.isomorphisms`.  Stops
+    (complete=False) at bound."""
     found = tuple(itertools.islice(isomorphisms(S, S), bound + 1))
     if len(found) > bound:
         return AutGroup(S, found[:bound], complete=False)
     return AutGroup(S, found)
+
+
+def _group_of(S: FinStructure, aut: AutGroup | None) -> AutGroup:
+    """aut, when it is a group of S itself (or of an equal structure);
+    Aut(S) by search when aut is None."""
+    if aut is None:
+        return automorphisms(S)
+    if aut.structure is not S and aut.structure != S:
+        raise ValidationError("aut is the automorphism group of another structure")
+    return aut
 
 
 @dataclass(frozen=True)
@@ -64,7 +75,8 @@ def orbits(
     fixed: frozenset[int] | set[int] = frozenset(),
     aut: AutGroup | None = None,
 ) -> OrbitPartition:
-    """Orbit partition of distinct k-tuples; exact, no homogeneity shortcut."""
+    """Orbit partition of distinct k-tuples; exact, no homogeneity shortcut.
+    aut, when given, must be a group of S (or of a structure equal to S)."""
     if k < 1:
         raise ValidationError(f"k {k} < 1")
     if k > S.size:
@@ -76,9 +88,7 @@ def orbits(
     count = math.perm(S.size, k)
     if count > _TUPLE_BOUND:
         raise ResourceLimitError(f"{count} tuples exceed bound {_TUPLE_BOUND}")
-    if aut is None:
-        aut = automorphisms(S)
-    stab = _stabilizer(aut, fixed)
+    stab = _stabilizer(_group_of(S, aut), fixed)
     seen: set[tuple[int, ...]] = set()
     blocks: list[tuple[tuple[int, ...], ...]] = []
     for tup in itertools.permutations(range(S.size), k):
@@ -141,7 +151,7 @@ def invariant_equivalences(
     relation is invariant, so nothing is missed), and deduplicates.  Returns
     partitions as sorted block tuples; always contains the two trivial ones
     when the carrier has >= 2 elements.  A caller holding Aut(S) passes it
-    as aut to skip the search.
+    as aut to skip the search; a group of another structure is refused.
     """
     if sort is None:
         carrier = list(S.elements)
@@ -149,8 +159,7 @@ def invariant_equivalences(
         carrier = list(S.elements_of_sort(sort))
     if not carrier:
         raise ValidationError("empty carrier")
-    if aut is None:
-        aut = automorphisms(S)
+    aut = _group_of(S, aut)
     if not aut.complete:
         raise ResourceLimitError("invariant equivalence search needs the full group")
     pairs = [(a, b) for a in carrier for b in carrier if a != b]

@@ -13,6 +13,7 @@ built by direct serialization, never from `hash()`.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import json
@@ -238,20 +239,31 @@ def _pattern_masks(patterns: list[list[int]]) -> list[dict[int, int]]:
 
 
 def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
-    """Yield every isomorphism S -> T as an image tuple, in a fixed order.
+    """Yield every isomorphism S -> T as an image tuple, in a fixed order:
+    that of a plain backtracker mapping the elements b = `order` of S, most
+    constrained first, to candidates in ascending order.
 
-    Backtracking over elements, most constrained first.  Each unmapped
-    element x has a bitset domain of images, seeded from element invariants
-    (sort label, incidence counts per relation position).  Mapping x -> y
-    cuts every later z's domain to the points w whose pair pattern towards y
-    in T (both directions of every binary relation) equals z's pattern
-    towards x in S; a branch ends as soon as a domain is empty.  The domains
-    so check every binary tuple on two distinct points, and injectivity, as
-    a pattern mask never holds its own point.  The other tuples (arity != 2
-    and loops) of S through x and of T through y are checked once all their
-    points are mapped.  Domains are walked in ascending order and only
-    branches without a solution are cut, so the output order is that of the
-    plain backtracker over ascending candidates.
+    Let G_d be the pointwise stabiliser of b[:d] in Aut(S).  The
+    isomorphisms agreeing with an isomorphism h on b[:d] form the coset
+    h G_d, and their images of b[d] are h(z) for z in the orbit b[d]^G_d.
+    So a transversal table (Sims), one u_{d,z} in G_d with u_{d,z}(b[d]) = z
+    per orbit point z, lists them all: the walk below visits the z in
+    ascending h(z) and recurses on h u_{d,z}.  It starts from the first
+    solution of the backtracker, yielded before any table work, so
+    `find_isomorphism` runs one search.  Each u_{d,z} is the first solution
+    with b[:d] pinned to themselves and b[d] to z; these searches cover
+    disjoint subtrees of the plain search, so the table costs no more
+    nodes than listing every leaf would.
+
+    The backtracker keeps a bitset domain of images per unmapped element,
+    seeded from element invariants (sort label, incidence counts per
+    relation position).  Mapping x -> y cuts every later z's domain to the
+    points w whose pair pattern towards y in T (both directions of every
+    binary relation) equals z's pattern towards x in S; a branch ends as
+    soon as a domain is empty.  The domains so check every binary tuple on
+    two distinct points, and injectivity, as a pattern mask never holds its
+    own point.  The other tuples (arity != 2 and loops) of S through x and
+    of T through y are checked once all their points are mapped.
     """
     if S.size != T.size or S.signature != T.signature:
         return
@@ -260,46 +272,102 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
     inv_t = inv_s if T is S else _element_invariants(T)
     if sorted(inv_s) != sorted(inv_t):
         return
-    seeds = [sum(1 << y for y in range(n) if inv_t[y] == inv_s[x]) for x in range(n)]
-    order = sorted(range(n), key=lambda x: seeds[x].bit_count())
+    count = collections.Counter(inv_s)
+    order = sorted(range(n), key=lambda x: count[inv_s[x]])
     pat_s = _pair_patterns(S)
-    masks_t = _pattern_masks(pat_s if T is S else _pair_patterns(T))
     # later_patterns[d]: the pattern of order[d] towards each later element
     later_patterns = [[pat_s[x][z] for z in order[d + 1:]] for d, x in enumerate(order)]
-    inc_s, inc_t = _incidence(S), _incidence(T)
-    image, inverse = [-1] * n, [-1] * n
+    inc_s = _incidence(S)
 
-    def fits(x: int, y: int) -> bool:
-        for tup, name in inc_s[x]:
-            mapped = tuple(map(image.__getitem__, tup))
-            if -1 not in mapped and mapped not in T.tables[name]:
-                return False
-        for tup, name in inc_t[y]:
-            mapped = tuple(map(inverse.__getitem__, tup))
-            if -1 not in mapped and mapped not in S.tables[name]:
-                return False
-        return True
+    def backtracker(T: FinStructure, inv_t: list[tuple], masks_t: list[dict[int, int]]):
+        """search(depth, domains) yields the isomorphisms S -> T that fix
+        order[:depth] and send each later order[depth + i] into domains[i],
+        in ascending order of images along order; seeds are the domains the
+        element invariants allow."""
+        inc_t = inc_s if T is S else _incidence(T)
+        image, inverse = [-1] * n, [-1] * n
 
-    def extend(depth: int, domains: list[int]):
-        # domains[i] is the domain of order[depth + i]
-        if depth == n:
-            yield tuple(image)
+        def fits(x: int, y: int) -> bool:
+            for tup, name in inc_s[x]:
+                mapped = tuple(map(image.__getitem__, tup))
+                if -1 not in mapped and mapped not in T.tables[name]:
+                    return False
+            for tup, name in inc_t[y]:
+                mapped = tuple(map(inverse.__getitem__, tup))
+                if -1 not in mapped and mapped not in S.tables[name]:
+                    return False
+            return True
+
+        def extend(depth: int, domains: list[int]):
+            # domains[i] is the domain of order[depth + i]
+            if depth == n:
+                yield tuple(image)
+                return
+            x, patterns, rest = order[depth], later_patterns[depth], domains[1:]
+            left = domains[0]
+            while left:
+                low = left & -left
+                left ^= low
+                y = low.bit_length() - 1
+                image[x], inverse[y] = y, x
+                if fits(x, y):
+                    masks = masks_t[y]
+                    cut = [d & masks.get(p, 0) for d, p in zip(rest, patterns)]
+                    if all(cut):
+                        yield from extend(depth + 1, cut)
+                image[x], inverse[y] = -1, -1
+
+        def search(depth: int, domains: list[int]):
+            # order[:depth] pinned to themselves (T is S then); a search
+            # abandoned after its first solution leaves its images set
+            image[:], inverse[:] = [-1] * n, [-1] * n
+            for x in order[:depth]:
+                image[x] = inverse[x] = x
+            yield from extend(depth, domains)
+
+        seeds = [sum(1 << y for y in range(n) if inv_t[y] == inv_s[x]) for x in order]
+        return search, seeds
+
+    if T is S:
+        start = tuple(range(n))
+    else:
+        search, seeds = backtracker(T, inv_t, _pattern_masks(_pair_patterns(T)))
+        start = next(search(0, seeds), None)
+        if start is None:
             return
-        x, patterns, rest = order[depth], later_patterns[depth], domains[1:]
-        left = domains[0]
+        yield start
+    masks_s = _pattern_masks(pat_s)
+    auto, seeds = backtracker(S, inv_s, masks_s)
+
+    # table: for each d with a nontrivial orbit, the pairs (z, u_{d,z}),
+    # with None for u_{d,b[d]}, the identity
+    table: list[list[tuple[int, tuple[int, ...] | None]]] = []
+    domains = seeds
+    for d, x in enumerate(order):
+        entries: list[tuple[int, tuple[int, ...] | None]] = [(x, None)]
+        left = domains[0] & ~(1 << x)
         while left:
             low = left & -left
             left ^= low
-            y = low.bit_length() - 1
-            image[x], inverse[y] = y, x
-            if fits(x, y):
-                masks = masks_t[y]
-                cut = [d & masks.get(p, 0) for d, p in zip(rest, patterns)]
-                if all(cut):
-                    yield from extend(depth + 1, cut)
-            image[x], inverse[y] = -1, -1
+            u = next(auto(d, [low] + domains[1:]), None)
+            if u is not None:
+                entries.append((low.bit_length() - 1, u))
+        if len(entries) > 1:
+            table.append(entries)
+        masks = masks_s[x]
+        domains = [dom & masks.get(p, 0) for dom, p in zip(domains[1:], later_patterns[d])]
 
-    yield from extend(0, [seeds[x] for x in order])
+    def walk(level: int, h: tuple[int, ...]):
+        if level == len(table):
+            yield h
+            return
+        for _, u in sorted(table[level], key=lambda entry: h[entry[0]]):
+            yield from walk(level + 1, h if u is None else tuple(map(h.__getitem__, u)))
+
+    cosets = walk(0, start)
+    if T is not S:
+        next(cosets)  # start itself, yielded above
+    yield from cosets
 
 
 def find_isomorphism(S: FinStructure, T: FinStructure) -> list[int] | None:

@@ -108,3 +108,44 @@ def reference_tau_path(index, a, b, tau, avoid, state_cap):
                     raise ResourceLimitError(f"path search exceeded {state_cap} states")
                 queue.append(path + (w, y2))
     return None
+
+
+def relabel(S, perm):
+    """The copy of S carried along x -> perm[x]."""
+    tables = {name: {tuple(perm[x] for x in tup) for tup in table}
+              for name, table in S.tables.items()}
+    sorts = None
+    if S.sorts is not None:
+        sorts = [None] * S.size
+        for x, y in enumerate(perm):
+            sorts[y] = S.sorts[x]
+    return make_structure(S.signature, S.size, tables, sorts)
+
+
+def carries(S, T, p):
+    """Does x -> p[x] carry every tuple and sort label of S onto T?  Unlike
+    comparing relabel(S, p) with T it stops at the first miss, which keeps
+    720 permutations per pair cheap."""
+    if (S.sorts is None) != (T.sorts is None):
+        return False
+    if S.sorts is not None and any(S.sorts[x] != T.sorts[p[x]] for x in range(S.size)):
+        return False
+    return all(len(S.tables[name]) == len(T.tables[name]) and all(
+        tuple(p[x] for x in tup) in T.tables[name] for tup in S.tables[name])
+        for name, _ in S.signature.relations)
+
+
+def brute_isomorphisms(S, T):
+    """Every isomorphism S -> T, in the search's promised order."""
+    if S.size != T.size:
+        return []
+
+    def invariant(x):
+        return (S.sort_of(x), tuple(sum(tup[i] == x for tup in S.tables[name])
+                                    for name, arity in S.signature.relations
+                                    for i in range(arity)))
+
+    inv = [invariant(x) for x in range(S.size)]
+    order = sorted(range(S.size), key=lambda x: inv.count(inv[x]))
+    found = [p for p in itertools.permutations(range(S.size)) if carries(S, T, p)]
+    return sorted(found, key=lambda p: [p[x] for x in order])

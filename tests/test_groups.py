@@ -1,15 +1,19 @@
 """Automorphism groups, orbits, acl profiles, invariant equivalences."""
 
 import itertools
+import math
 
 import pytest
 
 import homord.groups
+from helpers import brute_isomorphisms, relabel
 from homord.builders import (
     bipartite_m_view,
     build_generic,
     graph_class,
     hypercube_chain,
+    hypercube_graph,
+    paley_graph,
 )
 from homord.errors import ResourceLimitError, ValidationError
 from homord.groups import (
@@ -18,7 +22,7 @@ from homord.groups import (
     invariant_equivalences,
     orbits,
 )
-from homord.structures import Signature, make_structure
+from homord.structures import Signature, find_isomorphism, isomorphisms, make_structure
 
 GSIG = Signature((("E", 2),))
 
@@ -84,6 +88,48 @@ class TestAutomorphisms:
         S = make_structure(GSIG, 0, {})
         assert automorphisms(S).elements == ((),)
 
+    def test_truncated_symmetric_group(self):
+        # every point has the same invariants, so the promised order is
+        # itertools.permutations order
+        partial = automorphisms(graph(8, []), bound=5000)
+        assert partial.elements == tuple(itertools.islice(itertools.permutations(range(8)), 5000))
+
+    def test_isomorphisms_after_find_isomorphism(self, f2d3):
+        # find_isomorphism leaves its search at the first solution, and each
+        # transversal search stops at its first; every search must start from
+        # clean images, which the ternary and unary tables of F2^3 check
+        T = relabel(f2d3, (5, 2, 7, 0, 3, 6, 1, 4))
+        brute = brute_isomorphisms(f2d3, T)
+        assert len(brute) == 168
+        assert find_isomorphism(f2d3, T) == list(brute[0])
+        assert list(isomorphisms(f2d3, T)) == brute
+        assert list(automorphisms(f2d3).elements) == brute_isomorphisms(f2d3, f2d3)
+
+
+def check_group(S, order):
+    """S is vertex-transitive with |Aut(S)| = order: the listed elements are
+    that many distinct permutations, each maps E onto E, and, as every point
+    has the same invariants, they come in plain lexicographic order."""
+    group = automorphisms(S)
+    assert group.complete and len(group) == order
+    assert len(set(group.elements)) == order
+    assert all(sorted(g) == list(range(S.size)) for g in group.elements)
+    E = S.table("E")
+    assert all({(g[a], g[b]) for a, b in E} == E for g in group.elements)
+    assert list(group.elements) == sorted(group.elements)
+
+
+class TestClosedFormOrders:
+    @pytest.mark.parametrize("q", [37, 41])
+    def test_paley(self, q):
+        # x -> a x + b with a a nonzero square mod the prime q
+        check_group(paley_graph(q), q * (q - 1) // 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_hypercube(self, d):
+        # a translation by a bitmask after a permutation of the d coordinates
+        check_group(hypercube_graph(d), 2**d * math.factorial(d))
+
 
 class TestOrbits:
     def orbit_brute(self, S, k, fixed=frozenset()):
@@ -122,6 +168,20 @@ class TestOrbits:
         big = graph(30, [])
         with pytest.raises(ResourceLimitError):
             orbits(big, 6)
+
+    def test_group_of_another_structure_rejected(self, paley13):
+        for S, other in ((paley13, paley_graph(17)), (C4, graph(4, [(0, 1)]))):
+            aut = automorphisms(other)
+            with pytest.raises(ValidationError, match="another structure"):
+                orbits(S, 2, aut=aut)
+            with pytest.raises(ValidationError, match="another structure"):
+                invariant_equivalences(S, aut=aut)
+
+    def test_group_of_an_equal_structure_accepted(self, paley13):
+        aut = automorphisms(paley_graph(13))
+        assert aut.structure is not paley13
+        assert orbits(paley13, 2, aut=aut) == orbits(paley13, 2)
+        assert invariant_equivalences(paley13, aut=aut) == invariant_equivalences(paley13)
 
 
 class TestAclProfile:

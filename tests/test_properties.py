@@ -45,7 +45,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import plain_open_instances, reference_tau_path
+from helpers import brute_isomorphisms, plain_open_instances, reference_tau_path, relabel
 from homord.builders import (
     _bits_of,
     _forbid,
@@ -129,17 +129,6 @@ QR7 = _fixture("tournament", 7, lambda a, b: (b - a) % 7 in (1, 2, 4))
 CLEBSCH = _fixture("kn_free_graph:3", 16, lambda a, b: bin(a ^ b).count("1") == 1 or a ^ b == 15)
 # a depth-2 K4-free graph on 15 vertices that holds triangles
 K4FREE = build_generic(class_by_name("kn_free_graph:4"), 2, 200, 0).top
-
-
-def relabel(S, perm):
-    tables = {name: {tuple(perm[x] for x in tup) for tup in table}
-              for name, table in S.tables.items()}
-    sorts = None
-    if S.sorts is not None:
-        sorts = [None] * S.size
-        for x, y in enumerate(perm):
-            sorts[y] = S.sorts[x]
-    return make_structure(S.signature, S.size, tables, sorts)
 
 
 def is_isomorphism(S, T, perm):
@@ -343,35 +332,6 @@ TWISTED = make_structure(WIDE, 6, {
     "T": {(0, 1, 3), (1, 2, 4), (2, 0, 5)},
     "P": {(3,), (4,), (5,)},
 }, "xxxyyy")
-
-
-def carries(S, T, p):
-    """Does x -> p[x] carry every tuple and sort label of S onto T?  Unlike
-    is_isomorphism it stops at the first miss, which keeps 720 permutations
-    per pair cheap."""
-    if (S.sorts is None) != (T.sorts is None):
-        return False
-    if S.sorts is not None and any(S.sorts[x] != T.sorts[p[x]] for x in range(S.size)):
-        return False
-    return all(len(S.tables[name]) == len(T.tables[name]) and all(
-        tuple(p[x] for x in tup) in T.tables[name] for tup in S.tables[name])
-        for name, _ in S.signature.relations)
-
-
-def brute_isomorphisms(S, T):
-    """Every isomorphism S -> T, in the search's promised order."""
-    if S.size != T.size:
-        return []
-
-    def invariant(x):
-        return (S.sort_of(x), tuple(sum(tup[i] == x for tup in S.tables[name])
-                                    for name, arity in S.signature.relations
-                                    for i in range(arity)))
-
-    inv = [invariant(x) for x in range(S.size)]
-    order = sorted(range(S.size), key=lambda x: inv.count(inv[x]))
-    found = [p for p in itertools.permutations(range(S.size)) if carries(S, T, p)]
-    return sorted(found, key=lambda p: [p[x] for x in order])
 
 
 @SETTINGS
