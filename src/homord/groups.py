@@ -1,10 +1,11 @@
 """Automorphism groups, orbit partitions, closure profiles, invariant congruences.
 
 Orbit computations use the finite structure's actual automorphisms: the
-isomorphisms from the structure to itself, listed by `structures.isomorphisms`
-(a backtracker finds one transversal table, a coset walk lists the group).  No homogeneity is assumed: when the finite level
-is less symmetric than the limit it approximates, the orbit partition
-properly refines the type partition and callers see the gap.
+isomorphisms from the structure to itself, listed by
+`structures.isomorphisms` (a backtracker fills one transversal table, and a
+coset walk lists the group from it).  No homogeneity is assumed: when the
+finite level is less symmetric than the limit it approximates, the orbit
+partition properly refines the type partition and callers see the gap.
 """
 
 from __future__ import annotations

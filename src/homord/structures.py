@@ -248,9 +248,10 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
     h G_d, and their images of b[d] are h(z) for z in the orbit b[d]^G_d.
     So a transversal table (Sims), one u_{d,z} in G_d with u_{d,z}(b[d]) = z
     per orbit point z, lists them all: the walk below visits the z in
-    ascending h(z) and recurses on h u_{d,z}.  It starts from the first
-    solution of the backtracker, yielded before any table work, so
-    `find_isomorphism` runs one search.  Each u_{d,z} is the first solution
+    ascending h(z) and recurses on h u_{d,z}.  It starts from the identity
+    when T is S, and otherwise from the first solution of the backtracker,
+    yielded before any table work, so `find_isomorphism` between two
+    structures runs one search.  Each u_{d,z} is the first solution
     with b[:d] pinned to themselves and b[d] to z; these searches cover
     disjoint subtrees of the plain search, so the table costs no more
     nodes than listing every leaf would.
