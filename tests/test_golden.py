@@ -111,6 +111,29 @@ def test_infeasible_message():
     assert str(info.value) == "saturation infeasible at cap 200 (depth 2, size 200)"
 
 
+# The chain file `homord build --class C --seed 1` writes at default flags, for
+# every class with a builder (and two explicit parameters).
+BUILDS = {
+    "pure_set": "45608505a272eec8fb6f96e4a4136e1d9171b6e6e6be3f2c28bc863923118db3",
+    "graph": "da070e323cf493b8f9df97b440c24afcf11b5fbf8736f48358ecceab3bce9f1d",
+    "kn_free_graph": "be6075188fc51a281145e3891c5fd577fa69b3d834fefa263af242c3a171980f",
+    "kn_free_graph:4": "dd4f3835e2d9d4ccb53ebb0a413f071d57d99b01aa1d60991354b41e49614e73",
+    "tournament": "87cbeeddfef0ac497e735f2a4182ea66e55d9aa14f3b978842a8f255ba6de4ac",
+    "two_predicate_PQ": "42a2b8bdd4d66a7ba704e02de69769a5f23936dd697a1cdd440ca106743f2cae",
+    "bipartite_deg2": "a25008024f5aa7b4fba644cfccc6acaa2ff4a56b4d2d7ff5df70fa4b03a66074",
+    "involution_order": "aa27a22a4859817d4a41e8f82e2018d2679062ca659c0561a79e32f9dbe56723",
+    "f2_vector_space": "05af470153d6889ea11b1ab6c80a5a6d501c5181a17a3c230509f54dc8623fd1",
+    "f2_vector_space:2": "fa09a468e30f154d6fc8024fd9f3bdf5e36f7d7c5012a333192cb57805b8e70e",
+}
+
+
+@pytest.mark.parametrize("klass", sorted(BUILDS))
+def test_cli_build_digest(klass, tmp_path, capsys):
+    out = tmp_path / "chain.json"
+    assert main(["build", "--class", klass, "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILDS[klass]
+
+
 GROUPS = {
     "paley13": (lambda: paley_graph(13), 78,
                 "4d27c5aeb18a82ef69c8f4aa1ba1800d6e4178d73b55e14a50fa5e7704e17d79"),
