@@ -7,7 +7,8 @@ its remaining edges by seeded coin flips, and stops once the structure
 witnesses every instance of the requested depth against itself.  The other
 builders construct single finite members of specific amalgamation classes
 (two unary predicates, degree-2 bipartite, order-with-involution, F2 vector
-spaces) directly.
+spaces) directly.  Each class's spec carries its builder and its build flags'
+defaults, so a new class is one factory and one entry in `CLASSES`.
 
 Saturation depth t means: every pair of disjoint subsets (A, B) of the
 universe with |A|+|B| <= t has a correctly wired witness vertex.  For
@@ -34,11 +35,12 @@ taupaths) then start without it.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .errors import SaturationInfeasibleError, ValidationError
 from .structures import (
@@ -63,14 +65,21 @@ class FraisseClassSpec:
 
     wiring says how one bit per pair a < b sets a class whose one relation is
     binary: "edge" switches the edge {a, b} on, "arc" turns the arc (a, b)
-    into (b, a); None for every other class."""
+    into (b, a); None for every other class.  build(spec, seed, **flags)
+    returns a chain or one member of the class (None: the class has no
+    builder); flags maps each keyword flag to the value it takes left out."""
 
     name: str
     signature: Signature
     is_member: Callable[[FinStructure], bool] = field(compare=False)
-    witnessable: bool = False
     params: tuple[int, ...] = ()
     wiring: str | None = None
+    build: Callable[..., StructureChain | FinStructure] | None = field(default=None, compare=False)
+    flags: Mapping[str, Any] = field(default_factory=dict, compare=False)
+
+    @property
+    def witnessable(self) -> bool:
+        return self.build is _witness_complete
 
     def validate(self, S: FinStructure) -> None:
         if not self.is_member(S):
@@ -106,20 +115,27 @@ def _linear_order(S: FinStructure) -> bool:
     return _tournament(S, "lt") and set(map(places.__getitem__, S.elements)) == set(range(S.size))
 
 
+def _witness_complete(spec: FraisseClassSpec, seed: int, sat: int, cap: int) -> StructureChain:
+    return build_generic(spec, sat, cap, seed)
+
+
+_WITNESS = {"build": _witness_complete, "flags": {"sat": 1, "cap": 64}}
+
+
 def pure_set_class() -> FraisseClassSpec:
     sig = Signature(())
-    return FraisseClassSpec("pure_set", sig, lambda S: S.signature == sig, witnessable=True)
+    return FraisseClassSpec("pure_set", sig, lambda S: S.signature == sig, **_WITNESS)
 
 
 def graph_class() -> FraisseClassSpec:
     sig = Signature((("E", 2),))
     return FraisseClassSpec(
         "graph", sig, lambda S: S.signature == sig and _symmetric_irreflexive(S, "E"),
-        witnessable=True, wiring="edge",
+        wiring="edge", **_WITNESS,
     )
 
 
-def kn_free_graph_class(n: int) -> FraisseClassSpec:
+def kn_free_graph_class(n: int = 3) -> FraisseClassSpec:
     if n < 3:
         raise ValidationError(f"kn_free_graph needs n >= 3, got {n}")
     sig = Signature((("E", 2),))
@@ -132,7 +148,7 @@ def kn_free_graph_class(n: int) -> FraisseClassSpec:
         )
 
     return FraisseClassSpec(
-        f"kn_free_graph:{n}", sig, member, witnessable=True, params=(n,), wiring="edge"
+        f"kn_free_graph:{n}", sig, member, params=(n,), wiring="edge", **_WITNESS
     )
 
 
@@ -140,7 +156,7 @@ def tournament_class() -> FraisseClassSpec:
     sig = Signature((("A", 2),))
     return FraisseClassSpec(
         "tournament", sig, lambda S: S.signature == sig and _tournament(S, "A"),
-        witnessable=True, wiring="arc",
+        wiring="arc", **_WITNESS,
     )
 
 
@@ -161,7 +177,8 @@ def two_predicate_class() -> FraisseClassSpec:
         q = {t[0] for t in S.table("Q")}
         return not (p & q)
 
-    return FraisseClassSpec("two_predicate_PQ", sig, member)
+    return FraisseClassSpec("two_predicate_PQ", sig, member, flags={"size_p": 2, "size_q": 2},
+                            build=lambda spec, seed, **sizes: build_two_predicate_PQ(**sizes))
 
 
 def bipartite_deg2_class() -> FraisseClassSpec:
@@ -182,7 +199,8 @@ def bipartite_deg2_class() -> FraisseClassSpec:
             deg[a] += 1
         return all(deg[i] == 2 for i in range(S.size) if S.sorts[i] == "S0")
 
-    return FraisseClassSpec("bipartite_deg2", sig, member)
+    return FraisseClassSpec("bipartite_deg2", sig, member, flags={"m": 3},
+                            build=lambda spec, seed, m: build_bipartite_deg2(m, seed))
 
 
 def involution_order_class() -> FraisseClassSpec:
@@ -201,10 +219,11 @@ def involution_order_class() -> FraisseClassSpec:
             partner[a] = b
         return len(partner) == S.size
 
-    return FraisseClassSpec("involution_order", sig, member)
+    return FraisseClassSpec("involution_order", sig, member, flags={"pairs": (3,)},
+                            build=lambda spec, seed, pairs: involution_order_chain(pairs, seed))
 
 
-def f2_vector_space_class(d: int) -> FraisseClassSpec:
+def f2_vector_space_class(d: int = 3) -> FraisseClassSpec:
     if not (1 <= d <= 8):
         # spec'd bound is 16 but the explicit table has 4^d tuples; see ledger
         raise ValidationError(f"f2_vector_space dimension {d} out of range 1..8")
@@ -220,20 +239,20 @@ def f2_vector_space_class(d: int) -> FraisseClassSpec:
         )
         return S.table("add") == want
 
-    return FraisseClassSpec(f"f2_vector_space:{d}", sig, member, params=(d,))
+    return FraisseClassSpec(f"f2_vector_space:{d}", sig, member, params=(d,),
+                            build=lambda spec, seed: build_f2_vector_space(spec.params[0]))
 
 
-_PLAIN_CLASSES = {
+# Every class, by base name: the factory of its spec.
+CLASSES: dict[str, Callable[..., FraisseClassSpec]] = {
     "pure_set": pure_set_class,
     "graph": graph_class,
+    "kn_free_graph": kn_free_graph_class,
     "tournament": tournament_class,
     "linear_order": linear_order_class,
     "two_predicate_PQ": two_predicate_class,
     "bipartite_deg2": bipartite_deg2_class,
     "involution_order": involution_order_class,
-}
-_PARAM_CLASSES = {
-    "kn_free_graph": kn_free_graph_class,
     "f2_vector_space": f2_vector_space_class,
 }
 
@@ -241,21 +260,20 @@ _PARAM_CLASSES = {
 def class_by_name(name: str) -> FraisseClassSpec:
     """Parse names like 'graph', 'kn_free_graph:3', 'f2_vector_space:4'.
 
-    A parameterised class defaults to 3; a parameter on any other class is
-    rejected rather than dropped.
+    A parameter is ASCII digits; left out, it takes its factory's default.  A
+    parameter on a class whose factory takes none is rejected, not dropped.
     """
     base, colon, arg = name.partition(":")
-    if base in _PLAIN_CLASSES:
-        if colon:
-            raise ValidationError(f"class {base!r} takes no parameter, got {name!r}")
-        return _PLAIN_CLASSES[base]()
-    if base not in _PARAM_CLASSES:
+    make = CLASSES.get(base)
+    if make is None:
         raise ValidationError(f"unknown class {name!r}")
-    try:
-        n = int(arg or 3)
-    except ValueError:
-        raise ValidationError(f"class {name!r}: parameter {arg!r} is not an integer") from None
-    return _PARAM_CLASSES[base](n)
+    if not colon:
+        return make()
+    if not inspect.signature(make).parameters:
+        raise ValidationError(f"class {base!r} takes no parameter, got {name!r}")
+    if not (arg.isascii() and arg.isdigit()):
+        raise ValidationError(f"class {name!r}: parameter {arg!r} is not an integer")
+    return make(int(arg))
 
 
 # --- chains ----------------------------------------------------------------
@@ -707,7 +725,7 @@ def build_involution_order(pairs: int, seed: int) -> FinStructure:
     return S
 
 
-def involution_order_chain(pair_counts: list[int], seed: int) -> StructureChain:
+def involution_order_chain(pair_counts: Sequence[int], seed: int) -> StructureChain:
     """Nested involution-order levels; new pairs interleave at seeded spots.
 
     The order relation is stored explicitly, so later elements may sit

@@ -10,6 +10,8 @@ verdicts passing, 1 when a verdict fails or no path exists, 2 on bad input.
 Every subcommand takes `--out`; `build`, `sample`, `estimate` and `test` also
 take `--seed` (default 0), and the others refuse it.  In those four, the class,
 sampler or suite picks a mode, which reads its own flags and refuses the rest.
+The build modes are the classes in `builders.CLASSES` that have a builder,
+each with its spec's flag defaults, so this module names no class.
 A reader that closes the output early (`| head`) ends the run quietly with 0.
 
 Each subcommand imports the layers it uses, so `cro`, `orbits`, `acl` and
@@ -38,21 +40,24 @@ from .structures import FinStructure, canonical_type
 if TYPE_CHECKING:
     from . import samplers, stats
 
-_SAMPLERS = ("uniform", "atoms", "pq", "bimin", "involution", "dual")
+# each --sampler's class in `samplers`, fetched on use: importing cli loads no numpy
+_SAMPLERS = {"uniform": "UniformOrderSampler", "atoms": "AtomOrderSampler",
+             "pq": "PQOrderSampler", "bimin": "BipartiteMinSampler",
+             "involution": "InvolutionOrderSampler", "dual": "DualFunctionalSampler"}
 
 # Each mode's flags beyond its command's common ones, by dest, with the value a
 # flag left out takes (_NEED: the mode cannot run without it).  Selectors pick
 # the mode: build's class (the name before ':'), the sampler, or test's suite
 # and then its sampler, if it reads one.  A mode refuses the flags only the
-# command's other modes read; one not listed passes through untouched.
+# command's other modes read; one not listed passes through untouched.  The
+# build modes are the classes with a builder, with their spec's flags.
 _NEED = object()
 _SAMPLER_MODES = {**dict.fromkeys(_SAMPLERS, {}), "atoms": {"atoms": _NEED}}
 _SAMPLER_SUITE = {"infile": _NEED, "level": -1, "sampler": "uniform"}
 _MODES = {
     "build": {"klass": {
-        **dict.fromkeys(("pure_set", "graph", "kn_free_graph", "tournament"), {"sat": 1, "cap": 64}),
-        "two_predicate_PQ": {"size_p": 2, "size_q": 2}, "bipartite_deg2": {"m": 3},
-        "involution_order": {"pairs": (3,)}, "f2_vector_space": {},
+        base: spec.flags for base, spec in ((b, make()) for b, make in builders.CLASSES.items())
+        if spec.build
     }},
     "sample": {"sampler": _SAMPLER_MODES},
     "estimate": {"sampler": _SAMPLER_MODES},
@@ -136,19 +141,10 @@ def _parse_atoms(text: str, S: FinStructure) -> samplers.AtomSpec:
 def _make_sampler(args, S: FinStructure):
     from . import samplers
 
-    if args.sampler == "uniform":
-        return samplers.UniformOrderSampler(S)
+    make = getattr(samplers, _SAMPLERS[args.sampler])
     if args.sampler == "atoms":
-        return samplers.AtomOrderSampler(S, _parse_atoms(args.atoms, S))
-    if args.sampler == "pq":
-        return samplers.PQOrderSampler(S)
-    if args.sampler == "bimin":
-        return samplers.BipartiteMinSampler(S)
-    if args.sampler == "involution":
-        return samplers.InvolutionOrderSampler(S)
-    if args.sampler == "dual":
-        return samplers.DualFunctionalSampler(S)
-    raise ValidationError(f"unknown sampler {args.sampler!r}")
+        return make(S, _parse_atoms(args.atoms, S))
+    return make(S)
 
 
 def _resolve_tau(S: FinStructure, name: str) -> bytes:
@@ -189,34 +185,19 @@ def _verdict_payload(v: stats.TestVerdict) -> dict:
 
 def cmd_build(args) -> int:
     spec = builders.class_by_name(args.klass)
-    base = spec.name.split(":")[0]
-    if spec.witnessable:
-        chain = builders.build_generic(spec, args.sat, args.cap, args.seed)
-    elif base == "two_predicate_PQ":
-        S = builders.build_two_predicate_PQ(args.size_p, args.size_q)
-        chain = builders.StructureChain(args.klass, (S,), (0,))
-    elif base == "bipartite_deg2":
-        S = builders.build_bipartite_deg2(args.m, args.seed)
-        chain = builders.StructureChain(args.klass, (S,), (0,))
-    elif base == "involution_order":
-        chain = builders.involution_order_chain(list(args.pairs), args.seed)
-    elif base == "f2_vector_space":
-        S = builders.build_f2_vector_space(spec.params[0])
-        chain = builders.StructureChain(args.klass, (S,), (0,))
-    else:
+    if spec.build is None:
         raise ValidationError(f"class {args.klass!r} has no builder")
+    chain = spec.build(spec, args.seed, **{dest: getattr(args, dest) for dest in spec.flags})
+    if isinstance(chain, FinStructure):
+        chain = builders.StructureChain(args.klass, (chain,), (0,))
     text = builders.chain_dumps(chain)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    top = chain.top
-    print(
-        f"built {args.klass}: {len(chain.levels)} level(s), top size {top.size}, "
-        f"saturation {chain.saturation[-1]}",
-        file=sys.stderr,
-    )
+    print(f"built {args.klass}: {len(chain.levels)} level(s), top size {chain.top.size}, "
+          f"saturation {chain.saturation[-1]}", file=sys.stderr)
     return 0
 
 

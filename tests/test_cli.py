@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import homord
-from homord.builders import chain_dumps, chain_loads, class_by_name
+from homord.builders import CLASSES, chain_dumps, chain_loads, class_by_name
 
 # The child process runs the same homord these tests import.
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -393,6 +393,13 @@ BAD_INPUT = {
     "build_f2_param": ("build", "--class", "f2_vector_space:x"),
     "cro_kn_free_param": ("cro", "--class", "kn_free_graph:x", "--n", "3"),
     "build_plain_param": ("build", "--class", "graph:5", "--sat", "1", "--cap", "10"),
+    # a class parameter is ASCII digits and nothing else
+    "build_kn_free_param_underscore": ("build", "--class", "kn_free_graph:4_0"),
+    "build_kn_free_param_space": ("build", "--class", "kn_free_graph: 4"),
+    "build_kn_free_param_plus": ("build", "--class", "kn_free_graph:+4"),
+    "build_kn_free_param_empty": ("build", "--class", "kn_free_graph:"),
+    "build_f2_param_underscore": ("build", "--class", "f2_vector_space:0_2"),
+    "build_f2_param_empty": ("build", "--class", "f2_vector_space:"),
     "cro_plain_param": ("cro", "--class", "tournament:9", "--n", "2"),
     "cro_past_level_cap": ("cro", "--class", "graph", "--n", "7"),
     "cro_no_enumerator": ("cro", "--class", "involution_order", "--n", "3"),
@@ -506,6 +513,33 @@ def test_build_defaults_match_explicit_flags(klass, tmp_path, capsys):
         assert main(["build", "--class", klass, *flags, "--seed", "1", "--out", str(out)]) == 0
         texts.append(out.read_text())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_every_class_builds_or_has_no_builder(name, tmp_path, capsys):
+    """Each class in the table builds at default flags into a chain of that
+    class that loads back to the same bytes, or says it has no builder."""
+    from homord.cli import main
+
+    out = tmp_path / "chain.json"
+    code = main(["build", "--class", name, "--seed", "1", "--out", str(out)])
+    if code == 2:
+        assert "has no builder" in capsys.readouterr().err
+        assert class_by_name(name).build is None
+        return
+    assert code == 0
+    text = out.read_text()
+    chain = chain_loads(text)
+    assert chain_dumps(chain) + "\n" == text
+    assert class_by_name(chain.class_name) == class_by_name(name)
+
+
+def test_build_modes_are_the_classes_with_a_builder():
+    from homord.cli import _MODES
+
+    specs = {base: make() for base, make in CLASSES.items()}
+    assert _MODES["build"]["klass"] == {b: s.flags for b, s in specs.items() if s.build}
+    assert {b for b, s in specs.items() if s.build is None} == {"linear_order"}
 
 
 # Subcommands that draw nothing random refuse --seed rather than ignore it;
