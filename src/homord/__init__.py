@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # public names, grouped by the submodule that defines them
 _MODULES = {
     "builders": """
-        FraisseClassSpec StructureChain audit_saturation bipartite_deg2_class
+        CLASSES FraisseClassSpec StructureChain audit_saturation bipartite_deg2_class
         bipartite_m_view build_bipartite_deg2 build_f2_vector_space
         build_generic build_involution_order build_two_predicate_PQ chain_dumps
         chain_from_json chain_loads chain_to_json class_by_name

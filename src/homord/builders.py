@@ -40,7 +40,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import SaturationInfeasibleError, ValidationError
 from .structures import (
@@ -75,7 +75,7 @@ class FraisseClassSpec:
     params: tuple[int, ...] = ()
     wiring: str | None = None
     build: Callable[..., StructureChain | FinStructure] | None = field(default=None, compare=False)
-    flags: Mapping[str, Any] = field(default_factory=dict, compare=False)
+    flags: Mapping[str, object] = field(default_factory=dict, compare=False)
 
     @property
     def witnessable(self) -> bool:
@@ -272,7 +272,7 @@ def class_by_name(name: str) -> FraisseClassSpec:
     if not inspect.signature(make).parameters:
         raise ValidationError(f"class {base!r} takes no parameter, got {name!r}")
     if not (arg.isascii() and arg.isdigit()):
-        raise ValidationError(f"class {name!r}: parameter {arg!r} is not an integer")
+        raise ValidationError(f"class {name!r}: parameter {arg!r} is not ASCII digits")
     return make(int(arg))
 
 
