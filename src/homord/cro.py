@@ -29,7 +29,12 @@ a relabelling by one of k shift permutations, which stays in the class.  A
 restriction row is fixed by the mask of the deleted point followed by the
 rest, so each variable gives one row, built in the same pass over levels
 that numbers the variables (graph level 4 -> 5: 1,024 rows for 4,080
-choices of deleted point and order of the rest).
+choices of deleted point and order of the rest).  A variable's mask is
+the representative's image under a known permutation p, so its insertion
+images are the representative's images under p followed by each shift,
+already listed with the orbit: a composition table of permutation
+indices, built once per level and wiring with the permutation tables,
+names them, and no insertion image is computed.
 Every coefficient is an integer, and the rows hold them as ints from
 assembly through the rank to the report; the uniform point is checked over
 the integers, scaled by L!.
@@ -53,7 +58,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .builders import FraisseClassSpec, class_by_name
@@ -147,8 +152,8 @@ def _check_level(spec: FraisseClassSpec, k: int) -> str | None:
     """The class's wiring, once k is checked against the level cap."""
     if spec.wiring is None and spec.signature.relations:
         raise ValidationError(f"class {spec.name!r} has no member enumerator")
-    if not (1 <= k <= _LEVEL_CAP):
-        raise ValidationError(f"level {k} outside [1, {_LEVEL_CAP}] for {spec.name}")
+    if type(k) is not int or not 1 <= k <= _LEVEL_CAP:
+        raise ValidationError(f"level {k!r} outside [1, {_LEVEL_CAP}] for {spec.name}")
     return spec.wiring
 
 
@@ -210,13 +215,31 @@ def _mask_images(mask: int, action: tuple[list[int], list[list[int]]]) -> list[i
     return list(map(sum, zip(flips, *(w for s, w in enumerate(weights) if mask >> s & 1))))
 
 
-def _base_classes(
-    spec: FraisseClassSpec, k: int
-) -> list[tuple[FinStructure, list[int], dict[int, TypeCode]]]:
+@lru_cache(maxsize=None)
+def _perm_tables(
+    k: int, wiring: str | None
+) -> tuple[list[tuple[int, ...]], tuple[list[int], list[list[int]]], list[list[int]]]:
+    """The permutations of range(k) (itertools.permutations order), their
+    mask action, and compose: compose[i][pos] is the index of perms[i]
+    followed by the shift (1, ..., pos, 0, pos + 1, ..., k - 1), so a mask's
+    image under it is the shift's image of the mask's i-th image.  Built
+    once per level and wiring."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    shifts = [(*range(1, pos + 1), 0, *range(pos + 1, k)) for pos in range(k)]
+    compose = [[index[tuple(p[x] for x in s)] for s in shifts] for p in perms]
+    return perms, _mask_action(perms, wiring), compose
+
+
+# a base class: representative, its images, each image's code and first index
+_BaseClass = tuple[FinStructure, list[int], dict[int, TypeCode], dict[int, int]]
+
+
+def _base_classes(spec: FraisseClassSpec, k: int) -> list[_BaseClass]:
     """Isomorphism classes of the class's size-k members, in order of their
     least code, each as its representative, the representative's image mask
-    under every permutation of range(k) (itertools.permutations order), and
-    each distinct image's code.
+    under every permutation of `_perm_tables`, each distinct image's code,
+    and each distinct image's first permutation index.
 
     Masks are walked in ascending order, and an unvisited mask is the least
     of its orbit, so it stays the representative that the first member in
@@ -225,29 +248,28 @@ def _base_classes(
     coded once, as the representative under the first permutation giving
     it, which is the identity-order code of the image member."""
     wiring = _check_level(spec, k)
-    perms = list(itertools.permutations(range(k)))
-    action = _mask_action(perms, wiring)
+    perms, action, _ = _perm_tables(k, wiring)
     visited = bytearray(1 << _pair_count(k, wiring))
-    classes: dict[TypeCode, tuple[FinStructure, list[int], dict[int, TypeCode]]] = {}
+    classes: dict[TypeCode, _BaseClass] = {}
     for mask in range(len(visited)):
         if visited[mask]:
             continue
         images = _mask_images(mask, action)
-        # pairs go in backwards, so each image keeps its first permutation
-        first = dict(zip(reversed(images), reversed(perms)))
+        # pairs go in backwards, so each image keeps its first index
+        first = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
         for image in first:
             visited[image] = 1
         rep = _mask_structure(spec, k, mask)
         if not spec.is_member(rep):
             continue
-        codes = {image: _type_code(rep, p) for image, p in first.items()}
-        classes[min(codes.values())] = (rep, images, codes)
+        codes = {image: _type_code(rep, perms[i]) for image, i in first.items()}
+        classes[min(codes.values())] = (rep, images, codes, first)
     return [classes[c] for c in sorted(classes)]
 
 
 def enumerate_base_classes(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
     """Isomorphism-class representatives of the class's size-k members."""
-    return [S for S, _, _ in _base_classes(spec, k)]
+    return [S for S, *_ in _base_classes(spec, k)]
 
 
 def enumerate_ordered_types(A: FinStructure) -> dict[TypeCode, int]:
@@ -286,19 +308,19 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     # as (v, *tau): the deleted-point term is the member on positions 1..k-1,
     # the low bits of m, and inserting v back at position pos relabels m by
     # the shift (1, ..., pos, 0, pos + 1, ..., k - 1), which stays in m's
-    # class.  So each class builds one row per variable, walking its masks in
-    # order of first appearance, as the orders (v, *tau) first meet them.
+    # class.  m is the representative's image under its first permutation
+    # index i, so that relabelling is the image at compose[i][pos].  So each
+    # class builds one row per variable, walking its masks in order of first
+    # appearance, as the orders (v, *tau) first meet them.
     for k in range(1, max_level + 1):
         classes = _base_classes(spec, k)
         if not classes:
             raise ValidationError(f"{class_name} has no members of size {k}")
-        base_reps[k] = tuple(A for A, _, _ in classes)
-        insert = _mask_action(
-            [(*range(1, pos + 1), 0, *range(pos + 1, k)) for pos in range(k)], wiring
-        )
+        base_reps[k] = tuple(A for A, *_ in classes)
+        compose = _perm_tables(k, wiring)[2]
         low = (1 << _pair_count(k - 1, wiring)) - 1
         level: dict[int, int] = {}
-        for bi, (_, images, codes) in enumerate(classes):
+        for bi, (_, images, codes, first) in enumerate(classes):
             counts = Counter(images)
             for mask in sorted(codes, key=codes.__getitem__):
                 level[mask] = len(variables)
@@ -306,7 +328,8 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
             push(mass, {level[m]: n for m, n in counts.items()}, 1, "mass")
             for m in counts if below else ():
                 coeffs = {below[m & low]: 1}
-                for j in map(level.__getitem__, _mask_images(m, insert)):
+                for c in compose[first[m]]:
+                    j = level[images[c]]
                     coeffs[j] = coeffs.get(j, 0) - 1
                 push(restriction, coeffs, 0, "restriction")
         below = level
@@ -398,6 +421,9 @@ def integer_rref(rows: Iterable[Coeffs]) -> dict[int, Row]:
 
 def _integer_row(coeffs: Coeffs) -> Row:
     row = dict(coeffs)
+    if {*map(type, row.values())} <= {int}:
+        # a row of ints, as assembly makes, needs no denominator check
+        return _primitive({c: v for c, v in row.items() if v} if 0 in row.values() else row)
     bad = [v for v in row.values() if getattr(v, "denominator", None) != 1]
     if bad:
         raise ValidationError(f"coefficient {bad[0]!r} is not an integer")

@@ -23,6 +23,7 @@ from homord.cro import (
     _mask_action,
     _mask_images,
     _mask_structure,
+    _perm_tables,
     _uniform_violations,
     build_cro_system,
     dirac_solutions,
@@ -140,7 +141,7 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("cls,level", [
         *((c, lv) for c in ("graph", "tournament", "kn_free_graph:3", "kn_free_graph:4",
                             "linear_order", "pure_set") for lv in (1, 2, 3, 4)),
-        ("pure_set", 5),
+        *((c, 5) for c in ("graph", "tournament", "kn_free_graph:3", "linear_order", "pure_set")),
         ("pure_set", 6),
     ])
     def test_matches_reference(self, cls, level):
@@ -218,6 +219,32 @@ class TestMaskAction:
         assert _mask_structure(spec, k - 1, mask & low) == induced_substructure(S, range(1, k))
 
 
+class TestPermTables:
+    @pytest.mark.parametrize("wiring", ["edge", "arc", None])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_compose_indexes_the_shifted_permutation(self, k, wiring):
+        perms, _, compose = _perm_tables(k, wiring)
+        assert perms == list(itertools.permutations(range(k)))
+        for p, row in zip(perms, compose):
+            for pos, c in enumerate(row):
+                # p followed by the shift: point x goes where p sends s(x)
+                s = [*range(1, pos + 1), 0, *range(pos + 1, k)]
+                assert perms[c] == tuple(p[s[x]] for x in range(k))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(("edge", "arc", None)), st.integers(1, 6), st.data())
+    def test_compose_matches_the_shift_action(self, wiring, k, data):
+        # the image at compose[i][pos] is the i-th image relabelled by the
+        # shift alone, as its own one-permutation action computes it
+        perms, action, compose = _perm_tables(k, wiring)
+        bits = k * (k - 1) // 2 if wiring else 0
+        images = _mask_images(data.draw(st.integers(0, (1 << bits) - 1), label="mask"), action)
+        shifts = [_mask_action([(*range(1, pos + 1), 0, *range(pos + 1, k))], wiring)
+                  for pos in range(k)]
+        for image, row in zip(images, compose):
+            assert [images[c] for c in row] == [_mask_images(image, a)[0] for a in shifts]
+
+
 class TestOrderedTypes:
     def test_counts_are_stabilizer_orders(self):
         for A in enumerate_base_classes(class_by_name("graph"), 3):
@@ -258,6 +285,14 @@ class TestSystemShape:
             build_cro_system("graph", 7)
         with pytest.raises(ValidationError):
             build_cro_system("graph", 0)
+
+    def test_non_int_level_rejected(self):
+        spec = class_by_name("graph")
+        for level in (2.0, "3", True, None):
+            with pytest.raises(ValidationError, match="outside"):
+                build_cro_system("graph", level)
+            with pytest.raises(ValidationError, match="outside"):
+                enumerate_base_classes(spec, level)
 
 
 class TestUniformPoint:
@@ -436,6 +471,13 @@ class TestEchelon:
         ncols = len(M[0])
         echelon = [[row.get(c, 0) for c in range(ncols)] for row in pivots.values()]
         assert dense_rank(M + echelon) == dense_rank(M)
+
+    def test_integral_values_become_ints(self):
+        # a Fraction with denominator 1 is accepted as its int, and a zero
+        # entry in a row of ints is dropped
+        pivots = integer_echelon([{0: Fraction(2), 1: Fraction(-4)}, {0: 1, 2: 0}])
+        assert pivots == {0: {0: 1}, 1: {0: 1, 1: -2}}
+        assert all(type(v) is int for row in pivots.values() for v in row.values())
 
     def test_non_integer_coefficient_rejected(self):
         with pytest.raises(ValidationError, match="not an integer"):
