@@ -36,18 +36,66 @@ already listed with the orbit: a composition table of permutation
 indices, built once per level and wiring with the permutation tables,
 names them, and no insertion image is computed.
 Every coefficient is an integer, and the rows hold them as ints from
-assembly through the rank to the report; the uniform point is checked over
-the integers, scaled by L!.
+assembly to the report; the uniform point is checked over the integers,
+scaled by L!.
 
-The verdicts count pivot columns only.  `integer_echelon`, a fraction-free
-forward elimination pivoting at each row's largest column, finds them once
-per system, for the nullity and every `projected_dimension` level cut.  Only
-`kernel_basis` needs the reduced row echelon form; it runs the Gauss-Jordan
-`integer_rref` when called.  A class enumerates through its spec's wiring
-(or has no relation at all), so pure sets, linear orders, graphs, K_n-free
-graphs and tournaments all go up to level 6, where graph L=6 (33,867
-variables, nullity 12,059) assembles in about 0.9 s and ranks in about 4 s
-on a 2-core Xeon.
+The verdicts need no elimination: the nullity is a sum of fibre
+dimensions in closed form, read off the orbits at assembly.
+
+*Fibres.*  The kernel vectors of the homogeneous rows that vanish below
+level k form the level-k fibre.  Cut to its level-k columns, each level-k
+restriction row touches one base class B.  So a fibre vector is, for each
+B, a function f on the k! orders of B's points, constant on the orbits of
+Aut B, whose one-point-deletion marginals (v, tau) -> sum over pos of
+f(tau with v inserted at pos) all vanish.  (B's mass row follows: the
+marginals of any one point sum to the sum of f.)  Call W_k the space of
+such functions on the orders of range(k), without the orbit condition.
+The fibre is the direct sum over B of W_k^{Aut B}, whose dimension is
+(1/|Aut B|) times the sum over g in Aut B of chi(g), chi the character
+of W_k.
+
+*The character.*  Inserting v at pos and at pos + 1 differs by one
+transposition, so f -> sign(order) * f turns the marginals into the top
+boundary of the complex of injective words on range(k): the words of
+length j + 1 in degree j, the empty word in degree -1, and the boundary
+deleting the letter at position i with sign (-1)^i.  So sign * W_k is the
+top homology.  That complex has reduced homology in its top degree only,
+of rank D_k, the number of derangements of k points (Farmer, "Cellular
+homology for posets", 1978; Bjorner & Wachs, "On lexicographically
+shellable posets", Trans. AMS 1983).  The equivariant Euler characteristic
+then gives the top homology's character: g fixes the words over its fix(g)
+fixed points, and the alternating sum of their counts fix!/(fix - j)! is
+(-1)^(k - fix) D_fix (Reiner & Webb, "The combinatorics of the bar
+resolution in group cohomology", JPAA 2004).  Twisting back by the sign of
+g, (-1)^(k - cycles(g)), gives chi(g) = (-1)^c2(g) D_fix(g), where c2(g)
+counts the cycles of length >= 2.  `_characters(k)` lists it.
+
+*The lift.*  Let y be a kernel vector through level k - 1, k >= 2.  Its
+terms give B's level-k rows the right-hand side r(v, tau) = y(B - v, tau).
+y's own level-(k - 1) rows make deleting two points in either order
+agree, which says that sign * r is a cycle one degree below the top.  The
+complex is exact there, so r is a boundary: some f on the orders of B has
+the marginals r.  r is constant on the orbits of Aut B and the marginals
+commute with Aut B, so f averaged over Aut B is a level-k lift of y.  So
+restricting the kernel through level k to the levels below is onto, and
+its kernel is the level-k fibre.  By induction the nullity of the level-L
+system is the sum of its fibres, and its image on the levels <= j
+(`projected_dimension`) has the dimension of the first j: each cut equals
+the level-j system's own nullity.
+
+`build_cro_system` reads Aut B off B's orbit, as the permutations whose
+image is the representative's own mask, and stores the fibres on the
+system.  They are the nullity of the rows as assembled: a system whose rows
+are replaced by hand keeps its assembled `fibres`.  `integer_echelon`, a
+fraction-free forward elimination pivoting at each row's largest column,
+is kept as the oracle the tests compare the fibres against: `CroSystem.rank`
+and `pivots` run it, and no verdict reads them.  Only `kernel_basis` needs
+the reduced row echelon form; it runs the Gauss-Jordan `integer_rref` when
+called.  A class enumerates through its spec's wiring (or has no relation at
+all), so pure sets, linear orders, graphs, K_n-free graphs and tournaments
+all go up to level 6, where graph L=6 (33,867 variables, nullity 12,059)
+assembles in about 0.7 s on a 2-core Xeon and its report takes 0.08 s;
+its elimination, which no verdict runs, takes about 3 s.
 
 Everything here is exact; no floats."""
 
@@ -102,6 +150,8 @@ class CroSystem:
     base_reps: dict[int, tuple[FinStructure, ...]]
     variables: tuple[OrderedType, ...]
     rows: tuple[CroRow, ...]
+    # the dimension of each level's fibre of the kernel, levels 1..max_level
+    fibres: tuple[int, ...]
 
     def variables_at(self, level: int) -> tuple[OrderedType, ...]:
         return tuple(v for v in self.variables if v.level == level)
@@ -109,7 +159,8 @@ class CroSystem:
     @cached_property
     def pivots(self) -> frozenset[int]:
         """Pivot columns of the row coefficients' echelon, computed once per
-        system; the rank, the nullity and the level cuts read them."""
+        system: the elimination oracle for the fibres, which no verdict
+        reads."""
         return frozenset(integer_echelon(row.coeffs for row in self.rows))
 
     @property
@@ -231,6 +282,28 @@ def _perm_tables(
     return perms, _mask_action(perms, wiring), compose
 
 
+@lru_cache(maxsize=None)
+def _characters(k: int) -> list[int]:
+    """chi(g) = (-1)^c2(g) D_fix(g), the character of W_k (module
+    docstring), for each permutation g of range(k) in
+    itertools.permutations order; c2(g) counts g's cycles of length >= 2
+    and D_n the derangements of n points."""
+    derangements = [1, 0]
+    for n in range(2, k + 1):
+        derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
+    chars = []
+    for g in itertools.permutations(range(k)):
+        fixed = sum(g[x] == x for x in range(k))
+        cycles, seen = 0, [False] * k
+        for x in range(k):
+            cycles += not seen[x]
+            while not seen[x]:
+                seen[x] = True
+                x = g[x]
+        chars.append((-1) ** (cycles - fixed) * derangements[fixed])
+    return chars
+
+
 # a base class: representative, its images, each image's code and first index
 _BaseClass = tuple[FinStructure, list[int], dict[int, TypeCode], dict[int, int]]
 
@@ -285,14 +358,18 @@ def enumerate_ordered_types(A: FinStructure) -> dict[TypeCode, int]:
 
 
 def build_cro_system(class_name: str, max_level: int) -> CroSystem:
-    """Assemble mass and restriction rows for levels 1..max_level.
+    """Assemble mass and restriction rows for levels 1..max_level, and
+    each level's fibre dimension from the automorphism groups of its base
+    classes.
 
-    Raises if the uniform point fails any row; that would mean the assembly
-    itself is wrong, so it is checked on every build."""
+    Raises if the uniform point fails any row, or if a character sum is
+    not a multiple of its group's order; either would mean the assembly
+    itself is wrong, so both are checked on every build."""
     spec = class_by_name(class_name)
     wiring = _check_level(spec, max_level)
     base_reps: dict[int, tuple[FinStructure, ...]] = {}
     variables: list[OrderedType] = []
+    fibres: list[int] = []
     below: dict[int, int] = {}  # the level below's {mask: variable index}
     mass: list[CroRow] = []
     restriction: list[CroRow] = []
@@ -318,10 +395,20 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
             raise ValidationError(f"{class_name} has no members of size {k}")
         base_reps[k] = tuple(A for A, *_ in classes)
         compose = _perm_tables(k, wiring)[2]
+        chars = _characters(k)
         low = (1 << _pair_count(k - 1, wiring)) - 1
         level: dict[int, int] = {}
+        fibre = 0
         for bi, (_, images, codes, first) in enumerate(classes):
             counts = Counter(images)
+            # Aut B: the permutations fixing the representative's own mask
+            aut = counts[images[0]]
+            dim, rest = divmod(sum(c for m, c in zip(images, chars) if m == images[0]), aut)
+            if rest:
+                raise ValidationError(
+                    f"{class_name} level {k}: character sum over |Aut| = {aut} is not a dimension"
+                )
+            fibre += dim
             for mask in sorted(codes, key=codes.__getitem__):
                 level[mask] = len(variables)
                 variables.append(OrderedType(codes[mask], k, bi, counts[mask]))
@@ -332,6 +419,7 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
                     j = level[images[c]]
                     coeffs[j] = coeffs.get(j, 0) - 1
                 push(restriction, coeffs, 0, "restriction")
+        fibres.append(fibre)
         below = level
     rows = (*mass, *restriction)
 
@@ -340,7 +428,7 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
         raise ValidationError(
             f"uniform point violates {len(bad)} rows; assembly is inconsistent"
         )
-    return CroSystem(class_name, max_level, base_reps, tuple(variables), rows)
+    return CroSystem(class_name, max_level, base_reps, tuple(variables), rows, tuple(fibres))
 
 
 def uniform_point(system: CroSystem) -> list[Fraction]:
@@ -474,16 +562,13 @@ def projected_dimension(system: CroSystem, level: int) -> int:
     <= level.
 
     The polytope has the strictly positive uniform point inside its affine
-    hull, so its image's dimension is that of the kernel's projection:
-    len(kept) - rank(A) + rank(A cut to the dropped columns).  Variables go
-    level by level, so the dropped columns come last, and each echelon row
-    ends at its pivot: the rows pivoting at dropped columns, cut to them,
-    are a basis of the cut rows.  What is left is the number of kept
-    columns holding no pivot."""
+    hull, so its image's dimension is that of the kernel's projection.
+    Every kernel vector through a level lifts to the next (module
+    docstring), so that projection's dimension is the sum of the fibres up
+    to level."""
     if type(level) is not int or not 1 <= level <= system.max_level:
         raise ValidationError(f"level {level!r} outside [1, {system.max_level}]")
-    kept = sum(1 for v in system.variables if v.level <= level)
-    return kept - sum(1 for c in system.pivots if c < kept)
+    return sum(system.fibres[:level])
 
 
 # --- deterministic solutions ---------------------------------------------------
@@ -508,8 +593,11 @@ def _dirac_candidates(system: CroSystem) -> dict[tuple[int, int], list[int]]:
 def dirac_solutions(system: CroSystem) -> tuple[frozenset[TypeCode], ...]:
     """All 0/1 solutions, as frozensets of codes assigned probability 1.
 
-    Depth-first over levels, pruning with the restriction rows that only
-    mention already-assigned levels, then a full exact re-check."""
+    Depth-first over levels, pruning with the rows whose top level is the
+    one just chosen, then a full exact re-check.  A row holds once its sum
+    over the chosen variables is its rhs; one with rhs 0 that no chosen
+    variable touches holds already, so each choice adds up only the terms
+    of its own variables, on top of what the levels below left owing."""
     cand = _dirac_candidates(system)
     if any(not lst for lst in cand.values()):
         return ()
@@ -517,21 +605,28 @@ def dirac_solutions(system: CroSystem) -> tuple[frozenset[TypeCode], ...]:
     per_level: dict[int, list[list[int]]] = {
         lvl: [cand[key] for key in sorted(cand) if key[0] == lvl] for lvl in levels
     }
-    rows_by_level: dict[int, list[CroRow]] = {lvl: [] for lvl in levels}
-    for row in system.rows:
+    # per level, each variable's (row, coefficient) terms in the rows whose
+    # top level that is, and those rows' nonzero right-hand sides
+    terms: dict[int, dict[int, list[tuple[int, int]]]] = {lvl: {} for lvl in levels}
+    rhs: dict[int, dict[int, int]] = {lvl: {} for lvl in levels}
+    for r, row in enumerate(system.rows):
         top = max(system.variables[i].level for i, _ in row.coeffs)
-        rows_by_level[top].append(row)
+        for i, c in row.coeffs:
+            terms[top].setdefault(i, []).append((r, c))
+        if row.rhs:
+            rhs[top][r] = row.rhs
 
     solutions: list[frozenset[TypeCode]] = []
     chosen: set[int] = set()
     nodes = 0
 
-    def consistent_through(level: int) -> bool:
-        for row in rows_by_level[level]:
-            total = sum(c for i, c in row.coeffs if i in chosen)
-            if total != row.rhs:
-                return False
-        return True
+    def owing(level: int, picked: Iterable[int], start: dict[int, int]) -> dict[int, int]:
+        """start plus the terms of the picked variables in the level's rows."""
+        out = dict(start)
+        for i in picked:
+            for r, c in terms[level].get(i, ()):
+                out[r] = out.get(r, 0) + c
+        return out
 
     def walk(li: int) -> None:
         nonlocal nodes
@@ -544,11 +639,13 @@ def dirac_solutions(system: CroSystem) -> tuple[frozenset[TypeCode], ...]:
             )
             return
         lvl = levels[li]
+        # each of the level's rows, summed over the levels below, minus its rhs
+        below = owing(lvl, chosen, {r: -b for r, b in rhs[lvl].items()})
         for combo in itertools.product(*per_level[lvl]):
-            chosen.update(combo)
-            if consistent_through(lvl):
+            if not any(owing(lvl, combo, below).values()):
+                chosen.update(combo)
                 walk(li + 1)
-            chosen.difference_update(combo)
+                chosen.difference_update(combo)
 
     walk(0)
 
@@ -566,7 +663,13 @@ def dirac_solutions(system: CroSystem) -> tuple[frozenset[TypeCode], ...]:
 
 
 def uniqueness_report(system: CroSystem) -> CroReport:
-    nullity = len(system.variables) - system.rank
+    """The verdict at the system's truncation: its nullity is the sum of its
+    fibres, with no elimination (module docstring).  A row holding a
+    coefficient that is not an int is refused if it is not an integer, never
+    truncated."""
+    for row in system.rows:
+        if any(type(c) is not int for _, c in row.coeffs):
+            _integer_row(row.coeffs)
     uniform_ok = not _uniform_violations(system.rows, [v.level for v in system.variables])
     diracs = dirac_solutions(system)
     return CroReport(
@@ -575,6 +678,6 @@ def uniqueness_report(system: CroSystem) -> CroReport:
         num_variables=len(system.variables),
         num_rows=len(system.rows),
         uniform_feasible=uniform_ok,
-        nullspace_dim=nullity,
+        nullspace_dim=sum(system.fibres),
         dirac_solutions=diracs,
     )

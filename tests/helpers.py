@@ -149,3 +149,36 @@ def brute_isomorphisms(S, T):
     order = sorted(range(S.size), key=lambda x: inv.count(inv[x]))
     found = [p for p in itertools.permutations(range(S.size)) if carries(S, T, p)]
     return sorted(found, key=lambda p: [p[x] for x in order])
+
+
+def deletion_marginal_rows(k):
+    """The rows defining W_k, by brute force: the variables are the k! orders
+    of range(k), indexed in itertools.permutations order, and each row, one
+    per deleted point v and order tau of the rest, sums the k insertions of
+    v into tau."""
+    index = {p: i for i, p in enumerate(itertools.permutations(range(k)))}
+    rows = []
+    for v in range(k):
+        rest = [x for x in range(k) if x != v]
+        for tau in itertools.permutations(rest):
+            rows.append({index[(*tau[:pos], v, *tau[pos:])]: 1 for pos in range(k)})
+    return index, rows
+
+
+def cycle_type_representatives(k):
+    """One permutation of range(k) per cycle type (partition of k), each cycle
+    on consecutive points."""
+    def partitions(n, most):
+        if n == 0:
+            yield ()
+        for part in range(min(n, most), 0, -1):
+            for tail in partitions(n - part, part):
+                yield (part, *tail)
+
+    for parts in partitions(k, k):
+        g, start = [0] * k, 0
+        for part in parts:
+            for x in range(part):
+                g[start + x] = start + (x + 1) % part
+            start += part
+        yield tuple(g)

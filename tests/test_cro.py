@@ -20,6 +20,8 @@ import homord.cro
 from homord.cro import (
     CroRow,
     OrderedType,
+    _characters,
+    _dirac_candidates,
     _mask_action,
     _mask_images,
     _mask_structure,
@@ -42,7 +44,7 @@ from homord.groups import automorphisms
 from homord.builders import class_by_name
 from homord.structures import canonical_type, find_isomorphism, induced_substructure
 
-from helpers import all_members
+from helpers import all_members, cycle_type_representatives, deletion_marginal_rows
 
 
 def dense_rref(matrix):
@@ -451,8 +453,8 @@ class TestEchelon:
             cut = integer_rref({i: c for i, c in r.coeffs if i >= kept} for r in system.rows)
             assert projected_dimension(system, j) == kept - system.rank + len(cut)
             # every level-j solution extends to level `level`: the cut equals
-            # the level-j system's own nullity.  Observed in every class and
-            # level tried, not proved.
+            # the level-j system's own nullity.  The lift in the cro module
+            # docstring proves it; this checks the proof against elimination.
             below = build_cro_system(cls, j)
             assert projected_dimension(system, j) == len(below.variables) - below.rank
         assert projected_dimension(system, level) == uniqueness_report(system).nullspace_dim
@@ -562,6 +564,47 @@ class TestRegressionBaselines:
         # each cut is the level-5 system's nullity list, [..., 16, 149]
         assert [projected_dimension(system, j) for j in range(1, 6)] == [0, 0, 2, 16, 149]
 
+    @pytest.mark.parametrize("cls,fibres,nullity", [
+        ("kn_free_graph:3", (0, 0, 2, 14, 133, 2049), 2198),
+        ("kn_free_graph:4", (0, 0, 2, 21, 332, 9896), 10251),
+    ])
+    def test_kn_free_level6_fibres(self, cls, fibres, nullity):
+        system = build_cro_system(cls, 6)
+        assert system.fibres == fibres
+        rep = uniqueness_report(system)
+        assert (rep.nullspace_dim, rep.dirac_count) == (nullity, 0)
+        assert rep.uniform_feasible
+
+
+class TestFibres:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_character_gives_fixed_space_dimensions(self, k):
+        # dim W_k^<g> by elimination, W_k's rows with x_s - x_(g s) added for
+        # every order s, against the mean of the character over <g>
+        index, rows = deletion_marginal_rows(k)
+        chars = _characters(k)
+        for g in cycle_type_representatives(k):
+            moved = ((index[s], index[tuple(g[x] for x in s)]) for s in index)
+            fixing = [{i: 1, j: -1} for i, j in moved if i != j]
+            dim = len(index) - len(integer_echelon(rows + fixing))
+            group, h = [], tuple(range(k))
+            while not group or h != group[0]:
+                group.append(h)
+                h = tuple(g[x] for x in h)
+            assert dim == Fraction(sum(chars[index[h]] for h in group), len(group)), g
+
+    def test_inexact_character_sum_rejected(self, monkeypatch):
+        # a character summing to 1 over the edge's Aut of order 2 is no dimension
+        monkeypatch.setattr(homord.cro, "_characters",
+                            lambda k: [1] + [0] * (math.factorial(k) - 1))
+        with pytest.raises(ValidationError, match="not a dimension"):
+            build_cro_system("graph", 2)
+
+    def test_tampered_rows_keep_assembled_fibres(self, cro_graph3):
+        # the fibres are the nullity of the rows as assembled
+        tampered = replace(cro_graph3, rows=cro_graph3.rows[:-1])
+        assert uniqueness_report(tampered).nullspace_dim == 2
+
 
 class TestProjection:
     def test_level3_shadow_of_level4(self, cro_graph3, cro_graph4):
@@ -593,15 +636,16 @@ class TestProjection:
                 _, pivots = dense_rref([[vec[c] for c in cols] for vec in basis])
                 assert len(pivots) == dim
 
-    def test_full_rank_computed_once(self, monkeypatch):
+    def test_verdict_runs_no_elimination(self, monkeypatch):
         calls = []
         real = homord.cro.integer_echelon
         monkeypatch.setattr(homord.cro, "integer_echelon", lambda rows: calls.append(1) or real(rows))
         system = build_cro_system("graph", 4)
-        assert [projected_dimension(system, j) for j in (1, 2, 3)] == [0, 0, 2]
+        assert [projected_dimension(system, j) for j in (1, 2, 3, 4)] == [0, 0, 2, 23]
         assert uniqueness_report(system).nullspace_dim == 23
-        assert len(kernel_basis(system)) == 23
-        assert len(calls) == 1  # the cuts and the report share one elimination
+        assert calls == []  # the cuts and the report read the fibres
+        assert len(system.variables) - system.rank == 23
+        assert len(calls) == 1  # the oracle's one elimination, kept on the system
 
     def test_level_zero_rejected(self, cro_graph3):
         with pytest.raises(ValidationError, match=r"level 0 outside \[1, 3\]"):
@@ -637,6 +681,22 @@ class TestDirac:
         monkeypatch.setattr(homord.cro, "satisfies", lambda system, x: False)
         with pytest.raises(RuntimeError, match="admitted a bad solution"):
             dirac_solutions(sys)
+
+    @pytest.mark.parametrize("cls,level", [
+        (c, lv) for c in ("linear_order", "tournament", "pure_set") for lv in (1, 2, 3, 4)])
+    def test_matches_unpruned_product(self, cls, level):
+        # every choice of one candidate per base class, kept when it solves
+        # the whole system
+        system = build_cro_system(cls, level)
+        cand = _dirac_candidates(system)
+        found = []
+        for combo in itertools.product(*(cand[key] for key in sorted(cand))):
+            x = [0] * len(system.variables)
+            for i in combo:
+                x[i] = 1
+            if satisfies(system, x):
+                found.append(frozenset(system.variables[i].code for i in combo))
+        assert dirac_solutions(system) == tuple(found)
 
     def test_node_cap(self, monkeypatch):
         # linear_order L=3 walks 1 + 1 + 2 + 2 nodes to its two solutions
