@@ -25,8 +25,11 @@ started with n vertices, every instance inside those n is witnessed or
 inadmissible, and the next round only walks the instances that touch a
 vertex added since.  It completes them in the order (|A|+|B|, |A|, A, B),
 re-checking each against the live state, so the seeded coin flips fall
-exactly as in a full rescan.  The saturation audit walks every instance of
-depth <= t on bitsets read from the finished structure.
+exactly as in a full rescan.  That walk meets every open instance of the
+level the round starts from, so the level's depth is one less than the size
+of the smallest, read off the sorted frontier.  audit_saturation measures the
+same depth from a structure alone, one size bound at a time: loading a chain
+re-runs it, and the tests hold the build to it.
 
 numpy is imported inside the four seeded builders, not here: loading a
 chain, the class specs and the exact layers that build on them (cro, groups,
@@ -40,7 +43,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import SaturationInfeasibleError, ValidationError
 from .structures import (
@@ -52,9 +55,6 @@ from .structures import (
     structure_from_json,
     structure_to_json,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _WIRING_RETRIES = 32
 
@@ -283,7 +283,8 @@ def class_by_name(name: str) -> FraisseClassSpec:
 class StructureChain:
     """Increasing levels; each embeds into the next by identity on the prefix.
 
-    saturation[i] is the audited witness depth of levels[i] against itself.
+    saturation[i] is the witness depth of levels[i] against itself, the value
+    audit_saturation gives.
     """
 
     class_name: str
@@ -506,44 +507,6 @@ def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, wiring
     return found
 
 
-class _WitnessState:
-    """Graph, K_n-free or tournament under witness completion, as bitsets.
-
-    bits[v] holds the vertices that relate positively to v: its neighbours,
-    or for tournaments the vertices that beat v.  A new witness adds no edge
-    among old vertices, so a witnessed instance stays witnessed.
-    """
-
-    def __init__(self, spec: FraisseClassSpec):
-        self.forbid = _forbid(spec)
-        self.tournament = spec.wiring == "arc"
-        self.bits = [0b10, 0] if self.tournament else [0, 0]  # 1 beats 0
-
-    @property
-    def size(self) -> int:
-        return len(self.bits)
-
-    def add_witness(self, a_set, b_set, rng: np.random.Generator) -> None:
-        w = self.size
-        required = sum(1 << a for a in a_set)
-        others = [v for v in range(w) if v not in a_set and v not in b_set]
-        for _ in range(_WIRING_RETRIES):
-            coins = rng.random(len(others))
-            wins = required | sum(1 << v for v, c in zip(others, coins) if c < 0.5)
-            if not (self.forbid and _clique_in(self.bits, wins, self.forbid - 1)):
-                break
-        else:
-            # minimal wiring: provably safe since the instance is admissible
-            wins = required
-        self.bits.append(~wins & ((1 << w) - 1) if self.tournament else wins)
-        for v in _members(wins):
-            self.bits[v] |= 1 << w
-
-    def freeze(self, sig: Signature) -> FinStructure:
-        pairs = {(a, b) for b in range(self.size) for a in _members(self.bits[b])}
-        return make_structure(sig, self.size, {sig.relations[0][0]: pairs})
-
-
 def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     """Largest depth t' <= t at which every admissible instance is witnessed.
 
@@ -566,8 +529,10 @@ def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
 def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> StructureChain:
     """Witness-complete until the structure satisfies its own depth-t axioms.
 
-    Deterministic given seed.  Raises SaturationInfeasibleError when the cap
-    would be exceeded before saturation.
+    One level per round; each level's saturation is read off the round's
+    sorted frontier.  Deterministic given seed.  Raises
+    SaturationInfeasibleError when the cap would be exceeded before
+    saturation.
     """
     if t < 0:
         raise ValidationError(f"depth {t} < 0")
@@ -582,32 +547,49 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    state = _WitnessState(spec)
-    if state.size > cap:
+    forbid, tournament = _forbid(spec), spec.wiring == "arc"
+    bits = [0b10, 0] if tournament else [0, 0]  # 1 beats 0
+    if len(bits) > cap:
         raise SaturationInfeasibleError(f"cap {cap} below the initial structure")
-    levels = [state.freeze(spec.signature)]
+    rel = spec.signature.relations[0][0]
+    levels, sat = [], []
     done = 0  # instances inside the first `done` vertices are witnessed or inadmissible
     while True:
-        start = state.size
-        # the order a full rescan meets them in, which fixes the seeded coin flips
+        start = len(bits)
+        pairs = {(a, b) for b in range(start) for a in _members(bits[b])}
+        levels.append(make_structure(spec.signature, start, {rel: pairs}))
+        # every open instance of the level, in the order a full rescan meets
+        # them, which fixes the seeded coin flips; the smallest sets its depth
         frontier = sorted(
-            _open_instances(state.bits, t, done, state.forbid, spec.wiring),
+            _open_instances(bits, t, done, forbid, spec.wiring),
             key=lambda ab: (len(ab[0]) + len(ab[1]), len(ab[0]), ab),
         )
+        sat.append(max(len(frontier[0][0]) + len(frontier[0][1]) - 1, 0) if frontier else t)
         for a_set, b_set in frontier:
-            if _witness_mask(state.bits, a_set, b_set):
+            if _witness_mask(bits, a_set, b_set):
                 continue
-            if state.size >= cap:
+            w = len(bits)
+            if w >= cap:
                 raise SaturationInfeasibleError(
-                    f"saturation infeasible at cap {cap} (depth {t}, size {state.size})"
+                    f"saturation infeasible at cap {cap} (depth {t}, size {w})"
                 )
-            state.add_witness(a_set, b_set, rng)
-        if state.size == start:
+            required = sum(1 << a for a in a_set)
+            others = [v for v in range(w) if v not in a_set and v not in b_set]
+            for _ in range(_WIRING_RETRIES):
+                coins = rng.random(len(others))
+                wins = required | sum(1 << v for v, c in zip(others, coins) if c < 0.5)
+                if not (forbid and _clique_in(bits, wins, forbid - 1)):
+                    break
+            else:
+                # minimal wiring: provably safe since the instance is admissible
+                wins = required
+            bits.append(~wins & ((1 << w) - 1) if tournament else wins)
+            for v in _members(wins):
+                bits[v] |= 1 << w
+        if len(bits) == start:
             break
-        levels.append(state.freeze(spec.signature))
         done = start
-    sat = tuple(audit_saturation(S, spec, t) for S in levels)
-    chain = StructureChain(spec.name, tuple(levels), sat)
+    chain = StructureChain(spec.name, tuple(levels), tuple(sat))
     for S in chain.levels:
         spec.validate(S)
     return chain

@@ -118,8 +118,12 @@ def estimate_order_event(
     n: int,
     seed: int,
 ) -> Estimate:
-    """Frequency of the points appearing in exactly target_order."""
+    """Frequency of the points appearing in exactly target_order.
+
+    Fewer than two points are refused: their order holds in every sample."""
     _check_n(n)
+    if len(points) < 2:
+        raise ValidationError(f"an order event needs at least two points, got {len(points)}")
     if len(set(points)) != len(points):
         raise ValidationError("points repeat")
     if sorted(target_order) != sorted(points):

@@ -8,7 +8,9 @@ A tuple's *type code* is a canonical byte string determined by the induced
 tables on the tuple with positions named.  Two tuples get equal codes exactly
 when the position-respecting map between them is an isomorphism of induced
 substructures.  Codes are deterministic across runs and platforms: they are
-built by direct serialization, never from `hash()`.
+built by direct serialization, never from `hash()`.  Relation names and sort
+labels are ASCII identifiers, so the separators of a code never occur inside
+a name and every code is ASCII.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ TypeCode = bytes
 _ENUM_CAP = 2_000_000
 
 
+def _check_name(kind: str, name: object) -> None:
+    """A relation name or sort label is an ASCII identifier: type codes join
+    them with ",", "|", "=" and ";" and encode them as ASCII, so any other
+    string could make two codes collide or fail to encode."""
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+        raise ValidationError(f"{kind} {name!r} is not an ASCII identifier")
+
+
 @dataclass(frozen=True)
 class Signature:
     """Relation names with arities.  Purely relational: no function symbols."""
@@ -41,8 +51,7 @@ class Signature:
         if len(set(names)) != len(names):
             raise ValidationError("duplicate relation name in signature")
         for name, arity in self.relations:
-            if not name or any(ch.isspace() for ch in name):
-                raise ValidationError(f"bad relation name {name!r}")
+            _check_name("relation name", name)
             if arity < 1:
                 raise ValidationError(f"relation {name}: arity {arity} < 1")
 
@@ -97,7 +106,8 @@ def make_structure(
     """Validate eagerly and freeze.  Missing relations get empty tables.
 
     Rejected: negative size, tuples out of range, arity mismatches, table
-    entries for relations not in the signature, sort vector of wrong length.
+    entries for relations not in the signature, sort vector of wrong length,
+    a sort label that is not an ASCII identifier.
     """
     if size < 0:
         raise ValidationError(f"size {size} < 0")
@@ -125,6 +135,8 @@ def make_structure(
         sort_tuple = tuple(sorts)
         if len(sort_tuple) != size:
             raise ValidationError("sorts length does not match size")
+        for label in sort_tuple:
+            _check_name("sort label", label)
     return FinStructure(signature=signature, size=size, tables=frozen, sorts=sort_tuple)
 
 
@@ -421,7 +433,9 @@ def structure_from_json(obj: dict) -> FinStructure:
         for name, rows in obj.get("rel", {}).items()
     }
     sorts = obj.get("sorts")
-    return make_structure(sig, _json_int(obj["size"]), tables, tuple(sorts) if sorts else None)
+    if sorts is not None and not isinstance(sorts, list):
+        raise ValidationError(f"sorts must be a list or null, got a {type(sorts).__name__}")
+    return make_structure(sig, _json_int(obj["size"]), tables, sorts)
 
 
 def structure_dumps(S: FinStructure) -> str:

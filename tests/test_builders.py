@@ -194,6 +194,30 @@ class TestBuildGeneric:
         with pytest.raises(SaturationInfeasibleError):
             build_generic(graph_class(), 2, 4, seed=0)
 
+    def test_cap_hit_mid_round(self):
+        # the round from 6 vertices adds 6 witnesses at cap 64; cap 10 stops it after 4
+        sizes = [S.size for S in build_generic(graph_class(), 2, 64, seed=0).levels]
+        assert sizes == [2, 6, 12, 17, 18]
+        with pytest.raises(SaturationInfeasibleError) as err:
+            build_generic(graph_class(), 2, 10, seed=0)
+        assert str(err.value) == "saturation infeasible at cap 10 (depth 2, size 10)"
+
+    def test_saturation_matches_audit(self):
+        # the build reads each level's depth off its round's frontier; the
+        # audit walks the finished level afresh, one size bound at a time
+        built = 0
+        for cls in ("graph", "tournament", "kn_free_graph:3", "kn_free_graph:4", "pure_set"):
+            spec = class_by_name(cls)
+            for t, cap, seed in itertools.product(range(4), (3, 8, 40, 120), range(3)):
+                try:
+                    chain = build_generic(spec, t, cap, seed)
+                except SaturationInfeasibleError:
+                    continue
+                want = tuple(audit_saturation(S, spec, t) for S in chain.levels)
+                assert chain.saturation == want, (cls, t, cap, seed)
+                built += 1
+        assert built == 155
+
     def test_non_witnessable_rejected(self):
         with pytest.raises(ValidationError):
             build_generic(linear_order_class(), 1, 8, seed=0)

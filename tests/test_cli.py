@@ -290,19 +290,25 @@ def tampered_chain(chain_file, tmp_path_factory):
     return path
 
 
-def _two_point_chain(size=2, edges=((0, 1), (1, 0)), saturation=(0,)):
+def _two_point_chain(size=2, edges=((0, 1), (1, 0)), saturation=(0,), sorts=None):
     """A one-level graph chain on two points; at the defaults it loads."""
-    level = {"sig": [["E", 2]], "size": size, "sorts": None, "rel": {"E": edges}}
+    level = {"sig": [["E", 2]], "size": size, "sorts": sorts, "rel": {"E": edges}}
     return {"class": "graph", "levels": [level], "saturation": saturation}
 
 
-# Chains with one value that is not a JSON integer; int() would truncate each
-# of them to a chain that loads.
+# Chains with one malformed value.  The first four hold a value that is not a
+# JSON integer, and int() would truncate each to a chain that loads; the rest
+# hold sort labels that once crashed a subcommand, were split or were dropped.
 LOOSE_CHAINS = {
     "float_point": _two_point_chain(edges=[[0, 1.5], [1.5, 0]]),
     "bool_point": _two_point_chain(edges=[[0, True], [True, 0]]),
     "float_size": _two_point_chain(size=2.7),
     "float_saturation": _two_point_chain(saturation=[0.0]),
+    # sort labels are a list of ASCII identifiers, or null
+    "int_sorts": _two_point_chain(sorts=[1, 2]),
+    "non_ascii_sorts": _two_point_chain(sorts=["\u00e9", "a"]),
+    "string_sorts": _two_point_chain(sorts="xx"),
+    "empty_sorts": _two_point_chain(sorts=[]),
 }
 
 
@@ -427,6 +433,14 @@ BAD_INPUT = {
     "exchangeability_tuples": ("test", "--suite", "exchangeability", "--in", "{chain}",
                                "--n", "50", "--pairs", "0,1;2,3", "--tuples", "0,1"),
     "config_prefix": ("--conf", "homord.cfg", "cro", "--class", "graph", "--n", "2"),
+    "tau_path_int_sorts": ("tau-path", "--in", "{int_sorts}", "--a", "0", "--b", "1",
+                           "--tau", "edge"),
+    "tau_path_non_ascii_sorts": ("tau-path", "--in", "{non_ascii_sorts}", "--a", "0", "--b",
+                                 "1", "--tau", "edge"),
+    "estimate_no_points": ("estimate", "--sampler", "uniform", "--in", "{chain}",
+                           "--points", "", "--n", "10"),
+    "estimate_one_point": ("estimate", "--sampler", "uniform", "--in", "{chain}",
+                           "--points", "3", "--n", "10"),
     **{f"chain_{name}": ("orbits", "--in", f"{{{name}}}", "--k", "1") for name in LOOSE_CHAINS},
     **{f"stray_{name}": argv for name, (argv, _) in STRAY_FLAGS.items()},
     "atoms_sampler_no_atoms": ("sample", "--sampler", "atoms", "--in", "{chain}", "--n", "5"),

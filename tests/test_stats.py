@@ -112,6 +112,12 @@ class TestEstimateOrderEvent:
         with pytest.raises(ValidationError):
             estimate_order_event(s, (0, 1), (0, 2), n=10, seed=1)
 
+    @pytest.mark.parametrize("points", [(), (1,)])
+    def test_fewer_than_two_points_rejected(self, points):
+        # the order of one point or none holds in every sample
+        with pytest.raises(ValidationError, match="at least two points"):
+            estimate_order_event(UniformOrderSampler(K3), points, points, n=10, seed=1)
+
 
 class TestBiasedSamplerOracle:
     """Planted bias with a closed-form two-point law."""

@@ -81,6 +81,27 @@ class TestMakeStructure:
         with pytest.raises(ValidationError):
             make_structure(sig, 3, {"R": set()}, sorts=("a", "b"))
 
+    @pytest.mark.parametrize("sorts", [("a,b", "c"), ("a", "b,c"), ("\u00e9", "a"), (1, 2),
+                                       ("", "a"), ("a", "b c")])
+    def test_sort_labels_are_ascii_identifiers(self, sorts):
+        # ("a,b", "c") and ("a", "b,c") would both code as "k2|sa,b,c|R="
+        with pytest.raises(ValidationError, match="sort label .* is not an ASCII identifier"):
+            make_structure(Signature((("R", 2),)), 2, {}, sorts=sorts)
+
+    @pytest.mark.parametrize("name", ["E=", "a,b", "R|S", "x;y", "\u00e9", "1R", "", 3])
+    def test_relation_names_are_ascii_identifiers(self, name):
+        with pytest.raises(ValidationError, match="relation name .* is not an ASCII identifier"):
+            Signature(((name, 2),))
+
+    @pytest.mark.parametrize("sorts,error", [
+        ("ab", "sorts must be a list or null, got a str"),
+        ([], "sorts length does not match size"),
+    ])
+    def test_json_sorts_read_as_given(self, sorts, error):
+        obj = {"sig": [["E", 2]], "size": 2, "sorts": sorts, "rel": {"E": []}}
+        with pytest.raises(ValidationError, match=error):
+            structure_from_json(obj)
+
     def test_signature_validation(self):
         with pytest.raises(ValidationError):
             Signature((("E", 2), ("E", 3)))
