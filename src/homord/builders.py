@@ -554,9 +554,13 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
     rel = spec.signature.relations[0][0]
     levels, sat = [], []
     done = 0  # instances inside the first `done` vertices are witnessed or inadmissible
+    pairs: set[tuple[int, int]] = set()  # the levels share these tuples
     while True:
         start = len(bits)
-        pairs = {(a, b) for b in range(start) for a in _members(bits[b])}
+        # each level extends the one below, so only the pairs through a
+        # vertex at or past done are new
+        pairs.update((a, b) for b in range(start)
+                     for a in _members(bits[b] if b >= done else bits[b] >> done << done))
         levels.append(make_structure(spec.signature, start, {rel: pairs}))
         # every open instance of the level, in the order a full rescan meets
         # them, which fixes the seeded coin flips; the smallest sets its depth

@@ -292,7 +292,7 @@ def cmd_estimate(args) -> int:
     S = _pick_level(chain, args.level)
     sampler = _make_sampler(args, S)
     points = _csv_ints(args.points)
-    target = _csv_ints(args.target) if args.target else points
+    target = _csv_ints(args.target) if args.target is not None else points
     est = stats.estimate_order_event(sampler, points, target, args.n, args.seed)
     _emit(
         {

@@ -664,12 +664,12 @@ def dirac_solutions(system: CroSystem) -> tuple[frozenset[TypeCode], ...]:
 
 def uniqueness_report(system: CroSystem) -> CroReport:
     """The verdict at the system's truncation: its nullity is the sum of its
-    fibres, with no elimination (module docstring).  A row holding a
-    coefficient that is not an int is refused if it is not an integer, never
-    truncated."""
+    fibres, with no elimination (module docstring).  A coefficient that is
+    not an integer is refused, never truncated."""
     for row in system.rows:
-        if any(type(c) is not int for _, c in row.coeffs):
-            _integer_row(row.coeffs)
+        for _, c in row.coeffs:
+            if getattr(c, "denominator", None) != 1:
+                raise ValidationError(f"coefficient {c!r} is not an integer")
     uniform_ok = not _uniform_violations(system.rows, [v.level for v in system.variables])
     diracs = dirac_solutions(system)
     return CroReport(

@@ -163,15 +163,11 @@ def invariant_equivalences(
     aut = _group_of(S, aut)
     if not aut.complete:
         raise ResourceLimitError("invariant equivalence search needs the full group")
-    pairs = [(a, b) for a in carrier for b in carrier if a != b]
-    seen: set[tuple[int, int]] = set()
-    orbit_list: list[list[tuple[int, int]]] = []
-    for pair in pairs:
-        if pair in seen:
-            continue
-        orbit = {(g[pair[0]], g[pair[1]]) for g in aut.elements}
-        seen |= orbit
-        orbit_list.append(sorted(orbit))
+    # automorphisms preserve sorts, so a pair orbit lies in the carrier when
+    # its first pair does
+    inside = set(carrier)
+    pair_orbits = orbits(S, 2, aut=aut).blocks if S.size > 1 else ()
+    orbit_list = [orbit for orbit in pair_orbits if inside.issuperset(orbit[0])]
     if len(orbit_list) > _PAIR_ORBIT_BOUND:
         raise ResourceLimitError(
             f"{len(orbit_list)} pair orbits exceed bound {_PAIR_ORBIT_BOUND}"

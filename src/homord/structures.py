@@ -22,6 +22,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -201,53 +202,58 @@ def type_code_str(code: TypeCode) -> str:
     return code.decode("ascii")
 
 
-def _element_invariants(S: FinStructure) -> list[tuple]:
-    """Per-element (sort label, incidence count per relation position)."""
+class _View(NamedTuple):
+    """The isomorphism search's view of a structure.  invariants[x]: x's sort
+    label and incidence count at each relation position; classes[inv]: the
+    bitset of the elements of invariant inv; unchecked[x]: the (tuple, name)
+    pairs through x of arity other than 2 or a loop, which masks leave
+    unchecked; patterns[a][b], when not 0: a's pair pattern towards b, bit 2i
+    saying (a, b) and bit 2i+1 (b, a) is in the i-th binary relation;
+    masks[y][p]: the bitset of the points w != y with patterns[y][w] == p."""
+
+    tables: dict[str, frozenset[tuple[int, ...]]]
+    invariants: list[tuple]
+    classes: dict[tuple, int]
+    unchecked: list[list[tuple[tuple[int, ...], str]]]
+    patterns: list[dict[int, int]]
+    masks: list[dict[int, int]]
+
+
+def _view(S: FinStructure) -> _View:
+    """S's `_View`, read off its tables in one pass."""
+    n = S.size
     width = sum(arity for _, arity in S.signature.relations)
-    counts = [[0] * width for _ in range(S.size)]
-    offset = 0
+    counts = [[0] * width for _ in range(n)]
+    unchecked: list[list] = [[] for _ in range(n)]
+    patterns = [collections.defaultdict(int) for _ in range(n)]
+    offset, bit = 0, 1
     for name, arity in S.signature.relations:
         for tup in S.tables[name]:
-            for pos, x in enumerate(tup):
-                counts[x][offset + pos] += 1
-        offset += arity
-    return [(S.sort_of(x), tuple(counts[x])) for x in range(S.size)]
-
-
-def _incidence(S: FinStructure) -> list[list[tuple[tuple[int, ...], str]]]:
-    """For each element, the (tuple, relation name) pairs whose tuple holds it,
-    leaving out binary tuples on two distinct points (pair patterns check those)."""
-    inc: list[list] = [[] for _ in range(S.size)]
-    for name, _ in S.signature.relations:
-        for tup in S.tables[name]:
-            if len(tup) != 2 or tup[0] == tup[1]:
+            if arity == 2 and tup[0] != tup[1]:
+                a, b = tup
+                counts[a][offset] += 1
+                counts[b][offset + 1] += 1
+                patterns[a][b] |= bit
+                patterns[b][a] |= bit << 1
+            else:
+                for pos, x in enumerate(tup):
+                    counts[x][offset + pos] += 1
                 for x in set(tup):
-                    inc[x].append((tup, name))
-    return inc
-
-
-def _pair_patterns(S: FinStructure) -> list[list[int]]:
-    """patterns[a][b]: for the i-th binary relation R, bit 2i says (a, b) in R
-    and bit 2i+1 says (b, a) in R.  Only a != b is meaningful."""
-    patterns = [[0] * S.size for _ in range(S.size)]
-    binary = [name for name, arity in S.signature.relations if arity == 2]
-    for i, name in enumerate(binary):
-        for a, b in S.tables[name]:
-            patterns[a][b] |= 1 << 2 * i
-            patterns[b][a] |= 2 << 2 * i
-    return patterns
-
-
-def _pattern_masks(patterns: list[list[int]]) -> list[dict[int, int]]:
-    """masks[y][p]: bitset of the points w != y with patterns[y][w] == p."""
+                    unchecked[x].append((tup, name))
+        offset += arity
+        if arity == 2:
+            bit <<= 2
+    invariants = [(S.sort_of(x), tuple(counts[x])) for x in range(n)]
+    classes: dict[tuple, int] = collections.defaultdict(int)
     masks: list[dict[int, int]] = []
     for y, row in enumerate(patterns):
-        by_pattern: dict[int, int] = {}
-        for w, p in enumerate(row):
-            if w != y:
-                by_pattern[p] = by_pattern.get(p, 0) | 1 << w
+        classes[invariants[y]] |= 1 << y
+        by_pattern: dict[int, int] = collections.defaultdict(int)
+        for w, p in row.items():
+            by_pattern[p] |= 1 << w
+        by_pattern[0] = ((1 << n) - 1) ^ (1 << y) ^ sum(by_pattern.values())
         masks.append(by_pattern)
-    return masks
+    return _View(S.tables, invariants, classes, unchecked, patterns, masks)
 
 
 def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
@@ -268,46 +274,40 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
     disjoint subtrees of the plain search, so the table costs no more
     nodes than listing every leaf would.
 
-    The backtracker keeps a bitset domain of images per unmapped element,
-    seeded from element invariants (sort label, incidence counts per
-    relation position).  Mapping x -> y cuts every later z's domain to the
-    points w whose pair pattern towards y in T (both directions of every
-    binary relation) equals z's pattern towards x in S; a branch ends as
-    soon as a domain is empty.  The domains so check every binary tuple on
-    two distinct points, and injectivity, as a pattern mask never holds its
-    own point.  The other tuples (arity != 2 and loops) of S through x and
-    of T through y are checked once all their points are mapped.
+    The search reads one `_View` of S, and one of T unless T is S.  Each
+    unmapped element keeps a bitset domain of images, seeded by invariant.
+    Mapping x -> y cuts each later z's domain to the w with y's pair pattern
+    towards w in T equal to x's towards z in S; a branch ends at an empty
+    domain.  So domains check injectivity and every binary tuple on two
+    distinct points; the unchecked tuples through x and y are checked once
+    all their points are mapped.
     """
     if S.size != T.size or S.signature != T.signature:
         return
     n = S.size
-    inv_s = _element_invariants(S)
-    inv_t = inv_s if T is S else _element_invariants(T)
-    if sorted(inv_s) != sorted(inv_t):
+    view_s = _view(S)
+    view_t = view_s if T is S else _view(T)
+    if sorted(view_s.invariants) != sorted(view_t.invariants):
         return
-    count = collections.Counter(inv_s)
-    order = sorted(range(n), key=lambda x: count[inv_s[x]])
-    pat_s = _pair_patterns(S)
+    order = sorted(range(n), key=lambda x: view_s.classes[view_s.invariants[x]].bit_count())
     # later_patterns[d]: the pattern of order[d] towards each later element
-    later_patterns = [[pat_s[x][z] for z in order[d + 1:]] for d, x in enumerate(order)]
-    inc_s = _incidence(S)
+    later_patterns = [[view_s.patterns[x].get(z, 0) for z in order[d + 1:]]
+                      for d, x in enumerate(order)]
 
-    def backtracker(T: FinStructure, inv_t: list[tuple], masks_t: list[dict[int, int]]):
+    def backtracker(view_t: _View):
         """search(depth, domains) yields the isomorphisms S -> T that fix
         order[:depth] and send each later order[depth + i] into domains[i],
-        in ascending order of images along order; seeds are the domains the
-        element invariants allow."""
-        inc_t = inc_s if T is S else _incidence(T)
+        in ascending order of images along order; seeds come from invariants."""
         image, inverse = [-1] * n, [-1] * n
 
         def fits(x: int, y: int) -> bool:
-            for tup, name in inc_s[x]:
+            for tup, name in view_s.unchecked[x]:
                 mapped = tuple(map(image.__getitem__, tup))
-                if -1 not in mapped and mapped not in T.tables[name]:
+                if -1 not in mapped and mapped not in view_t.tables[name]:
                     return False
-            for tup, name in inc_t[y]:
+            for tup, name in view_t.unchecked[y]:
                 mapped = tuple(map(inverse.__getitem__, tup))
-                if -1 not in mapped and mapped not in S.tables[name]:
+                if -1 not in mapped and mapped not in view_s.tables[name]:
                     return False
             return True
 
@@ -324,7 +324,7 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
                 y = low.bit_length() - 1
                 image[x], inverse[y] = y, x
                 if fits(x, y):
-                    masks = masks_t[y]
+                    masks = view_t.masks[y]
                     cut = [d & masks.get(p, 0) for d, p in zip(rest, patterns)]
                     if all(cut):
                         yield from extend(depth + 1, cut)
@@ -338,19 +338,18 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
                 image[x] = inverse[x] = x
             yield from extend(depth, domains)
 
-        seeds = [sum(1 << y for y in range(n) if inv_t[y] == inv_s[x]) for x in order]
+        seeds = [view_t.classes[view_s.invariants[x]] for x in order]
         return search, seeds
 
     if T is S:
         start = tuple(range(n))
     else:
-        search, seeds = backtracker(T, inv_t, _pattern_masks(_pair_patterns(T)))
+        search, seeds = backtracker(view_t)
         start = next(search(0, seeds), None)
         if start is None:
             return
         yield start
-    masks_s = _pattern_masks(pat_s)
-    auto, seeds = backtracker(S, inv_s, masks_s)
+    auto, seeds = backtracker(view_s)
 
     # table: for each d with a nontrivial orbit, the pairs (z, u_{d,z}),
     # with None for u_{d,b[d]}, the identity
@@ -367,7 +366,7 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
                 entries.append((low.bit_length() - 1, u))
         if len(entries) > 1:
             table.append(entries)
-        masks = masks_s[x]
+        masks = view_s.masks[x]
         domains = [dom & masks.get(p, 0) for dom, p in zip(domains[1:], later_patterns[d])]
 
     def walk(level: int, h: tuple[int, ...]):

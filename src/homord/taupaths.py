@@ -24,10 +24,11 @@ _STATE_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class TauIndex:
-    """Per-node witness sets for every realized 2-type; build once, reuse."""
+    """Per-node witnesses for every realized 2-type; build once, reuse.
+    first[c][x] lists the y with tp(x, y) = c, second[c][y] the x."""
 
-    first: dict[TypeCode, dict[int, frozenset[int]]]
-    second: dict[TypeCode, dict[int, frozenset[int]]]
+    first: dict[TypeCode, dict[int, tuple[int, ...]]]
+    second: dict[TypeCode, dict[int, tuple[int, ...]]]
 
     def realized(self, tau: TypeCode) -> bool:
         return tau in self.first
@@ -40,9 +41,11 @@ def build_tau_index(S: FinStructure) -> TauIndex:
         code = canonical_type(S, (x, y))
         first.setdefault(code, {}).setdefault(x, set()).add(y)
         second.setdefault(code, {}).setdefault(y, set()).add(x)
+    # tuples take a fifth of a frozenset's memory; each keeps the order its
+    # frozenset iterates in, which fixes the path the search returns
     return TauIndex(
-        first={c: {x: frozenset(v) for x, v in m.items()} for c, m in first.items()},
-        second={c: {y: frozenset(v) for y, v in m.items()} for c, m in second.items()},
+        first={c: {x: tuple(frozenset(v)) for x, v in m.items()} for c, m in first.items()},
+        second={c: {y: tuple(frozenset(v)) for y, v in m.items()} for c, m in second.items()},
     )
 
 
@@ -93,12 +96,11 @@ def _reachable(step_first, step_second, a: int, b: int, avoid: frozenset[int]) -
     w is expanded only once, since the y2 it leads to do not depend on which
     y reached it.
     """
-    empty: frozenset[int] = frozenset()
     seen = {a}
     spent = set(avoid)  # avoided or already expanded middle nodes
     stack = [a]
     while stack:
-        for w in step_first.get(stack.pop(), empty):
+        for w in step_first.get(stack.pop(), ()):
             if w in spent:
                 continue
             spent.add(w)
@@ -137,6 +139,9 @@ def find_tau_path(
     avoid = frozenset(avoid)
     if a in avoid or b in avoid:
         raise ValidationError("endpoints may not be avoided")
+    for p in avoid:
+        if not (0 <= p < S.size):
+            raise ValidationError(f"avoid point {p} out of range")
     if index is None:
         index = build_tau_index(S)
     if not index.realized(tau):
@@ -145,7 +150,6 @@ def find_tau_path(
     step_second = index.second[tau]
     if not _reachable(step_first, step_second, a, b, avoid):
         return None
-    empty: frozenset[int] = frozenset()
 
     # queue of partial paths ending at an even node; BFS => shortest result
     queue: deque[tuple[int, ...]] = deque([(a,)])
@@ -154,10 +158,10 @@ def find_tau_path(
         path = queue.popleft()
         y = path[-1]
         used = set(path)
-        for w in step_first.get(y, empty):
+        for w in step_first.get(y, ()):
             if w in used or w in avoid:
                 continue
-            for y2 in step_second.get(w, empty):
+            for y2 in step_second.get(w, ()):
                 if y2 in used or y2 == w:
                     continue
                 if y2 == b:

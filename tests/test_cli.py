@@ -353,9 +353,14 @@ BAD_INPUT = {
     "points_token": ("sample", "--sampler", "uniform", "--in", "{chain}", "--points", "0,x"),
     "target_token": ("estimate", "--sampler", "uniform", "--in", "{chain}",
                      "--points", "0,1", "--target", "1,x", "--n", "10"),
+    # an explicit empty target is no permutation of the points, not a default
+    "target_empty": ("estimate", "--sampler", "uniform", "--in", "{chain}",
+                     "--points", "0,1", "--target", "", "--n", "10"),
     "fix_token": ("orbits", "--in", "{chain}", "--k", "1", "--fix", "0,x"),
     "avoid_token": ("tau-path", "--in", "{chain}", "--a", "0", "--b", "1",
                     "--tau", "edge", "--avoid", "x"),
+    "avoid_out_of_range": ("tau-path", "--in", "{chain}", "--a", "0", "--b", "1",
+                           "--tau", "edge", "--avoid", "99"),
     "tuples_token": ("test", "--suite", "independence", "--in", "{chain}",
                      "--n", "10", "--tuples", "0,1;2,3,4"),
     "pairs_token": ("test", "--suite", "exchangeability", "--in", "{chain}",

@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from homord.errors import ValidationError
 from homord.structures import (
     FinStructure,
     Signature,
+    _view,
     canonical_type,
     enumerate_types,
     find_isomorphism,
@@ -19,6 +21,7 @@ from homord.structures import (
     structure_to_json,
     type_code_str,
 )
+from test_properties import ONE_WAY, SETTINGS, TWISTED, wide_structures
 
 GSIG = Signature((("E", 2),))
 
@@ -192,6 +195,42 @@ class TestFindIsomorphism:
 
     def test_different_sizes(self):
         assert find_isomorphism(graph(2, []), graph(3, [])) is None
+
+
+@SETTINGS
+@given(wide_structures())
+@example(ONE_WAY)
+@example(TWISTED)
+def test_search_view_matches_tables(S):
+    """Each part of the view the isomorphism search reads, against a reading
+    of the tables tuple by tuple: unary, binary with loops, ternary, sorts."""
+    view = _view(S)
+    n, relations = S.size, S.signature.relations
+    binary = [name for name, arity in relations if arity == 2]
+
+    def pattern(a, b):
+        bits = 0
+        for i, name in enumerate(binary):
+            bits |= ((a, b) in S.tables[name]) << 2 * i | ((b, a) in S.tables[name]) << 2 * i + 1
+        return bits
+
+    assert view.tables is S.tables
+    for x in range(n):
+        counts = tuple(sum(tup[pos] == x for tup in S.tables[name])
+                       for name, arity in relations for pos in range(arity))
+        assert view.invariants[x] == (S.sort_of(x), counts)
+        unchecked = [(tup, name) for name, arity in relations for tup in S.tables[name]
+                     if x in tup and (arity != 2 or tup[0] == tup[1])]
+        assert sorted(view.unchecked[x]) == sorted(unchecked)
+        assert dict(view.patterns[x]) == {
+            w: pattern(x, w) for w in range(n) if w != x and pattern(x, w)}
+    assert dict(view.classes) == {
+        inv: sum(1 << x for x in range(n) if view.invariants[x] == inv)
+        for inv in view.invariants}
+    for y in range(n):
+        for p in range(4 ** len(binary)):
+            want = sum(1 << w for w in range(n) if w != y and pattern(y, w) == p)
+            assert view.masks[y].get(p, 0) == want, (y, p)
 
 
 class TestEnumerateTypes:

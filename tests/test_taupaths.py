@@ -123,6 +123,16 @@ class TestFind:
         with pytest.raises(ValidationError):
             find_tau_path(S, 0, 2, EDGE, avoid={0})
 
+    def test_avoid_point_out_of_range(self):
+        # refused as an endpoint out of range is, also through the greedy
+        # family, which passes its avoid set on
+        S = graph(3, [(0, 1), (1, 2)])
+        for bad in (3, 99, -1):
+            with pytest.raises(ValidationError, match=f"avoid point {bad} out of range"):
+                find_tau_path(S, 0, 2, EDGE, avoid={bad})
+            with pytest.raises(ValidationError, match=f"avoid point {bad} out of range"):
+                disjoint_tau_paths(S, 0, 2, EDGE, count=1, avoid={bad})
+
     def test_shortest_against_brute_force(self):
         # random graphs, both 2-types, every endpoint pair
         import random
