@@ -50,6 +50,7 @@ from .structures import (
     FinStructure,
     Signature,
     _json_int,
+    _members,
     induced_substructure,
     make_structure,
     structure_from_json,
@@ -369,14 +370,6 @@ def chain_loads(text: str) -> StructureChain:
 
 
 # --- witness completion ------------------------------------------------------
-
-
-def _members(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _clique_in(bits: list[int], mask: int, k: int) -> bool:

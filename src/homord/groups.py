@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .builders import StructureChain
@@ -95,7 +96,8 @@ def orbits(
     for tup in itertools.permutations(range(S.size), k):
         if tup in seen:
             continue
-        orbit = {tuple(g[x] for x in tup) for g in stab}
+        images = map(operator.itemgetter(*tup), stab)
+        orbit = set(images if k > 1 else zip(images))  # one point: wrap each image
         seen |= orbit
         blocks.append(tuple(sorted(orbit)))
     blocks.sort()

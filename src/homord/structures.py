@@ -202,14 +202,61 @@ def type_code_str(code: TypeCode) -> str:
     return code.decode("ascii")
 
 
+def _members(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pair_blocks(S: FinStructure) -> tuple[dict[str, tuple[list[int], list[int]]],
+                                           list[dict[int, int]]]:
+    """S's binary relations as bitsets, and every point's pair-pattern blocks.
+
+    bits[name] = (out, into) for each binary relation: out[a] has b and
+    into[b] has a for each of its tuples (a, b), loops included.  blocks[x]
+    maps each pattern p to the bitset of the points y != x with that pattern
+    from x, when there are any: bit 2i of p says (x, y) and bit 2i+1 (y, x)
+    is in the i-th binary relation.  The blocks start as one block of every
+    other point and are refined one binary relation at a time.
+    """
+    n = S.size
+    bits: dict[str, tuple[list[int], list[int]]] = {}
+    blocks = [{0: ((1 << n) - 1) ^ (1 << x)} for x in range(n)]
+    for name, arity in S.signature.relations:
+        if arity != 2:
+            continue
+        out, into = [0] * n, [0] * n
+        for a, b in S.tables[name]:
+            out[a] |= 1 << b
+            into[b] |= 1 << a
+        low, high = 1 << 2 * len(bits), 2 << 2 * len(bits)
+        bits[name] = out, into
+        for x in range(n):
+            succ, pred = out[x], into[x]
+            if not succ | pred:
+                continue
+            refined = {}
+            for p, block in blocks[x].items():
+                for part, q in ((block & ~(succ | pred), p),
+                                (block & succ & ~pred, p | low),
+                                (block & pred & ~succ, p | high),
+                                (block & succ & pred, p | low | high)):
+                    if part:
+                        refined[q] = part
+            blocks[x] = refined
+    return bits, blocks
+
+
 class _View(NamedTuple):
     """The isomorphism search's view of a structure.  invariants[x]: x's sort
     label and incidence count at each relation position; classes[inv]: the
     bitset of the elements of invariant inv; unchecked[x]: the (tuple, name)
     pairs through x of arity other than 2 or a loop, which masks leave
-    unchecked; patterns[a][b], when not 0: a's pair pattern towards b, bit 2i
-    saying (a, b) and bit 2i+1 (b, a) is in the i-th binary relation;
-    masks[y][p]: the bitset of the points w != y with patterns[y][w] == p."""
+    unchecked; patterns[a][b], when not 0: a's pair pattern towards b (see
+    `_pair_blocks`); masks[y][p]: the bitset of the points w != y with
+    patterns[y][w] == p, absent when there are none."""
 
     tables: dict[str, frozenset[tuple[int, ...]]]
     invariants: list[tuple]
@@ -220,39 +267,34 @@ class _View(NamedTuple):
 
 
 def _view(S: FinStructure) -> _View:
-    """S's `_View`, read off its tables in one pass."""
+    """S's `_View`: binary relations read off `_pair_blocks`, the rest tuple
+    by tuple."""
     n = S.size
+    bits, masks = _pair_blocks(S)
     width = sum(arity for _, arity in S.signature.relations)
     counts = [[0] * width for _ in range(n)]
     unchecked: list[list] = [[] for _ in range(n)]
-    patterns = [collections.defaultdict(int) for _ in range(n)]
-    offset, bit = 0, 1
+    offset = 0
     for name, arity in S.signature.relations:
-        for tup in S.tables[name]:
-            if arity == 2 and tup[0] != tup[1]:
-                a, b = tup
-                counts[a][offset] += 1
-                counts[b][offset + 1] += 1
-                patterns[a][b] |= bit
-                patterns[b][a] |= bit << 1
-            else:
+        if arity == 2:
+            out, into = bits[name]
+            for x in range(n):
+                counts[x][offset] = out[x].bit_count()
+                counts[x][offset + 1] = into[x].bit_count()
+                if out[x] >> x & 1:
+                    unchecked[x].append(((x, x), name))
+        else:
+            for tup in S.tables[name]:
                 for pos, x in enumerate(tup):
                     counts[x][offset + pos] += 1
                 for x in set(tup):
                     unchecked[x].append((tup, name))
         offset += arity
-        if arity == 2:
-            bit <<= 2
     invariants = [(S.sort_of(x), tuple(counts[x])) for x in range(n)]
     classes: dict[tuple, int] = collections.defaultdict(int)
-    masks: list[dict[int, int]] = []
-    for y, row in enumerate(patterns):
-        classes[invariants[y]] |= 1 << y
-        by_pattern: dict[int, int] = collections.defaultdict(int)
-        for w, p in row.items():
-            by_pattern[p] |= 1 << w
-        by_pattern[0] = ((1 << n) - 1) ^ (1 << y) ^ sum(by_pattern.values())
-        masks.append(by_pattern)
+    for x, inv in enumerate(invariants):
+        classes[inv] |= 1 << x
+    patterns = [{w: p for p, block in row.items() if p for w in _members(block)} for row in masks]
     return _View(S.tables, invariants, classes, unchecked, patterns, masks)
 
 

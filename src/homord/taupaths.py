@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError, TypeNotRealizedError, ValidationError
-from .structures import FinStructure, TypeCode, canonical_type
+from .structures import FinStructure, TypeCode, _members, _pair_blocks, _type_code, canonical_type
 
 _STATE_CAP = 2_000_000
 
@@ -35,18 +36,65 @@ class TauIndex:
 
 
 def build_tau_index(S: FinStructure) -> TauIndex:
+    """Index every ordered pair of distinct points by its 2-type.
+
+    Codes, and the points under each, are keyed in order of first
+    appearance along `itertools.permutations`; each witness set is filled in
+    ascending order and kept as the tuple its frozenset iterates in (a tuple
+    takes a fifth of a frozenset's memory), which fixes the path the search
+    returns.
+    """
     first: dict[TypeCode, dict[int, set[int]]] = {}
     second: dict[TypeCode, dict[int, set[int]]] = {}
-    for x, y in itertools.permutations(range(S.size), 2):
-        code = canonical_type(S, (x, y))
-        first.setdefault(code, {}).setdefault(x, set()).add(y)
-        second.setdefault(code, {}).setdefault(y, set()).add(x)
-    # tuples take a fifth of a frozenset's memory; each keeps the order its
-    # frozenset iterates in, which fixes the path the search returns
+    for x, code, ys in _code_blocks(S):
+        first.setdefault(code, {}).setdefault(x, set()).update(ys)
+        by_y = second.setdefault(code, {})
+        for y in ys:  # setdefault would build a throwaway set per pair
+            if y in by_y:
+                by_y[y].add(x)
+            else:
+                by_y[y] = {x}
     return TauIndex(
         first={c: {x: tuple(frozenset(v)) for x, v in m.items()} for c, m in first.items()},
         second={c: {y: tuple(frozenset(v)) for y, v in m.items()} for c, m in second.items()},
     )
+
+
+def _code_blocks(S: FinStructure) -> Iterator[tuple[int, TypeCode, list[int] | tuple[int]]]:
+    """Yield (x, code, ys) for x ascending: the y with tp(x, y) = code, in
+    ascending order, each block after every block whose least y is lower.
+
+    With no relation of arity 3 or more, the 2-type of (x, y) is fixed by
+    the 1-types of x and y (sort, unary memberships, loops) and the pair
+    pattern, so each block of `_pair_blocks` is split by the 1-type of y
+    and one representative pair per key is coded.  Otherwise each pair is
+    coded by itself.
+    """
+    if any(arity > 2 for _, arity in S.signature.relations):
+        for x, y in itertools.permutations(range(S.size), 2):
+            yield x, _type_code(S, (x, y)), (y,)
+        return
+    one_types = [(S.sort_of(x), tuple((x,) * arity in S.tables[name]
+                                      for name, arity in S.signature.relations))
+                 for x in range(S.size)]
+    by_type: dict[tuple, int] = {}
+    for x, t in enumerate(one_types):
+        by_type[t] = by_type.get(t, 0) | 1 << x
+    codes: dict[tuple, TypeCode] = {}
+    _, blocks = _pair_blocks(S)
+    for x, row in enumerate(blocks):
+        parts = []
+        for p, block in row.items():
+            for t, members in by_type.items():
+                part = block & members
+                if part:
+                    low, key = part & -part, (one_types[x], t, p)
+                    if key not in codes:
+                        codes[key] = _type_code(S, (x, low.bit_length() - 1))
+                    parts.append((low, codes[key], part))
+        parts.sort()
+        for _, code, part in parts:
+            yield x, code, list(_members(part))
 
 
 @dataclass(frozen=True)
@@ -113,6 +161,34 @@ def _reachable(step_first, step_second, a: int, b: int, avoid: frozenset[int]) -
     return False
 
 
+def _check_query(
+    S: FinStructure,
+    a: int,
+    b: int,
+    tau: TypeCode,
+    avoid: frozenset[int] | set[int],
+    index: TauIndex | None,
+) -> tuple[frozenset[int], TauIndex]:
+    """The avoid set frozen and the index (built when None), once the
+    endpoints, the avoid points and tau are checked."""
+    if a == b:
+        raise ValidationError("endpoints must differ")
+    for p in (a, b):
+        if not (0 <= p < S.size):
+            raise ValidationError(f"endpoint {p} out of range")
+    avoid = frozenset(avoid)
+    if a in avoid or b in avoid:
+        raise ValidationError("endpoints may not be avoided")
+    for p in avoid:
+        if not (0 <= p < S.size):
+            raise ValidationError(f"avoid point {p} out of range")
+    if index is None:
+        index = build_tau_index(S)
+    if not index.realized(tau):
+        raise TypeNotRealizedError("tau is not realized in the structure")
+    return avoid, index
+
+
 def find_tau_path(
     S: FinStructure,
     a: int,
@@ -131,21 +207,7 @@ def find_tau_path(
     state_cap is spent only when b is reachable.  The BFS raises
     ResourceLimitError once it has queued more than state_cap partial paths.
     """
-    if a == b:
-        raise ValidationError("endpoints must differ")
-    for p in (a, b):
-        if not (0 <= p < S.size):
-            raise ValidationError(f"endpoint {p} out of range")
-    avoid = frozenset(avoid)
-    if a in avoid or b in avoid:
-        raise ValidationError("endpoints may not be avoided")
-    for p in avoid:
-        if not (0 <= p < S.size):
-            raise ValidationError(f"avoid point {p} out of range")
-    if index is None:
-        index = build_tau_index(S)
-    if not index.realized(tau):
-        raise TypeNotRealizedError("tau is not realized in the structure")
+    avoid, index = _check_query(S, a, b, tau, avoid, index)
     step_first = index.first[tau]
     step_second = index.second[tau]
     if not _reachable(step_first, step_second, a, b, avoid):
@@ -205,12 +267,12 @@ def disjoint_tau_paths(
     """Up to count same-length paths with pairwise disjoint interiors.
 
     Greedy: each found path's interior is added to the avoid set.  Stops when
-    no path exists or only strictly longer ones remain.
+    no path exists or only strictly longer ones remain.  The arguments are
+    checked as find_tau_path checks them, also when count is 0.
     """
     if count < 0:
         raise ValidationError(f"count {count} < 0")
-    if index is None:
-        index = build_tau_index(S)
+    avoid, index = _check_query(S, a, b, tau, avoid, index)
     blocked = set(avoid)
     paths: list[TauPath] = []
     target_len: int | None = None

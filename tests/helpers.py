@@ -4,7 +4,7 @@ import itertools
 from collections import deque
 
 from homord.errors import ResourceLimitError
-from homord.structures import make_structure
+from homord.structures import canonical_type, make_structure
 
 
 def order_from_latents(
@@ -75,6 +75,21 @@ def plain_open_instances(S, kind, t, lo):
                 if not witnesses:
                     found.add((A, B))
     return found
+
+
+def plain_tau_index(S):
+    """The tau index's (first, second) read one ordered pair at a time.
+
+    Pairs come in permutations order, so codes, and the points under each,
+    are keyed by first appearance; each witness set is filled in ascending
+    order and kept as the tuple its frozenset iterates in."""
+    first, second = {}, {}
+    for x, y in itertools.permutations(range(S.size), 2):
+        code = canonical_type(S, (x, y))
+        first.setdefault(code, {}).setdefault(x, set()).add(y)
+        second.setdefault(code, {}).setdefault(y, set()).add(x)
+    return tuple({c: {p: tuple(frozenset(v)) for p, v in m.items()} for c, m in side.items()}
+                 for side in (first, second))
 
 
 def reference_tau_path(index, a, b, tau, avoid, state_cap):

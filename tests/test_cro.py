@@ -336,7 +336,7 @@ class TestUniformPoint:
         assert not satisfies(tampered, uniform_point(tampered))
 
     def test_report_rejects_non_integer_coefficient(self, cro_graph3):
-        # the report's rank runs every row through _integer_row, so a
+        # the report checks every coefficient's denominator itself, so a
         # coefficient that is not an integer is refused, never truncated
         (i, c), *rest = cro_graph3.rows[-1].coeffs
         row = replace(cro_graph3.rows[-1], coeffs=((i, c + Fraction(1, 2)), *rest))

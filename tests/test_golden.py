@@ -36,7 +36,7 @@ from homord.builders import (
 from homord.cli import main
 from homord.cro import build_cro_system, kernel_basis
 from homord.errors import ResourceLimitError, SaturationInfeasibleError
-from homord.groups import automorphisms
+from homord.groups import automorphisms, invariant_equivalences, orbits
 from homord.samplers import (
     AtomOrderSampler,
     AtomSpec,
@@ -156,6 +156,29 @@ def test_automorphism_digest(name):
     group = automorphisms(make())
     assert group.complete and len(group) == order
     assert sha256(repr(group.elements)) == digest
+
+
+# Orbit blocks of k-tuples for k = 1, 2, 3, under the whole group and under
+# the stabiliser of the point 1, then the invariant equivalence relations.
+ORBITS = {
+    "paley13": ("51dc6bdc64807d2634bff69fef154c9150527c4a262dc02650e69e1bf678f8f7",
+                "09d98b91ebb59848c169fd51ef53af2d81a555a9af6bc0c3f551a9d97f170554"),
+    "paley17": ("6e02145c80a5dec03c16fc08ae31dfcedfc0c85e8d6e1b95e492e9930bdd4fcf",
+                "22a201825bd80e033b9b4be9617287601b3c453c1a100680023777161d51bbb3"),
+    "cube4": ("82aa13d8d6db20e07fb06c5908f4200d8bad1e1f2c02fed7d1a2c70cd1206ba4",
+              "920fa19f4ebb67ea5fac55293e033f0db4ec0f2e04d4b0fa3a5cefd61e6a5c46"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBITS))
+def test_orbit_digest(name):
+    S = GROUPS[name][0]()
+    aut = automorphisms(S)
+    blocks = [orbits(S, k, fixed, aut=aut).blocks
+              for k in (1, 2, 3) for fixed in (frozenset(), frozenset({1}))]
+    orbit_digest, equivalence_digest = ORBITS[name]
+    assert sha256(repr(blocks)) == orbit_digest
+    assert sha256(repr(invariant_equivalences(S, aut=aut))) == equivalence_digest
 
 
 # Paley 29 is the slowest fixture the search has faced (|Aut| = 406); the
@@ -345,6 +368,21 @@ def test_tau_path_digest():
         avoid = frozenset(rng.sample(others, rng.randrange(0, 15)))
         found.append(find_tau_path(top, a, b, tau, avoid, index=index))
     assert sha256(repr([p if p is None else p.nodes for p in found])) == TAU_PATHS
+
+
+# The whole tau index, codes and witness tuples in their stored order, of
+# the 4-cube and of the graph t=2 seed-0 chain top.
+TAU_INDEXES = {
+    "cube4": "3b364f86f6cfd50f3976fddc446c87a8823e0fcb4dda28fa9ef9e682ddfb172d",
+    "graph_top": "ba8a55c89a693f079c117207da8fb27bb8a28200dce94c9ee95489197e8c7018",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_INDEXES))
+def test_tau_index_digest(name):
+    S = hypercube_graph(4) if name == "cube4" else _graph_top()
+    index = build_tau_index(S)
+    assert sha256(repr((index.first, index.second))) == TAU_INDEXES[name]
 
 
 def test_tau_path_demo_stdout_digest():

@@ -4,8 +4,10 @@ import itertools
 from collections import deque
 
 import pytest
+from hypothesis import example, given
 
-from homord.builders import hypercube_graph
+from helpers import plain_tau_index
+from homord.builders import build_f2_vector_space, hypercube_graph
 from homord.errors import ResourceLimitError, TypeNotRealizedError, ValidationError
 from homord.structures import Signature, canonical_type, make_structure
 from homord.taupaths import (
@@ -15,6 +17,7 @@ from homord.taupaths import (
     find_tau_path,
     verify_tau_path,
 )
+from test_properties import ONE_WAY, SETTINGS, TWISTED, WIDE, wide_structures
 
 GSIG = Signature((("E", 2),))
 
@@ -71,6 +74,30 @@ class TestIndex:
         idx = build_tau_index(graph(3, []))
         assert idx.realized(NONEDGE)
         assert not idx.realized(EDGE)
+
+
+# WIDE without its ternary relation: E and F (loops included), P and sorts
+BINARY = Signature(tuple((name, arity) for name, arity in WIDE.relations if arity < 3))
+
+
+@SETTINGS
+@given(wide_structures())
+@example(ONE_WAY)
+@example(TWISTED)
+@example(build_f2_vector_space(3))
+def test_index_matches_per_pair_types(S):
+    """The index against a per-pair reading, repr for repr: the codes, the
+    order of every dict's keys and of every witness tuple.  A WIDE structure
+    is also read without its ternary relation."""
+    structures = [S]
+    if S.signature == WIDE:
+        tables = {name: S.tables[name] for name in BINARY.names()}
+        structures.append(make_structure(BINARY, S.size, tables, S.sorts))
+    for T in structures:
+        index = build_tau_index(T)
+        first, second = plain_tau_index(T)
+        assert repr(index.first) == repr(first)
+        assert repr(index.second) == repr(second)
 
 
 class TestVerify:
@@ -201,6 +228,23 @@ class TestDisjoint:
     def test_zero_count(self, graph_top):
         fam = disjoint_tau_paths(graph_top, 0, 5, EDGE, count=0)
         assert fam.paths == () and not fam.shortage
+
+    def test_zero_count_checks_endpoints(self):
+        S = graph(3, [(0, 1), (1, 2)])
+        for a, b in ((0, 0), (0, 99), (-1, 2)):
+            with pytest.raises(ValidationError):
+                disjoint_tau_paths(S, a, b, EDGE, count=0)
+
+    def test_zero_count_checks_avoid(self):
+        S = graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValidationError, match="avoid point -5 out of range"):
+            disjoint_tau_paths(S, 0, 2, EDGE, count=0, avoid={-5})
+        with pytest.raises(ValidationError, match="endpoints may not be avoided"):
+            disjoint_tau_paths(S, 0, 2, EDGE, count=0, avoid={2})
+
+    def test_zero_count_checks_tau(self):
+        with pytest.raises(TypeNotRealizedError):
+            disjoint_tau_paths(graph(3, []), 0, 2, EDGE, count=0)
 
     def test_negative_count(self, graph_top):
         with pytest.raises(ValidationError):
