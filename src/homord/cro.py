@@ -22,22 +22,22 @@ graphs and pure sets by the 2-point swap.
 Assembly works over pair masks: a labelled member on k points is an int
 with one bit per pair.  The base classes are the orbits of the masks under
 the k! permutations, each image read off a per-permutation table, and every
-labelled member is a variable, so each variable's code is computed once and
-nothing else is.  The restriction rows are read off the masks too: deleting
-point 0 keeps a mask's low bits, and inserting it back at each position is
-a relabelling by one of k shift permutations, which stays in the class.  A
-restriction row is fixed by the mask of the deleted point followed by the
-rest, so each variable gives one row, built in the same pass over levels
-that numbers the variables (graph level 4 -> 5: 1,024 rows for 4,080
-choices of deleted point and order of the rest).  A variable's mask is
-the representative's image under a known permutation p, so its insertion
-images are the representative's images under p followed by each shift,
-already listed with the orbit: a composition table of permutation
-indices, built once per level and wiring with the permutation tables,
-names them, and no insertion image is computed.
-Every coefficient is an integer, and the rows hold them as ints from
-assembly to the report; the uniform point is checked over the integers,
-scaled by L!.
+labelled member is a variable, whose code is read off its mask by a
+per-level table of the ordered pairs' bits (`_mask_coder`), with no
+structure built or walked.  The restriction rows are read off the masks
+too: deleting point 0 keeps a mask's low bits, and inserting it back at
+each position is a relabelling by one of k shift permutations, which stays
+in the class.  A restriction row is fixed by the mask of the deleted point
+followed by the rest, so each variable gives one row, built in the same
+pass over levels that numbers the variables (graph level 4 -> 5: 1,024 rows
+for 4,080 choices of deleted point and order of the rest).  A variable's
+mask is the representative's image under a known permutation p, so its
+insertion images are the representative's images under p followed by each
+shift, already listed with the orbit: a composition table of permutation
+indices, built once per level and wiring with the permutation tables, names
+them, and no insertion image is computed.  Every coefficient is an integer,
+and the rows hold them as ints from assembly to the report; the uniform
+point is checked over the integers, scaled by L!.
 
 The verdicts need no elimination: the nullity is a sum of fibre
 dimensions in closed form, read off the orbits at assembly.
@@ -94,7 +94,7 @@ the reduced row echelon form; it runs the Gauss-Jordan `integer_rref` when
 called.  A class enumerates through its spec's wiring (or has no relation at
 all), so pure sets, linear orders, graphs, K_n-free graphs and tournaments
 all go up to level 6, where graph L=6 (33,867 variables, nullity 12,059)
-assembles in about 0.7 s on a 2-core Xeon and its report takes 0.08 s;
+assembles in about 0.5-0.6 s on a 2-core Xeon and its report takes 0.08 s;
 its elimination, which no verdict runs, takes about 3 s.
 
 Everything here is exact; no floats."""
@@ -104,19 +104,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .builders import FraisseClassSpec, class_by_name
 from .errors import ResourceLimitError, ValidationError
-from .structures import (
-    FinStructure,
-    TypeCode,
-    _type_code,
-    canonical_type,
-)
+from .structures import FinStructure, TypeCode, canonical_type
 
 @dataclass(frozen=True)
 class OrderedType:
@@ -269,17 +264,51 @@ def _mask_images(mask: int, action: tuple[list[int], list[list[int]]]) -> list[i
 @lru_cache(maxsize=None)
 def _perm_tables(
     k: int, wiring: str | None
-) -> tuple[list[tuple[int, ...]], tuple[list[int], list[list[int]]], list[list[int]]]:
-    """The permutations of range(k) (itertools.permutations order), their
-    mask action, and compose: compose[i][pos] is the index of perms[i]
-    followed by the shift (1, ..., pos, 0, pos + 1, ..., k - 1), so a mask's
-    image under it is the shift's image of the mask's i-th image.  Built
-    once per level and wiring."""
+) -> tuple[tuple[list[int], list[list[int]]], list[list[int]]]:
+    """The mask action of the permutations of range(k), perms in
+    itertools.permutations order, and compose: compose[i][pos] is the index
+    of perms[i] followed by the shift (1, ..., pos, 0, pos + 1, ..., k - 1),
+    so a mask's image under it is the shift's image of the mask's i-th
+    image.  Built once per level and wiring."""
     perms = list(itertools.permutations(range(k)))
     index = {p: i for i, p in enumerate(perms)}
     shifts = [(*range(1, pos + 1), 0, *range(pos + 1, k)) for pos in range(k)]
     compose = [[index[tuple(p[x] for x in s)] for s in shifts] for p in perms]
-    return perms, _mask_action(perms, wiring), compose
+    return _mask_action(perms, wiring), compose
+
+
+@lru_cache(maxsize=None)
+def _mask_coder(k: int, wiring: str | None, relation: str | None) -> Callable[[int], TypeCode]:
+    """The type code of the member a mask wires, points in identity order,
+    read off the mask: the bytes `structures._type_code` gives the structure
+    `_mask_structure` builds.  Built once per level and wiring.
+
+    The table lists each ordered pair (i, j), i != j, in
+    `itertools.product` order (which `permutations(range(k), 2)` keeps),
+    with its bit and its "i,j" label.  An edge holds when its mask bit is
+    set, an arc (i, j) when its bit is set exactly if i > j.  So each pair
+    reads one bit of a word holding the mask above a second copy of it,
+    complemented for arcs: the upper copy for an edge or i > j, the lower
+    one otherwise.  No mask wires a loop, so no pair (i, i) holds; a class
+    with no relation codes every member as k{k}."""
+    if relation is None:
+        code = f"k{k}".encode("ascii")
+        return lambda mask: code
+    n = _pair_count(k, wiring)
+    flip = (1 << n) - 1 if wiring == "arc" else 0
+    bit = {pair: n - 1 - b for b, pair in enumerate(itertools.combinations(range(k), 2))}
+    table = [
+        (1 << (bit[min(i, j), max(i, j)] + (n if wiring == "edge" or i > j else 0)),
+         f"{i},{j}".encode("ascii"))
+        for i, j in itertools.permutations(range(k), 2)
+    ]
+    head = f"k{k}|{relation}=".encode("ascii")
+
+    def encode(mask: int) -> TypeCode:
+        word = mask << n | (mask ^ flip)
+        return head + b";".join([label for b, label in table if word & b])
+
+    return encode
 
 
 @lru_cache(maxsize=None)
@@ -317,11 +346,14 @@ def _base_classes(spec: FraisseClassSpec, k: int) -> list[_BaseClass]:
     Masks are walked in ascending order, and an unvisited mask is the least
     of its orbit, so it stays the representative that the first member in
     product order always was.  Membership does not change under
-    isomorphism: one `is_member` call decides the whole orbit.  An image is
-    coded once, as the representative under the first permutation giving
-    it, which is the identity-order code of the image member."""
+    isomorphism: one `is_member` call decides the whole orbit.  Each
+    distinct image is coded once, straight from its mask by the level's
+    `_mask_coder`: the identity-order code of the image member, which is
+    the representative's code under the image's permutation."""
     wiring = _check_level(spec, k)
-    perms, action, _ = _perm_tables(k, wiring)
+    action = _perm_tables(k, wiring)[0]
+    relations = spec.signature.relations
+    encode = _mask_coder(k, wiring, relations[0][0] if relations else None)
     visited = bytearray(1 << _pair_count(k, wiring))
     classes: dict[TypeCode, _BaseClass] = {}
     for mask in range(len(visited)):
@@ -335,7 +367,7 @@ def _base_classes(spec: FraisseClassSpec, k: int) -> list[_BaseClass]:
         rep = _mask_structure(spec, k, mask)
         if not spec.is_member(rep):
             continue
-        codes = {image: _type_code(rep, perms[i]) for image, i in first.items()}
+        codes = dict(zip(first, map(encode, first)))
         classes[min(codes.values())] = (rep, images, codes, first)
     return [classes[c] for c in sorted(classes)]
 
@@ -394,7 +426,7 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
         if not classes:
             raise ValidationError(f"{class_name} has no members of size {k}")
         base_reps[k] = tuple(A for A, *_ in classes)
-        compose = _perm_tables(k, wiring)[2]
+        compose = _perm_tables(k, wiring)[1]
         chars = _characters(k)
         low = (1 << _pair_count(k - 1, wiring)) - 1
         level: dict[int, int] = {}
@@ -450,6 +482,12 @@ def _uniform_violations(rows: Iterable[CroRow], levels: list[int]) -> list[int]:
 
 
 def satisfies(system: CroSystem, x: list[Fraction]) -> bool:
+    """Whether x, one value per variable, is nonnegative and solves every
+    row; a point of any other length is refused."""
+    if len(x) != len(system.variables):
+        raise ValidationError(
+            f"point has {len(x)} coordinates; the system has {len(system.variables)} variables"
+        )
     return all(v >= 0 for v in x) and all(
         sum(c * x[i] for i, c in row.coeffs) == row.rhs for row in system.rows
     )

@@ -175,10 +175,11 @@ class AtomSpec:
         for loc, mass in self.atoms:
             if not (0.0 <= loc <= 1.0):
                 raise ValidationError(f"atom location {loc} outside [0,1]")
-            if mass <= 0.0:
-                raise ValidationError(f"atom mass {mass} <= 0")
+            # written so that a NaN mass or total fails too
+            if not mass > 0.0:
+                raise ValidationError(f"atom mass {mass} is not positive")
             total += mass
-        if total > 1.0 + 1e-12:
+        if not total <= 1.0 + 1e-12:
             raise ValidationError(f"atom masses sum to {total} > 1")
         for loc in self.tie_break:
             if loc not in locs:

@@ -366,6 +366,8 @@ BAD_INPUT = {
     "pairs_token": ("test", "--suite", "exchangeability", "--in", "{chain}",
                     "--n", "10", "--pairs", "0,x;1,2"),
     "atoms_no_mass": ("sample", "--sampler", "atoms", "--in", "{chain}", "--atoms", "0.5"),
+    "atoms_nan_mass": ("estimate", "--sampler", "atoms", "--in", "{chain}", "--points", "0,1",
+                       "--atoms", "0.5:nan", "--n", "10"),
     "estimate_undrawn_point": ("estimate", "--sampler", "uniform", "--in", "{chain}",
                                "--points", "0,99", "--n", "10"),
     "independence_undrawn_point": ("test", "--suite", "independence", "--in", "{chain}",

@@ -23,8 +23,10 @@ from homord.cro import (
     _characters,
     _dirac_candidates,
     _mask_action,
+    _mask_coder,
     _mask_images,
     _mask_structure,
+    _pair_count,
     _perm_tables,
     _uniform_violations,
     build_cro_system,
@@ -42,7 +44,7 @@ from homord.cro import (
 from homord.errors import ResourceLimitError, ValidationError
 from homord.groups import automorphisms
 from homord.builders import class_by_name
-from homord.structures import canonical_type, find_isomorphism, induced_substructure
+from homord.structures import _type_code, canonical_type, find_isomorphism, induced_substructure
 
 from helpers import all_members, cycle_type_representatives, deletion_marginal_rows
 
@@ -225,8 +227,9 @@ class TestPermTables:
     @pytest.mark.parametrize("wiring", ["edge", "arc", None])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_compose_indexes_the_shifted_permutation(self, k, wiring):
-        perms, _, compose = _perm_tables(k, wiring)
-        assert perms == list(itertools.permutations(range(k)))
+        perms = list(itertools.permutations(range(k)))
+        compose = _perm_tables(k, wiring)[1]
+        assert len(compose) == len(perms)
         for p, row in zip(perms, compose):
             for pos, c in enumerate(row):
                 # p followed by the shift: point x goes where p sends s(x)
@@ -238,13 +241,44 @@ class TestPermTables:
     def test_compose_matches_the_shift_action(self, wiring, k, data):
         # the image at compose[i][pos] is the i-th image relabelled by the
         # shift alone, as its own one-permutation action computes it
-        perms, action, compose = _perm_tables(k, wiring)
+        action, compose = _perm_tables(k, wiring)
         bits = k * (k - 1) // 2 if wiring else 0
         images = _mask_images(data.draw(st.integers(0, (1 << bits) - 1), label="mask"), action)
         shifts = [_mask_action([(*range(1, pos + 1), 0, *range(pos + 1, k))], wiring)
                   for pos in range(k)]
         for image, row in zip(images, compose):
             assert [images[c] for c in row] == [_mask_images(image, a)[0] for a in shifts]
+
+
+MASK_CLASSES = ("pure_set", "graph", "kn_free_graph:3", "kn_free_graph:4", "tournament",
+                "linear_order")
+
+
+def coder_for(spec, k):
+    relations = spec.signature.relations
+    return _mask_coder(k, spec.wiring, relations[0][0] if relations else None)
+
+
+class TestMaskCoder:
+    """The per-level coder against `_type_code` on the structure the mask
+    wires, member or not."""
+
+    @pytest.mark.parametrize("name", MASK_CLASSES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_mask_matches_type_code(self, name, k):
+        spec = class_by_name(name)
+        encode = coder_for(spec, k)
+        for mask in range(1 << _pair_count(k, spec.wiring)):
+            want = _type_code(_mask_structure(spec, k, mask), tuple(range(k)))
+            assert encode(mask) == want, mask
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(MASK_CLASSES), st.integers(0, (1 << 15) - 1))
+    def test_level6_masks_match_type_code(self, name, mask):
+        spec = class_by_name(name)
+        mask &= (1 << _pair_count(6, spec.wiring)) - 1
+        want = _type_code(_mask_structure(spec, 6, mask), tuple(range(6)))
+        assert coder_for(spec, 6)(mask) == want
 
 
 class TestOrderedTypes:
@@ -315,6 +349,14 @@ class TestUniformPoint:
         x = uniform_point(cro_graph3)
         x[-1] = Fraction(-1, 6)
         assert not satisfies(cro_graph3, x)
+
+    def test_long_point_refused(self, cro_graph3):
+        with pytest.raises(ValidationError, match="coordinates"):
+            satisfies(cro_graph3, uniform_point(cro_graph3) + [Fraction(5)])
+
+    def test_short_point_refused(self, cro_graph3):
+        with pytest.raises(ValidationError, match="coordinates"):
+            satisfies(cro_graph3, uniform_point(cro_graph3)[:-1])
 
     @pytest.mark.parametrize("kind,field", [
         ("restriction", "coeff"), ("restriction", "rhs"), ("mass", "coeff"), ("mass", "rhs"),

@@ -148,6 +148,15 @@ class TestAtomSpecValidation:
         with pytest.raises(ValidationError):
             AtomSpec(atoms=((0.5, 0.5),), tie_break={0.5: ASC, 0.25: ASC})
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, mass):
+        # a NaN mass compares false both ways, so neither check may be a
+        # plain "mass <= 0" or "total > 1"
+        with pytest.raises(ValidationError):
+            AtomSpec(atoms=((0.5, mass),), tie_break={0.5: ASC})
+        with pytest.raises(ValidationError):
+            AtomSpec(atoms=((0.25, 0.5), (0.5, mass)), tie_break={0.25: ASC, 0.5: ASC})
+
     def test_tie_order_must_cover_elements(self):
         short = AtomSpec(atoms=((0.5, 0.5),), tie_break={0.5: FixedOrder("s", (0, 1))})
         with pytest.raises(ValidationError):
