@@ -20,9 +20,12 @@ BiasedEdgeOrderSampler and BrokenCouplingSampler are deliberately defective
 samplers used to prove the harness has power against its target failure
 modes; their effect sizes have closed forms, derived in the tests.
 
-scipy.stats is imported inside the three p-value helpers, not here: it takes
-about a second to import and only the exchangeability and independence
-suites need it, so `import homord` and every other command skip it.
+The three p-value helpers call scipy.special's `ndtr` and `chdtrc`, the two
+functions scipy.stats' `norm.sf`, `chi2.sf` and `chi2_contingency` end in, so
+every p-value equals scipy.stats' bit for bit without importing scipy.stats
+(1.0-1.3 s, and a 99 MB process against numpy's 27 MB, on a 2-vCPU guest).
+scipy.special (0.3 s, 26 MB) is imported inside the helpers, so `import
+homord` and every suite but exchangeability and independence skip it.
 """
 
 from __future__ import annotations
@@ -158,13 +161,23 @@ def _pattern_counts(sampler, points: tuple[int, ...], seed: int, n: int) -> dict
 
 
 def _two_sample_pvalue(ca: dict, cb: dict) -> float:
-    from scipy import stats as sps
+    """scipy.stats.chi2_contingency(table).pvalue for the 2 x m table of the
+    two pattern counts, computed with its operations in its order."""
+    from scipy import special
 
     pats = sorted(set(ca) | set(cb))
     if len(pats) <= 1:
         return 1.0
-    table = np.array([[ca.get(p, 0) for p in pats], [cb.get(p, 0) for p in pats]])
-    return float(sps.chi2_contingency(table).pvalue)
+    observed = np.array([[ca.get(p, 0) for p in pats], [cb.get(p, 0) for p in pats]], dtype=float)
+    expected = (observed.sum(axis=1, keepdims=True) * observed.sum(axis=0, keepdims=True)
+                / observed.sum())
+    dof = len(pats) - 1
+    if dof == 1:
+        # Yates' continuity correction, never larger than the difference
+        diff = expected - observed
+        observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    stat = ((observed - expected) ** 2 / expected).ravel().sum()
+    return float(special.chdtrc(dof, stat))
 
 
 def test_exchangeability(
@@ -235,7 +248,7 @@ def _joint_chi2_pvalue(cols: list[np.ndarray]) -> float:
 
     dof = prod(r_i) - 1 - sum(r_i - 1), the multiway mutual-independence
     count; for two columns this is the usual (r-1)(c-1)."""
-    from scipy import stats as sps
+    from scipy import special
 
     n = len(cols[0])
     binned = [_bin_column(c) for c in cols]
@@ -250,18 +263,18 @@ def _joint_chi2_pvalue(cols: list[np.ndarray]) -> float:
         return 1.0
     mask = expected > 0
     stat = float(((flat[mask] - expected[mask]) ** 2 / expected[mask]).sum())
-    return float(sps.chi2.sf(stat, dof))
+    return float(special.chdtrc(dof, stat))
 
 
 def _corr_pvalue(x: np.ndarray, y: np.ndarray) -> float:
-    from scipy import stats as sps
+    from scipy import special
 
     n = len(x)
     if np.std(x) == 0 or np.std(y) == 0:
         return 1.0
     r = float(np.corrcoef(x, y)[0, 1])
     z = abs(r) * math.sqrt(n)
-    return float(2 * sps.norm.sf(z))
+    return float(2 * special.ndtr(-z))
 
 
 def test_independence(
@@ -375,7 +388,12 @@ def test_shift_ergodicity(
     source(seed, n) must return an (n, L) array with L a multiple of
     block_size.  A mixture of components with different means inflates the
     observed variance by the between-component variance, which does not
-    shrink with B, so mixtures fail decisively."""
+    shrink with B, so mixtures fail decisively.
+
+    The test overwrites the float array its source returns: once the block
+    means are taken, the sample variance is reduced in place, so no second
+    (n, L) array is made.  A source array that is read-only, or not float64,
+    is copied first."""
     if n < 2:
         raise ValidationError("need at least 2 sequences")
     if block_size <= 0:
@@ -386,9 +404,14 @@ def test_shift_ergodicity(
     length = arr.shape[1]
     if length % block_size or length // block_size < 1:
         raise ValidationError("degenerate block sizes")
+    if not arr.flags.writeable:
+        arr = arr.copy()
     blocks = arr.reshape(n, length // block_size, block_size).mean(axis=2)
     observed = float(blocks.var(ddof=1))
-    predicted = float(arr.var(ddof=1)) / block_size
+    # arr.var(ddof=1) with ndarray.var's own reductions, written into arr
+    np.subtract(arr, arr.sum(keepdims=True) / arr.size, out=arr)
+    np.multiply(arr, arr, out=arr)
+    predicted = float(arr.sum() / (arr.size - 1)) / block_size
     m = blocks.size
     se_null = predicted * math.sqrt(2 / (m - 1))
     z = abs(observed - predicted) / se_null if se_null > 0 else math.inf

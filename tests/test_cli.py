@@ -656,10 +656,10 @@ except SystemExit as done:
 
 
 class TestStartup:
-    """scipy.stats costs about a second to import and only the p-value
-    suites (exchangeability, independence) use it; everything else must
-    start without it.  numpy is loaded only by the layers that draw random
-    numbers, so the exact commands (cro, orbits, acl, tau-path) skip it."""
+    """scipy.stats costs about 1.3 s to import and no command needs it: the
+    p-value suites (exchangeability, independence) call scipy.special.
+    numpy is loaded only by the layers that draw random numbers, so the
+    exact commands (cro, orbits, acl, tau-path) skip it."""
 
     def probe(self, *argv, tmp_path):
         r = subprocess.run(
@@ -717,8 +717,14 @@ class TestStartup:
                           "--n", "5", "--seed", "1",
                           tmp_path=tmp_path) == ["0", "False", "True"]
 
-    def test_independence_loads_scipy_stats(self, chain_file, tmp_path):
+    def test_independence_skips_scipy_stats(self, chain_file, tmp_path):
         assert self.probe("test", "--suite", "independence", "--sampler", "uniform",
                           "--in", str(chain_file), "--level", "0", "--n", "200",
                           "--seed", "3", "--tuples", "0,1",
-                          tmp_path=tmp_path) == ["0", "True", "True"]
+                          tmp_path=tmp_path) == ["0", "False", "True"]
+
+    def test_exchangeability_skips_scipy_stats(self, chain_file, tmp_path):
+        assert self.probe("test", "--suite", "exchangeability", "--sampler", "uniform",
+                          "--in", str(chain_file), "--level", "0", "--n", "200",
+                          "--seed", "3", "--pairs", "0,1;1,0",
+                          tmp_path=tmp_path) == ["0", "False", "True"]

@@ -6,11 +6,14 @@ defect whose effect size is known in closed form.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy import stats as sps
 
 from homord.errors import ValidationError
 from homord.samplers import (
@@ -24,7 +27,10 @@ from homord.samplers import (
 # the verdict functions carry a test_ prefix in the library API, which
 # pytest would otherwise try to collect here
 from homord.stats import (
+    _corr_pvalue,
+    _joint_chi2_pvalue,
     _pattern_counts,
+    _two_sample_pvalue,
     BiasedEdgeOrderSampler,
     BrokenCouplingSampler,
     Estimate,
@@ -278,6 +284,99 @@ class TestIndependence:
             independence_verdict(UniformOrderSampler(K3), [(0, 2), (1, 1)], seed=1, n=50)
 
 
+class TestPValueOracles:
+    """The p-value helpers call scipy.special, not scipy.stats; each must
+    equal its scipy.stats counterpart bit for bit, or a pinned verdict moves."""
+
+    @staticmethod
+    def counts(rng, m):
+        """Two pattern-count dicts over m patterns, zero counts left out as
+        _pattern_counts leaves them; every third pair shares one law."""
+        n = int(rng.integers(1, 5000))
+        law = rng.dirichlet(np.ones(m))
+        other = law if m % 3 == 0 else rng.dirichlet(np.ones(m))
+        a, b = rng.multinomial(n, law), rng.multinomial(int(rng.integers(1, 5000)), other)
+        return ({(j,): int(c) for j, c in enumerate(a) if c},
+                {(j,): int(c) for j, c in enumerate(b) if c})
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_two_sample_matches_chi2_contingency(self, m):
+        # m = 2 is dof 1, where chi2_contingency applies Yates' correction
+        rng = np.random.default_rng(m)
+        for _ in range(15):
+            ca, cb = self.counts(rng, m)
+            pats = sorted(set(ca) | set(cb))
+            table = np.array([[ca.get(p, 0) for p in pats], [cb.get(p, 0) for p in pats]])
+            want = 1.0 if len(pats) == 1 else float(sps.chi2_contingency(table).pvalue)
+            assert _two_sample_pvalue(ca, cb) == want, table
+
+    @pytest.mark.parametrize("table", [
+        [[3, 4], [4, 3]],  # every Yates step capped at the difference, 0.5
+        [[5, 5], [5, 5]],  # observed equals expected: no correction at all
+        [[0, 9], [9, 0]],
+        [[1, 0], [0, 1]],
+        [[4000, 1], [3990, 11]],
+    ])
+    def test_two_sample_dof_one_edges(self, table):
+        ca = {(0, 1): table[0][0], (1, 0): table[0][1]}
+        cb = {(0, 1): table[1][0], (1, 0): table[1][1]}
+        ca, cb = ({k: v for k, v in c.items() if v} for c in (ca, cb))
+        assert _two_sample_pvalue(ca, cb) == float(sps.chi2_contingency(np.array(table)).pvalue)
+
+    def test_one_column_table(self):
+        # one pattern seen on both sides: dof 0, and chi2_contingency says 1.0
+        assert _two_sample_pvalue({(0, 1): 5}, {(0, 1): 7}) == 1.0
+        assert float(sps.chi2_contingency(np.array([[5], [7]])).pvalue) == 1.0
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The (name, args) of each scipy.special call made since the list was
+        last cleared; scipy.stats' own calls land here too."""
+        seen = []
+        for name in ("chdtrc", "ndtr"):
+            real = getattr(special, name)
+            monkeypatch.setattr(special, name,
+                                lambda *a, _n=name, _f=real: seen.append((_n, a)) or _f(*a))
+        return seen
+
+    def test_joint_chi2_matches_chi2_sf(self, calls):
+        rng = np.random.default_rng(7)
+        for i in range(60):
+            k, n = 2 + i % 3, int(rng.integers(20, 3000))
+            cols = list(rng.random((k, n)) + 0.3 * rng.random(n))
+            if i % 4 == 0:
+                cols[0] = rng.integers(0, 3, n).astype(float)  # few distinct values
+            calls.clear()
+            p = _joint_chi2_pvalue(cols)
+            (name, (dof, stat)), = calls
+            assert name == "chdtrc" and p == float(sps.chi2.sf(stat, dof))
+
+    def test_joint_chi2_zero_statistic(self, calls):
+        # each of the four cells holds exactly its expected count
+        x, y = np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0, 1.0])
+        assert _joint_chi2_pvalue([x, y]) == 1.0
+        assert calls == [("chdtrc", (1, 0.0))]
+        assert float(sps.chi2.sf(0.0, 1)) == 1.0
+
+    def test_corr_matches_norm_sf(self, calls):
+        rng = np.random.default_rng(11)
+        for i in range(60):
+            n = int(rng.integers(3, 3000))
+            x = rng.random(n)
+            y = rng.random(n) + (i % 5) * 0.02 * x
+            calls.clear()
+            p = _corr_pvalue(x, y)
+            (name, (minus_z,)), = calls
+            assert name == "ndtr" and p == float(2 * sps.norm.sf(-minus_z))
+
+    def test_corr_zero_z(self, calls):
+        # centred x and y are orthogonal, so r and z are exactly 0
+        x, y = np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0])
+        assert _corr_pvalue(x, y) == 1.0
+        assert calls == [("ndtr", (-0.0,))]
+        assert float(2 * sps.norm.sf(0.0)) == 1.0
+
+
 class TestMonotoneCoupling:
     def test_uniform_passes(self):
         v = monotone_verdict(UniformOrderSampler(K3), seed=31, n=2000)
@@ -399,6 +498,28 @@ class TestShiftErgodicity:
         src = iid_uniform_sequences(16)
         assert (src(7, 5) == src(7, 5)).all()
         assert src(7, 5).shape == (5, 16)
+
+    def test_peak_memory_is_one_array(self):
+        """The variance is reduced in the source's own array: the peak stays
+        near the 8 MB (4000, 256) float array, where a second array would
+        double it."""
+        src = iid_bernoulli_sequences(0.5, 256)
+        tracemalloc.start()
+        try:
+            ergodicity_verdict(src, 64, seed=5, n=4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 4000 * 256 * 8
+
+    def test_read_only_source_is_copied(self):
+        data = mixture_bernoulli_sequences(0.25, 0.75, 256)(9, 300)
+        frozen = data.copy()
+        frozen.flags.writeable = False
+        v_frozen = ergodicity_verdict(lambda seed, n: frozen, 64, seed=9, n=300)
+        v_fresh = ergodicity_verdict(lambda seed, n: data.copy(), 64, seed=9, n=300)
+        assert repr(v_frozen) == repr(v_fresh)
+        assert (frozen == data).all()
 
 
 class TestEtaCovariance:
