@@ -39,7 +39,9 @@ class AutGroup:
 
 def automorphisms(S: FinStructure, bound: int = _GROUP_BOUND) -> AutGroup:
     """List Aut(S) in the order of `structures.isomorphisms`.  Stops
-    (complete=False) at bound."""
+    (complete=False) at bound, which must be an int >= 1."""
+    if type(bound) is not int or bound < 1:
+        raise ValidationError(f"bound {bound!r} is not an integer >= 1")
     found = tuple(itertools.islice(isomorphisms(S, S), bound + 1))
     if len(found) > bound:
         return AutGroup(S, found[:bound], complete=False)

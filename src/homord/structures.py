@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 import json
-from collections.abc import Iterator
+import math
+import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -311,10 +312,19 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
     ascending h(z) and recurses on h u_{d,z}.  It starts from the identity
     when T is S, and otherwise from the first solution of the backtracker,
     yielded before any table work, so `find_isomorphism` between two
-    structures runs one search.  Each u_{d,z} is the first solution
-    with b[:d] pinned to themselves and b[d] to z; these searches cover
-    disjoint subtrees of the plain search, so the table costs no more
-    nodes than listing every leaf would.
+    structures runs one search.
+
+    The table is filled from the deepest d up.  Every automorphism found
+    so far was found at some depth d' >= d, so it fixes b[:d] and lies in
+    G_d, and so do its products.  At depth d a breadth-first closure of
+    b[d] under them gives each point z it reaches a product mapping b[d] to
+    z; each candidate z it does not reach runs a first-solution search with
+    b[:d] pinned to themselves and b[d] to z, and a solution joins the
+    automorphisms and the closure runs again.  So the entries at depth d
+    are the whole orbit, and most orbit points cost no search.  Which
+    u_{d,z} the table holds does not change the output: every later factor
+    fixes b[d], so the walk yields the leaves in lexicographic order of
+    their images along b, the plain backtracker's order.
 
     The search reads one `_View` of S, and one of T unless T is S.  Each
     unmapped element keeps a bitset domain of images, seeded by invariant.
@@ -393,32 +403,57 @@ def isomorphisms(S: FinStructure, T: FinStructure) -> Iterator[tuple[int, ...]]:
         yield start
     auto, seeds = backtracker(view_s)
 
-    # table: for each d with a nontrivial orbit, the pairs (z, u_{d,z}),
-    # with None for u_{d,b[d]}, the identity
-    table: list[list[tuple[int, tuple[int, ...] | None]]] = []
-    domains = seeds
-    for d, x in enumerate(order):
-        entries: list[tuple[int, tuple[int, ...] | None]] = [(x, None)]
-        left = domains[0] & ~(1 << x)
-        while left:
-            low = left & -left
-            left ^= low
-            u = next(auto(d, [low] + domains[1:]), None)
-            if u is not None:
-                entries.append((low.bit_length() - 1, u))
-        if len(entries) > 1:
-            table.append(entries)
+    # levels[d]: the domains of order[d:] on the identity path
+    levels = [seeds]
+    for d, x in enumerate(order[:-1]):
         masks = view_s.masks[x]
-        domains = [dom & masks.get(p, 0) for dom, p in zip(domains[1:], later_patterns[d])]
+        levels.append([dom & masks.get(p, 0) for dom, p in zip(levels[d][1:], later_patterns[d])])
+
+    # table: for each d with a nontrivial orbit, the pairs (z, step) with
+    # step(h) = h u_{d,z}, and None for u_{d,b[d]}, the identity; filled
+    # deepest first, so every automorphism in gens fixes b[:d]
+    gens: list[tuple[int, ...]] = []
+    table: list[list[tuple[int, Callable | None]]] = []
+
+    def close(orbit: dict[int, tuple[int, ...] | None], queue: list[int]) -> None:
+        # breadth first: each g in gens after the u of a point z reaches g(z)
+        for z in queue:  # queue grows as it goes
+            u = orbit[z]
+            for g in gens:
+                if g[z] not in orbit:
+                    orbit[g[z]] = g if u is None else tuple(map(g.__getitem__, u))
+                    queue.append(g[z])
+
+    for d in reversed(range(n)):
+        x, domains = order[d], levels[d]
+        if domains[0] == 1 << x:
+            continue
+        orbit: dict[int, tuple[int, ...] | None] = {x: None}
+        close(orbit, [x])
+        for z in _members(domains[0]):
+            if z not in orbit:
+                u = next(auto(d, [1 << z] + domains[1:]), None)
+                if u is not None:
+                    gens.append(u)
+                    orbit[z] = u
+                    close(orbit, list(orbit))
+        if len(orbit) > 1:
+            # itemgetter(*u)(h) is the tuple h u, as n > 1 here
+            table.append([(z, None if u is None else operator.itemgetter(*u))
+                          for z, u in orbit.items()])
+    table.reverse()
 
     def walk(level: int, h: tuple[int, ...]):
-        if level == len(table):
-            yield h
-            return
-        for _, u in sorted(table[level], key=lambda entry: h[entry[0]]):
-            yield from walk(level + 1, h if u is None else tuple(map(h.__getitem__, u)))
+        # the last level yields its products itself, saving a generator a leaf
+        entries = sorted(table[level], key=lambda entry: h[entry[0]])
+        if level + 1 == len(table):
+            for _, step in entries:
+                yield h if step is None else step(h)
+        else:
+            for _, step in entries:
+                yield from walk(level + 1, h if step is None else step(h))
 
-    cosets = walk(0, start)
+    cosets = walk(0, start) if table else iter((start,))
     if T is not S:
         next(cosets)  # start itself, yielded above
     yield from cosets

@@ -137,6 +137,13 @@ def relabel(S, perm):
     return make_structure(S.signature, S.size, tables, sorts)
 
 
+def disjoint_union(S, T):
+    """S on 0..|S|-1 beside T moved up by |S|: both unsorted, one signature."""
+    return make_structure(S.signature, S.size + T.size, {
+        name: S.tables[name] | {tuple(x + S.size for x in tup) for tup in T.tables[name]}
+        for name in S.tables})
+
+
 def carries(S, T, p):
     """Does x -> p[x] carry every tuple and sort label of S onto T?  Unlike
     comparing relabel(S, p) with T it stops at the first miss, which keeps
@@ -150,20 +157,99 @@ def carries(S, T, p):
         for name, _ in S.signature.relations)
 
 
+def invariants(S):
+    """Each element's sort label and incidence count at every relation
+    position: the invariant the search seeds its domains with."""
+    return [(S.sort_of(x), tuple(sum(tup[i] == x for tup in S.tables[name])
+                                 for name, arity in S.signature.relations
+                                 for i in range(arity)))
+            for x in range(S.size)]
+
+
 def brute_isomorphisms(S, T):
     """Every isomorphism S -> T, in the search's promised order."""
     if S.size != T.size:
         return []
-
-    def invariant(x):
-        return (S.sort_of(x), tuple(sum(tup[i] == x for tup in S.tables[name])
-                                    for name, arity in S.signature.relations
-                                    for i in range(arity)))
-
-    inv = [invariant(x) for x in range(S.size)]
+    inv = invariants(S)
     order = sorted(range(S.size), key=lambda x: inv.count(inv[x]))
     found = [p for p in itertools.permutations(range(S.size)) if carries(S, T, p)]
     return sorted(found, key=lambda p: [p[x] for x in order])
+
+
+def plain_isomorphisms(S, T):
+    """Every isomorphism S -> T from a plain backtracker with no table.
+
+    The elements of S are taken most constrained first (fewest elements
+    sharing the invariant, ties by index); each keeps a set of candidates,
+    seeded with the elements of T of its invariant, and is sent to them in
+    ascending order.  An isomorphism keeps distances, counted in steps
+    between two points of one tuple, so mapping x -> y keeps a later z's
+    candidates at y's distance from them equal to x's from z, and a branch
+    ends when some later element has none left, or at the first tuple
+    through x or y whose points are all mapped and that is not carried.
+    Each leaf is checked again with `carries`.  Yields image tuples in the
+    search's promised order."""
+    if S.size != T.size or S.signature != T.signature:
+        return
+    inv_s, inv_t = invariants(S), invariants(T)
+    if sorted(inv_s) != sorted(inv_t):
+        return
+    order = sorted(range(S.size), key=lambda x: inv_s.count(inv_s[x]))
+
+    def through(U):
+        found = [[] for _ in range(U.size)]
+        for name, table in U.tables.items():
+            for tup in table:
+                for x in set(tup):
+                    found[x].append((tup, name))
+        return found
+
+    def distances(U, at):
+        """dist[x][w]: the fewest steps from x to w; None when there are none."""
+        dist = []
+        for x in range(U.size):
+            row, frontier = {x: 0}, deque([x])
+            while frontier:
+                w = frontier.popleft()
+                for tup, _ in at[w]:
+                    for v in tup:
+                        if v not in row:
+                            row[v] = row[w] + 1
+                            frontier.append(v)
+            dist.append([row.get(w) for w in range(U.size)])
+        return dist
+
+    through_s, through_t = through(S), through(T)
+    dist_s, dist_t = distances(S, through_s), distances(T, through_t)
+    image, inverse = {}, {}
+
+    def fits(x, y):
+        for tup, name in through_s[x]:
+            if all(w in image for w in tup) and tuple(image[w] for w in tup) not in T.tables[name]:
+                return False
+        for tup, name in through_t[y]:
+            if all(w in inverse for w in tup) and tuple(inverse[w] for w in tup) not in S.tables[name]:
+                return False
+        return True
+
+    def extend(depth, candidates):
+        # candidates[i]: the images left for order[depth + i]
+        if depth == S.size:
+            p = tuple(image[x] for x in range(S.size))
+            if carries(S, T, p):
+                yield p
+            return
+        x = order[depth]
+        for y in sorted(candidates[0]):
+            image[x], inverse[y] = y, x
+            if fits(x, y):
+                rest = [{v for v in left if v != y and dist_t[y][v] == dist_s[x][z]}
+                        for z, left in zip(order[depth + 1:], candidates[1:])]
+                if all(rest):
+                    yield from extend(depth + 1, rest)
+            del image[x], inverse[y]
+
+    yield from extend(0, [{y for y in range(T.size) if inv_t[y] == inv_s[x]} for x in order])
 
 
 def deletion_marginal_rows(k):

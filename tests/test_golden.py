@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import disjoint_union
 from homord.builders import (
     build_bipartite_deg2,
     build_f2_vector_space,
@@ -189,6 +190,32 @@ PALEY17_FIRST50 = "b28f6a14c607691811e0c991b8226403ed47f829d7f982c8a6db573f9e0b0
 # every level of the search has more than one image, and the bound cuts the
 # list inside the third.
 EMPTY8_FIRST5000 = "545d0c130ff4bbf21503a4bb431143d34b8d90bbe8720c873ffb9d82aba23f9b"
+
+
+# Paley 41 (|Aut| = 820) in full and its first 100 elements; two disjoint
+# Paley 13 copies (|Aut| = 2 x 78^2), the non-transitive case, where an
+# automorphism swapping the copies reaches points of the first from the second.
+PALEY41 = "cc828276a407057047d3222bb7c1312bd5aaf01c20337cd51770ebbc4fa9cac4"
+PALEY41_FIRST100 = "a3fedf52046c02c51d6a9102e8c93fea079becdc812d3366e7fbfd74a55de863"
+TWICE13 = "a51f340024373666245329cfab20cf5ba269eb46c2c9b401d77840803ef48b06"
+TWICE13_FIRST1000 = "9231f97461eb6967713abebd1439cd49ef951a84f06a158410510cdeffb126f6"
+
+
+def twice_paley13():
+    return disjoint_union(paley_graph(13), paley_graph(13))
+
+
+@pytest.mark.parametrize("make,order,bound,digest", [
+    (lambda: paley_graph(41), 820, None, PALEY41),
+    (lambda: paley_graph(41), 820, 100, PALEY41_FIRST100),
+    (twice_paley13, 12168, None, TWICE13),
+    (twice_paley13, 12168, 1000, TWICE13_FIRST1000),
+], ids=["paley41", "paley41-first100", "twice13", "twice13-first1000"])
+def test_large_automorphism_digest(make, order, bound, digest):
+    group = automorphisms(make()) if bound is None else automorphisms(make(), bound=bound)
+    assert group.complete == (bound is None)
+    assert len(group) == (order if bound is None else bound)
+    assert sha256(repr(group.elements)) == digest
 
 
 def test_paley29_automorphism_digest():

@@ -84,6 +84,11 @@ class TestAutomorphisms:
         assert not partial.complete
         assert len(partial) == 5
 
+    @pytest.mark.parametrize("bound", [0, -1, -2, 2.5])
+    def test_bound_must_be_positive_int(self, bound):
+        with pytest.raises(ValidationError, match="bound"):
+            automorphisms(C4, bound=bound)
+
     def test_empty_structure(self):
         S = make_structure(GSIG, 0, {})
         assert automorphisms(S).elements == ((),)

@@ -17,6 +17,14 @@ from a structure to itself, to a relabelled copy, to a one-flip near miss of
 that copy and to an unrelated structure.  There the brute force also fixes
 the order in which isomorphisms come out.
 
+The transversal table behind the search is checked against the plain
+backtracker kept in tests/helpers.py, which has none: on circulant graphs
+C_n(J) with n <= 20 and on disjoint unions of two of them (a copy of one
+circulant beside itself among them), each to itself and to a seeded
+relabelling, every isomorphism must come out, in the same order.  There the
+groups reach 1,000 elements, past what a walk over every permutation can
+check.
+
 Type codes are checked against their definition on random structures with
 binary, ternary and unary relations and optional sorts: two tuples get equal
 codes exactly when the position map between them preserves every relation
@@ -43,9 +51,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import brute_isomorphisms, plain_open_instances, reference_tau_path, relabel
+from helpers import (
+    brute_isomorphisms,
+    disjoint_union,
+    plain_isomorphisms,
+    plain_open_instances,
+    reference_tau_path,
+    relabel,
+)
 from homord.builders import (
     _bits_of,
     _forbid,
@@ -362,6 +377,35 @@ def test_wide_isomorphisms_match_brute_force(S, other, rng):
         assert find_isomorphism(S, T) == (list(brute[0]) if brute else None), kind
         if kind != "other":
             assert bool(brute) == (kind == "copy")
+
+
+def circulant(n, jumps):
+    """C_n(jumps): i ~ i + j mod n for each jump j."""
+    edges = {(i, (i + j) % n) for i in range(n) for j in jumps}
+    return make_structure(class_by_name("graph").signature, n,
+                          {"E": edges | {(b, a) for a, b in edges}})
+
+
+@st.composite
+def circulants(draw):
+    n = draw(st.integers(1, 20))
+    return circulant(n, draw(st.sets(st.integers(1, n // 2))) if n > 1 else ())
+
+
+CIRCULANT_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@CIRCULANT_SETTINGS
+@given(st.one_of(circulants(),
+                 st.builds(disjoint_union, circulants(), circulants()),
+                 circulants().map(lambda S: disjoint_union(S, S))),
+       st.randoms(use_true_random=False))
+@example(disjoint_union(circulant(7, {1}), circulant(7, {1})), random.Random(0))
+@example(disjoint_union(circulant(12, {1, 4}), circulant(9, {2})), random.Random(1))
+def test_isomorphisms_match_plain_backtracker(S, rng):
+    assume(automorphisms(S, bound=1000).complete)
+    for T in (S, relabel(S, rng.sample(range(S.size), S.size))):
+        assert list(isomorphisms(S, T)) == list(plain_isomorphisms(S, T))
 
 
 @st.composite
