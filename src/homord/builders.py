@@ -41,7 +41,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -88,32 +87,29 @@ class FraisseClassSpec:
 
 
 def _symmetric_irreflexive(S: FinStructure, rel: str) -> bool:
-    for a, b in S.table(rel):
-        if a == b or (b, a) not in S.table(rel):
-            return False
-    return True
+    """Whether the binary rel is symmetric and has no loop."""
+    out, into = S.bits[rel]
+    return out == into and not any(o >> x & 1 for x, o in enumerate(out))
 
 
 def _tournament(S: FinStructure, rel: str) -> bool:
-    """Whether rel holds exactly one of (a, b) and (b, a) for each pair a != b:
-    no loop, no 2-cycle, and one tuple per pair."""
-    arcs = S.table(rel)
-    return len(arcs) == S.size * (S.size - 1) // 2 and all(
-        a != b and (b, a) not in arcs for a, b in arcs
-    )
+    """Whether the binary rel holds exactly one of (a, b) and (b, a) for each
+    pair a != b: every other point is out or in, none both, and no loop."""
+    full = (1 << S.size) - 1
+    return all(o | i == full ^ 1 << x and not o & i
+               for x, (o, i) in enumerate(zip(*S.bits[rel])))
 
 
-def _places(S: FinStructure) -> Counter:
-    """Each point's number of predecessors in "lt" (0 for an absent point)."""
-    return Counter(b for _, b in S.table("lt"))
+def _places(S: FinStructure) -> list[int]:
+    """Each point's number of predecessors in "lt"."""
+    return [i.bit_count() for i in S.bits["lt"][1]]
 
 
 def _linear_order(S: FinStructure) -> bool:
     """Whether "lt" is a strict linear order: a tournament whose places are
     0..n-1, since a tournament is transitive iff its scores are distinct
     (Landau)."""
-    places = _places(S)
-    return _tournament(S, "lt") and set(map(places.__getitem__, S.elements)) == set(range(S.size))
+    return _tournament(S, "lt") and set(_places(S)) == set(range(S.size))
 
 
 def _witness_complete(spec: FraisseClassSpec, seed: int, sat: int, cap: int) -> StructureChain:
@@ -145,7 +141,7 @@ def kn_free_graph_class(n: int = 3) -> FraisseClassSpec:
         return (
             S.signature == sig
             and _symmetric_irreflexive(S, "E")
-            and not _clique_in(_bits_of(S), (1 << S.size) - 1, n)
+            and not _clique_in(S.bits["E"][0], (1 << S.size) - 1, n)
         )
 
     return FraisseClassSpec(
@@ -186,19 +182,13 @@ def bipartite_deg2_class() -> FraisseClassSpec:
     sig = Signature((("R", 2),))
 
     def member(S: FinStructure) -> bool:
-        if S.signature != sig or S.sorts is None:
+        if S.signature != sig or S.sorts is None or set(S.sorts) - {"S0", "S1"}:
             return False
-        if set(S.sorts) - {"S0", "S1"}:
-            return False
-        table = S.table("R")
-        if not _symmetric_irreflexive(S, "R"):
-            return False
-        deg = [0] * S.size
-        for a, b in table:
-            if S.sorts[a] == S.sorts[b]:
-                return False
-            deg[a] += 1
-        return all(deg[i] == 2 for i in range(S.size) if S.sorts[i] == "S0")
+        s1 = sum(1 << x for x, label in enumerate(S.sorts) if label == "S1")
+        # an S0 point has two neighbours, all in S1; an S1 point none in S1
+        return _symmetric_irreflexive(S, "R") and all(
+            o & s1 == o and o.bit_count() == 2 if label == "S0" else not o & s1
+            for o, label in zip(S.bits["R"][0], S.sorts))
 
     return FraisseClassSpec("bipartite_deg2", sig, member, flags={"m": 3},
                             build=lambda spec, seed, m: build_bipartite_deg2(m, seed))
@@ -208,17 +198,9 @@ def involution_order_class() -> FraisseClassSpec:
     sig = Signature((("lt", 2), ("f", 2)))
 
     def member(S: FinStructure) -> bool:
-        if S.signature != sig or not _linear_order(S):
-            return False
-        f = S.table("f")
-        partner: dict[int, int] = {}
-        for a, b in f:
-            if a == b or (b, a) not in f:
-                return False
-            if a in partner and partner[a] != b:
-                return False
-            partner[a] = b
-        return len(partner) == S.size
+        # f is a fixed-point-free involution: symmetric, no loop, one image each
+        return (S.signature == sig and _linear_order(S) and _symmetric_irreflexive(S, "f")
+                and all(o.bit_count() == 1 for o in S.bits["f"][0]))
 
     return FraisseClassSpec("involution_order", sig, member, flags={"pairs": (3,)},
                             build=lambda spec, seed, pairs: involution_order_chain(pairs, seed))
@@ -372,7 +354,7 @@ def chain_loads(text: str) -> StructureChain:
 # --- witness completion ------------------------------------------------------
 
 
-def _clique_in(bits: list[int], mask: int, k: int) -> bool:
+def _clique_in(bits: Sequence[int], mask: int, k: int) -> bool:
     """Whether the vertices in mask hold a k-clique of the symmetric bits."""
     if k <= 0:
         return True
@@ -384,15 +366,6 @@ def _clique_in(bits: list[int], mask: int, k: int) -> bool:
     return False
 
 
-def _bits_of(S: FinStructure) -> list[int]:
-    """bits[b] has a for every (a, b) in the structure's binary relation."""
-    bits = [0] * S.size
-    for name, _ in S.signature.relations:  # witnessable classes have at most one
-        for a, b in S.table(name):
-            bits[b] |= 1 << a
-    return bits
-
-
 def _forbid(spec: FraisseClassSpec) -> int | None:
     """n for K_n-free graphs, the one witnessable class with a parameter; else None."""
     if not spec.witnessable:
@@ -400,7 +373,7 @@ def _forbid(spec: FraisseClassSpec) -> int | None:
     return spec.params[0] if spec.params else None
 
 
-def _witness_mask(bits: list[int], a_set, b_set) -> int:
+def _witness_mask(bits: Sequence[int], a_set, b_set) -> int:
     """Vertices w outside A ∪ B with w in every bits[a] and in no bits[b]."""
     cand = (1 << len(bits)) - 1
     for a in a_set:
@@ -410,7 +383,7 @@ def _witness_mask(bits: list[int], a_set, b_set) -> int:
     return cand
 
 
-def _open_instances(bits: list[int], t: int, lo: int, forbid: int | None, wiring: str | None,
+def _open_instances(bits: Sequence[int], t: int, lo: int, forbid: int | None, wiring: str | None,
                     first: bool = False):
     """Admissible (A, B) with |A|+|B| <= t, max(A ∪ B) >= lo, and no witness.
 
@@ -504,15 +477,17 @@ def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     """Largest depth t' <= t at which every admissible instance is witnessed.
 
     Exhaustive up to the answer: walks the disjoint (A, B) on bitsets read
-    from S itself, independent of how S was built, one size bound at a time
-    (0, 1, ..., t), and stops at the first open instance.  A size below the
-    bound holds none, so that instance has the bound's size, and a depth
-    past the true one costs one walk that ends at its first open instance.
-    S must be in spec.
+    from S itself (the into bitsets of its relation in `FinStructure.bits`,
+    all 0 for a pure set), independent of how S was built, one size bound
+    at a time (0, 1, ..., t), and stops at the first open instance.  A size
+    below the bound holds none, so that instance has the bound's size, and a
+    depth past the true one costs one walk that ends at its first open
+    instance.  S must be in spec.
     """
     if t < 0:
         raise ValidationError(f"depth {t} < 0")
-    bits, forbid = _bits_of(S), _forbid(spec)
+    bits = next((into for _, into in S.bits.values()), [0] * S.size)
+    forbid = _forbid(spec)
     for size in range(t + 1):
         if _open_instances(bits, size, 0, forbid, spec.wiring, first=True):
             return max(size - 1, 0)
@@ -535,7 +510,7 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
         raise ValidationError(f"class {spec.name} is not witnessable")
     if not spec.signature.relations:
         # a pure set is trivially saturated once the size clears the depth
-        level = make_structure(spec.signature, cap, {})
+        level = FinStructure(spec.signature, cap, {})
         return StructureChain(spec.name, (level,), (audit_saturation(level, spec, t),))
     import numpy as np
 
@@ -554,7 +529,9 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
         # vertex at or past done are new
         pairs.update((a, b) for b in range(start)
                      for a in _members(bits[b] if b >= done else bits[b] >> done << done))
-        levels.append(make_structure(spec.signature, start, {rel: pairs}))
+        # the pairs name distinct points below start, so make_structure's
+        # checks would have nothing to reject
+        levels.append(FinStructure(spec.signature, start, {rel: frozenset(pairs)}))
         # every open instance of the level, in the order a full rescan meets
         # them, which fixes the seeded coin flips; the smallest sets its depth
         frontier = sorted(
@@ -587,7 +564,7 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
             break
         done = start
     chain = StructureChain(spec.name, tuple(levels), tuple(sat))
-    for S in chain.levels:
+    for S in chain.levels:  # bitwise, and leaves each level's bits cached
         spec.validate(S)
     return chain
 
@@ -659,17 +636,14 @@ def bipartite_m_view(S: FinStructure) -> tuple[FinStructure, tuple[int, ...]]:
     """
     bipartite_deg2_class().validate(S)
     carrier = S.elements_of_sort("S0")
-    nbrs = {
-        a: {b for x, b in S.table("R") if x == a}
-        for a in carrier
-    }
+    out, _ = S.bits["R"]
     sig = Signature((("share0", 2), ("share1", 2), ("share2", 2)))
     tables: dict[str, set[tuple[int, ...]]] = {"share0": set(), "share1": set(), "share2": set()}
     for i, a in enumerate(carrier):
         for j, b in enumerate(carrier):
             if i == j:
                 continue
-            shared = len(nbrs[a] & nbrs[b])
+            shared = (out[a] & out[b]).bit_count()
             tables[f"share{shared}"].add((i, j))
     view = make_structure(sig, len(carrier), tables)
     return view, carrier

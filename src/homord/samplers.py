@@ -50,7 +50,7 @@ from .builders import (
     two_predicate_class,
 )
 from .errors import ResourceLimitError, ValidationError
-from .structures import FinStructure, TypeCode, canonical_type
+from .structures import FinStructure, TypeCode, _members, canonical_type
 
 CHUNK = 4096
 
@@ -415,11 +415,9 @@ class BipartiteMinSampler(OrderSamplerBase):
         # the view validates S; its carrier is the S0 sort
         self._view, self.elements = bipartite_m_view(S)
         self._s1 = S.elements_of_sort("S1")
-        self._nbrs = {
-            a: tuple(sorted(b for x, b in S.table("R") if x == a)) for a in self.elements
-        }
-        if any(len(v) != 2 for v in self._nbrs.values()):
-            raise ValidationError("every S0 element needs exactly 2 neighbors")
+        # the view's class check gives each S0 element exactly 2 neighbors
+        out, _ = S.bits["R"]
+        self._nbrs = {a: tuple(_members(out[a])) for a in self.elements}
         # (2, k0): latent columns of each S0 element's two neighbors
         self._nbr_cols = np.array([[self._s1.index(u) for u in self._nbrs[a]]
                                    for a in self.elements]).T

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .samplers import CHUNK, OrderBatch, OrderSamplerBase, _chunk_rngs, derive_seed
-from .structures import FinStructure
+from .structures import FinStructure, _members
 
 
 @dataclass(frozen=True)
@@ -520,9 +520,11 @@ class BiasedEdgeOrderSampler(OrderSamplerBase):
         self.structure = S
         self.strength = strength
         self.elements = tuple(S.elements)
-        edges = S.table("E")
+        if ("E", 2) not in S.signature.relations:
+            raise ValidationError("expected a binary relation E")
+        out, _ = S.bits["E"]
         self._offset = np.array([
-            strength * sum((1 if a > b else -1) for x, b in edges if x == a)
+            strength * sum((1 if a > b else -1) for b in _members(out[a]))
             for a in self.elements
         ])
 

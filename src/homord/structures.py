@@ -22,7 +22,7 @@ import math
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
@@ -97,6 +97,28 @@ class FinStructure:
         if self.sorts is None:
             raise ValidationError("structure has no sorts")
         return tuple(i for i in self.elements if self.sorts[i] == label)
+
+    @cached_property
+    def bits(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each binary relation as per-point bitsets, read once per instance.
+
+        bits[name] = (out, into): out[a] has bit b and into[b] has bit a for
+        each tuple (a, b) of the relation, loops included; relations of other
+        arities are left out.  The cache lives in the instance __dict__,
+        which a frozen dataclass leaves writable and which ==, repr and the
+        JSON form never read.
+        """
+        n, bits = self.size, {}
+        for name, arity in self.signature.relations:
+            if arity == 2:
+                out, into = [0] * n, [0] * n
+                for a, b in self.tables[name]:
+                    out[a] |= 1 << b
+                    into[b] |= 1 << a
+                # a symmetric relation (a graph's) keeps one tuple, not two
+                out, into = tuple(out), tuple(into)
+                bits[name] = out, out if out == into else into
+        return bits
 
 
 def make_structure(
@@ -211,29 +233,19 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _pair_blocks(S: FinStructure) -> tuple[dict[str, tuple[list[int], list[int]]],
-                                           list[dict[int, int]]]:
-    """S's binary relations as bitsets, and every point's pair-pattern blocks.
+def _pair_blocks(S: FinStructure) -> list[dict[int, int]]:
+    """Every point's pair-pattern blocks, refined from `FinStructure.bits`.
 
-    bits[name] = (out, into) for each binary relation: out[a] has b and
-    into[b] has a for each of its tuples (a, b), loops included.  blocks[x]
-    maps each pattern p to the bitset of the points y != x with that pattern
-    from x, when there are any: bit 2i of p says (x, y) and bit 2i+1 (y, x)
-    is in the i-th binary relation.  The blocks start as one block of every
-    other point and are refined one binary relation at a time.
+    blocks[x] maps each pattern p to the bitset of the points y != x with
+    that pattern from x, when there are any: bit 2i of p says (x, y) and bit
+    2i+1 (y, x) is in the i-th binary relation.  The blocks start as one
+    block of every other point and are refined one binary relation at a
+    time.
     """
     n = S.size
-    bits: dict[str, tuple[list[int], list[int]]] = {}
     blocks = [{0: ((1 << n) - 1) ^ (1 << x)} for x in range(n)]
-    for name, arity in S.signature.relations:
-        if arity != 2:
-            continue
-        out, into = [0] * n, [0] * n
-        for a, b in S.tables[name]:
-            out[a] |= 1 << b
-            into[b] |= 1 << a
-        low, high = 1 << 2 * len(bits), 2 << 2 * len(bits)
-        bits[name] = out, into
+    for i, (out, into) in enumerate(S.bits.values()):
+        low, high = 1 << 2 * i, 2 << 2 * i
         for x in range(n):
             succ, pred = out[x], into[x]
             if not succ | pred:
@@ -247,7 +259,7 @@ def _pair_blocks(S: FinStructure) -> tuple[dict[str, tuple[list[int], list[int]]
                     if part:
                         refined[q] = part
             blocks[x] = refined
-    return bits, blocks
+    return blocks
 
 
 class _View(NamedTuple):
@@ -268,17 +280,17 @@ class _View(NamedTuple):
 
 
 def _view(S: FinStructure) -> _View:
-    """S's `_View`: binary relations read off `_pair_blocks`, the rest tuple
-    by tuple."""
+    """S's `_View`: binary relations read off `FinStructure.bits` and
+    `_pair_blocks`, the rest tuple by tuple."""
     n = S.size
-    bits, masks = _pair_blocks(S)
+    masks = _pair_blocks(S)
     width = sum(arity for _, arity in S.signature.relations)
     counts = [[0] * width for _ in range(n)]
     unchecked: list[list] = [[] for _ in range(n)]
     offset = 0
     for name, arity in S.signature.relations:
         if arity == 2:
-            out, into = bits[name]
+            out, into = S.bits[name]
             for x in range(n):
                 counts[x][offset] = out[x].bit_count()
                 counts[x][offset + 1] = into[x].bit_count()

@@ -81,7 +81,7 @@ def _code_blocks(S: FinStructure) -> Iterator[tuple[int, TypeCode, list[int] | t
     for x, t in enumerate(one_types):
         by_type[t] = by_type.get(t, 0) | 1 << x
     codes: dict[tuple, TypeCode] = {}
-    _, blocks = _pair_blocks(S)
+    blocks = _pair_blocks(S)
     for x, row in enumerate(blocks):
         parts = []
         for p, block in row.items():

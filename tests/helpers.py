@@ -1,7 +1,7 @@
 """Reference helpers shared by the test modules."""
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from homord.errors import ResourceLimitError
 from homord.structures import canonical_type, make_structure
@@ -40,6 +40,110 @@ def all_members(spec, k):
         if spec.is_member(S):
             members.append(S)
     return members
+
+
+def plain_bits(S):
+    """Each binary relation's (out, into) bitsets, read one ordered pair at a
+    time: out[a] has bit b and into[b] has bit a exactly when (a, b) holds."""
+    pairs = list(itertools.product(range(S.size), repeat=2))
+    bits = {}
+    for name, arity in S.signature.relations:
+        if arity == 2:
+            out, into = [0] * S.size, [0] * S.size
+            for a, b in pairs:
+                if (a, b) in S.tables[name]:
+                    out[a] += 2**b
+                    into[b] += 2**a
+            bits[name] = tuple(out), tuple(into)
+    return bits
+
+
+# The class checks as they read the tuple tables before the bitset reading
+# replaced them, kept as the membership oracle.
+
+
+def _symmetric_irreflexive(S, rel: str) -> bool:
+    for a, b in S.table(rel):
+        if a == b or (b, a) not in S.table(rel):
+            return False
+    return True
+
+
+def _tournament(S, rel: str) -> bool:
+    """Whether rel holds exactly one of (a, b) and (b, a) for each pair a != b:
+    no loop, no 2-cycle, and one tuple per pair."""
+    arcs = S.table(rel)
+    return len(arcs) == S.size * (S.size - 1) // 2 and all(
+        a != b and (b, a) not in arcs for a, b in arcs
+    )
+
+
+def _places(S) -> Counter:
+    """Each point's number of predecessors in "lt" (0 for an absent point)."""
+    return Counter(b for _, b in S.table("lt"))
+
+
+def _linear_order(S) -> bool:
+    """Whether "lt" is a strict linear order: a tournament whose places are
+    0..n-1, since a tournament is transitive iff its scores are distinct
+    (Landau)."""
+    places = _places(S)
+    return _tournament(S, "lt") and set(map(places.__getitem__, S.elements)) == set(range(S.size))
+
+
+def _bipartite_deg2(S) -> bool:
+    if S.sorts is None:
+        return False
+    if set(S.sorts) - {"S0", "S1"}:
+        return False
+    table = S.table("R")
+    if not _symmetric_irreflexive(S, "R"):
+        return False
+    deg = [0] * S.size
+    for a, b in table:
+        if S.sorts[a] == S.sorts[b]:
+            return False
+        deg[a] += 1
+    return all(deg[i] == 2 for i in range(S.size) if S.sorts[i] == "S0")
+
+
+def _involution_order(S) -> bool:
+    if not _linear_order(S):
+        return False
+    f = S.table("f")
+    partner: dict[int, int] = {}
+    for a, b in f:
+        if a == b or (b, a) not in f:
+            return False
+        if a in partner and partner[a] != b:
+            return False
+        partner[a] = b
+    return len(partner) == S.size
+
+
+def plain_is_member(spec, S):
+    """Membership in a class whose check reads binary relations, from the
+    tuple tables; a K_n is looked for among every n points."""
+    base, _, arg = spec.name.partition(":")
+    if S.signature != spec.signature:
+        return False
+    if base == "pure_set":
+        return True
+    if base == "graph":
+        return _symmetric_irreflexive(S, "E")
+    if base == "kn_free_graph":
+        return _symmetric_irreflexive(S, "E") and not any(
+            all(pair in S.tables["E"] for pair in itertools.combinations(K, 2))
+            for K in itertools.combinations(range(S.size), int(arg)))
+    if base == "tournament":
+        return _tournament(S, "A")
+    if base == "linear_order":
+        return _linear_order(S)
+    if base == "bipartite_deg2":
+        return _bipartite_deg2(S)
+    if base == "involution_order":
+        return _involution_order(S)
+    raise ValueError(f"no membership oracle for {spec.name}")
 
 
 def plain_open_instances(S, kind, t, lo):

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from helpers import plain_is_member
 from homord.builders import (
     StructureChain,
     audit_saturation,
@@ -36,8 +37,9 @@ from homord.builders import (
     tournament_class,
     two_predicate_class,
 )
+from homord.cro import _mask_structure
 from homord.errors import SaturationInfeasibleError, ValidationError
-from homord.structures import Signature, induced_substructure, make_structure
+from homord.structures import FinStructure, Signature, induced_substructure, make_structure
 
 GSIG = Signature((("E", 2),))
 
@@ -48,6 +50,19 @@ def graph(n, edges):
         sym.add((a, b))
         sym.add((b, a))
     return make_structure(GSIG, n, {"E": sym})
+
+
+def arc_changes(arcs, k):
+    """arcs, then each copy with one loop added, one arc dropped or one
+    reverse arc added (a 2-cycle) on k points: the cases a bitset check
+    detects differently from a tuple walk."""
+    yield arcs
+    for x in range(k):
+        yield arcs | {(x, x)}
+    for a, b in arcs:
+        yield arcs - {(a, b)}
+        if (b, a) not in arcs:
+            yield arcs | {(b, a)}
 
 
 class TestMembership:
@@ -118,6 +133,43 @@ class TestMembership:
         ):
             empty = make_structure(spec.signature, 0, {})
             assert spec.is_member(empty), spec.name
+
+    @pytest.mark.parametrize("names", [("graph", "kn_free_graph:3", "kn_free_graph:4"),
+                                       ("tournament",), ("linear_order",)],
+                             ids=["graph", "tournament", "linear_order"])
+    def test_bitset_checks_match_tuple_checks(self, names):
+        # every structure a mask wires on k <= 5 points, and its arc changes;
+        # the classes in names share one signature
+        specs = [class_by_name(name) for name in names]
+        ((rel, _),) = specs[0].signature.relations
+        for k in range(6):
+            for mask in range(1 << k * (k - 1) // 2):
+                for arcs in arc_changes(_mask_structure(specs[0], k, mask).tables[rel], k):
+                    S = FinStructure(specs[0].signature, k, {rel: arcs})
+                    for spec in specs:
+                        assert spec.is_member(S) == plain_is_member(spec, S), (spec.name, S)
+
+    @pytest.mark.parametrize("name, build", [("bipartite_deg2", build_bipartite_deg2),
+                                             ("involution_order", build_involution_order)])
+    def test_sorted_bitset_checks_match_tuple_checks(self, name, build):
+        # built members, the arc changes of each binary relation, each copy
+        # with one symmetric pair of arcs added, and each copy with one
+        # point's sort label swapped for the other label
+        spec = class_by_name(name)
+        for size, seed in itertools.product(range(1, 6), range(3)):
+            S = build(size, seed)
+            copies = [FinStructure(S.signature, S.size, {**S.tables, rel: arcs}, S.sorts)
+                      for rel, _ in S.signature.relations
+                      for arcs in itertools.chain(
+                          arc_changes(S.tables[rel], S.size),
+                          (S.tables[rel] | {(a, b), (b, a)}
+                           for a, b in itertools.combinations(range(S.size), 2)))]
+            swap = dict(zip(sorted(set(S.sorts)), sorted(set(S.sorts), reverse=True)))
+            copies += [FinStructure(S.signature, S.size, S.tables,
+                                    S.sorts[:x] + (swap[S.sorts[x]],) + S.sorts[x + 1:])
+                       for x in range(S.size)]
+            for T in copies:
+                assert spec.is_member(T) == plain_is_member(spec, T), T
 
     def test_class_by_name(self):
         assert class_by_name("kn_free_graph:4").params == (4,)
@@ -221,6 +273,16 @@ class TestBuildGeneric:
     def test_non_witnessable_rejected(self):
         with pytest.raises(ValidationError):
             build_generic(linear_order_class(), 1, 8, seed=0)
+
+    def test_levels_pass_make_structure(self, graph_chain_t3):
+        # the build makes each level with no tuple checks; they would have
+        # rejected nothing
+        chains = (graph_chain_t3,
+                  build_generic(class_by_name("tournament"), 3, 400, seed=1),
+                  build_generic(class_by_name("kn_free_graph:4"), 2, 200, seed=0))
+        for chain in chains:
+            for S in chain.levels:
+                assert S == make_structure(S.signature, S.size, S.tables, S.sorts)
 
     def test_chain_levels_nest(self, graph_chain):
         for lo, hi in zip(graph_chain.levels, graph_chain.levels[1:]):

@@ -15,7 +15,9 @@ The backtracker is checked again on relations no class member has: two
 binary relations, a ternary and a unary one, with loops and optional sorts,
 from a structure to itself, to a relabelled copy, to a one-flip near miss of
 that copy and to an unrelated structure.  There the brute force also fixes
-the order in which isomorphisms come out.
+the order in which isomorphisms come out.  On the same structures the
+per-point bitsets of `FinStructure.bits` must match a pair-by-pair reading
+of the tables, and reading them must leave ==, repr and the JSON unchanged.
 
 The transversal table behind the search is checked against the plain
 backtracker kept in tests/helpers.py, which has none: on circulant graphs
@@ -56,13 +58,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import (
     brute_isomorphisms,
     disjoint_union,
+    plain_bits,
     plain_isomorphisms,
     plain_open_instances,
     reference_tau_path,
     relabel,
 )
 from homord.builders import (
-    _bits_of,
     _forbid,
     _open_instances,
     audit_saturation,
@@ -95,6 +97,7 @@ from homord.structures import (
     find_isomorphism,
     isomorphisms,
     make_structure,
+    structure_dumps,
 )
 from homord.taupaths import build_tau_index, find_tau_path
 
@@ -187,7 +190,8 @@ def test_open_instances_match_enumeration(kind_and_S, t, lo):
     kind, S = kind_and_S
     spec = class_by_name(kind)
     lo %= S.size + 1
-    args = (_bits_of(S), t, lo, _forbid(spec), spec.wiring)
+    into = next((into for _, into in S.bits.values()), [0] * S.size)
+    args = (into, t, lo, _forbid(spec), spec.wiring)
     want = plain_open_instances(S, kind, t, lo)
     got = _open_instances(*args)
     assert len(got) == len(set(got)) and set(got) == want
@@ -334,6 +338,18 @@ def wide_structures(draw):
                 for (y,) in orbit((x,)):
                     sorts[y] = label
     return make_structure(WIDE, n, tables, sorts)
+
+
+@SETTINGS
+@given(wide_structures())
+def test_bits_match_tables(S):
+    """FinStructure.bits reads every binary relation as a pair-by-pair walk
+    does, and reading it leaves ==, repr and the JSON form as they were."""
+    text, dumped = repr(S), structure_dumps(S)
+    assert S.bits == plain_bits(S)
+    fresh = make_structure(S.signature, S.size, S.tables, S.sorts)
+    assert S == fresh and fresh == S
+    assert repr(S) == text and structure_dumps(S) == dumped
 
 
 # Both edges run from a later element of the search order to an earlier one,
