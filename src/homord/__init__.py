@@ -8,7 +8,9 @@ with exact rational arithmetic.
 
 `import homord` loads no submodule: each public name below is imported from
 its module on first use (PEP 562), so a command pays only for the layers it
-touches, and numpy only where a layer draws random numbers."""
+touches, and numpy only where a layer draws random numbers with it: the
+samplers, the stats suites and two direct builders.  Witness completion
+draws its coin flips in pure Python."""
 
 import importlib
 

@@ -31,9 +31,14 @@ of the smallest, read off the sorted frontier.  audit_saturation measures the
 same depth from a structure alone, one size bound at a time: loading a chain
 re-runs it, and the tests hold the build to it.
 
-numpy is imported inside the four seeded builders, not here: loading a
-chain, the class specs and the exact layers that build on them (cro, groups,
-taupaths) then start without it.
+Witness completion draws its coin flips from `_coins`, a pure-Python copy of
+the coins `numpy.random.default_rng(seed).random() < 0.5` gives: numpy's
+SeedSequence seeding, then PCG64 (M. E. O'Neill, "PCG: A Family of Simple
+Fast Space-Efficient Statistically Good Algorithms for Random Number
+Generation", 2014).  numpy is imported inside the other three seeded builders
+(bipartite_deg2, involution_order and its chain), not here: loading or
+building a chain, the class specs and the exact layers that build on them
+(cro, groups, taupaths) then start without it.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import SaturationInfeasibleError, ValidationError
 from .structures import (
@@ -494,6 +500,72 @@ def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     return t
 
 
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed(seed) -> int:
+    """seed as a non-negative int; anything else raises ValidationError."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be a non-negative int, got {seed!r}") from None
+    if seed < 0:
+        raise ValidationError(f"seed {seed} < 0")
+    return seed
+
+
+def _hasher(init: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's 32-bit hash, whose multiplier steps on each call."""
+    h = init
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _coins(seed: int) -> Iterator[bool]:
+    """The coins `numpy.random.default_rng(seed).random() < 0.5` gives, one per draw.
+
+    Seeding is SeedSequence(seed).generate_state(4, uint64): the seed's 32-bit
+    words, low first, are hash-mixed into a pool of four (words past the fourth
+    are mixed in afterwards), and the pool, read twice, hashes to eight words.
+    Read as four little-endian 64-bit words, they give PCG64's srandom its
+    128-bit state and sequence.  Each draw steps the LCG and takes the XSL-RR
+    output: x, the state's high 64 bits XOR its low 64, rotated right by r,
+    the state's top 6 bits.  Its double (output >> 11) / 2**53 is below 0.5
+    iff the output's top bit, bit (r - 1) mod 64 of x, is 0, so no float is
+    made.
+    """
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+
+    def mix(dst: int, value: int) -> None:
+        m = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value) & _M32
+        pool[dst] = m ^ m >> 16
+
+    for src, dst in itertools.permutations(range(4), 2):
+        mix(dst, pool[src])
+    for word in words[4:]:
+        for dst in range(4):
+            mix(dst, word)
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    w0, w1, w2, w3 = (hashmix(lo) | hashmix(hi) << 32
+                      for lo, hi in zip(pool[::2] * 2, pool[1::2] * 2))
+    inc = (w2 << 65 | w3 << 1 | 1) & _M128
+    state = ((w0 << 64 | w1) + inc) * _PCG_MULT + inc & _M128
+    while True:
+        state = state * _PCG_MULT + inc & _M128
+        yield not (state >> 64 ^ state) >> ((state >> 122) - 1 & 63) & 1
+
+
 def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> StructureChain:
     """Witness-complete until the structure satisfies its own depth-t axioms.
 
@@ -508,13 +580,12 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
         raise ValidationError(f"cap {cap} < 1")
     if not spec.witnessable:
         raise ValidationError(f"class {spec.name} is not witnessable")
+    seed = _seed(seed)
     if not spec.signature.relations:
         # a pure set is trivially saturated once the size clears the depth
         level = FinStructure(spec.signature, cap, {})
         return StructureChain(spec.name, (level,), (audit_saturation(level, spec, t),))
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    coins = _coins(seed)
     forbid, tournament = _forbid(spec), spec.wiring == "arc"
     bits = [0b10, 0] if tournament else [0, 0]  # 1 beats 0
     if len(bits) > cap:
@@ -550,8 +621,8 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
             required = sum(1 << a for a in a_set)
             others = [v for v in range(w) if v not in a_set and v not in b_set]
             for _ in range(_WIRING_RETRIES):
-                coins = rng.random(len(others))
-                wins = required | sum(1 << v for v, c in zip(others, coins) if c < 0.5)
+                # zip pulls from others first, so it takes one coin a vertex and no more
+                wins = required | sum(1 << v for v, heads in zip(others, coins) if heads)
                 if not (forbid and _clique_in(bits, wins, forbid - 1)):
                     break
             else:
@@ -601,7 +672,7 @@ def build_bipartite_deg2(m_size: int, seed: int) -> FinStructure:
         raise ValidationError(f"m_size {m_size} < 1")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     if m_size == 1:
         nbrs = {0: (0, 1)}
         s1_count = 2
@@ -660,7 +731,7 @@ def build_involution_order(pairs: int, seed: int) -> FinStructure:
     n = 2 * pairs
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     ids = list(rng.permutation(n))
     f_table = set()
     partner = {}
@@ -690,7 +761,7 @@ def involution_order_chain(pair_counts: Sequence[int], seed: int) -> StructureCh
         raise ValidationError("pair_counts must be strictly increasing and positive")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     spec = involution_order_class()
     ranking: list[int] = []  # element ids listed least to greatest
     partner: dict[int, int] = {}

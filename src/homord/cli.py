@@ -14,9 +14,10 @@ The build modes are the classes in `builders.CLASSES` that have a builder,
 each with its spec's flag defaults, so this module names no class.
 A reader that closes the output early (`| head`) ends the run quietly with 0.
 
-Each subcommand imports the layers it uses, so `cro`, `orbits`, `acl` and
-`tau-path` start without numpy and only `sample`, `estimate`, `test` and the
-seeded builds load it.
+Each subcommand imports the layers it uses, so `cro`, `orbits`, `acl`,
+`tau-path` and the witness builds start without numpy; only `sample`,
+`estimate`, `test` and the builds whose seed shuffles a direct construction
+(the degree-2 bipartite and involution classes) load it.
 """
 
 from __future__ import annotations

@@ -4,10 +4,13 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import plain_is_member
 from homord.builders import (
+    _coins,
     StructureChain,
     audit_saturation,
     bipartite_deg2_class,
@@ -287,6 +290,45 @@ class TestBuildGeneric:
     def test_chain_levels_nest(self, graph_chain):
         for lo, hi in zip(graph_chain.levels, graph_chain.levels[1:]):
             assert induced_substructure(hi, tuple(range(lo.size))) == lo
+
+
+# edges of SeedSequence's word split: one word, two, three, and five (the
+# fifth word is mixed into the pool after the first four)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**300), st.lists(st.integers(0, 130), max_size=6))
+@example(0, [0, 1, 3, 64, 200])
+@example(2**32 - 1, [0, 1, 3, 64, 200])
+@example(2**32, [0, 1, 3, 64, 200])
+@example(2**64, [0, 1, 3, 64, 200])
+@example(2**128 + 1, [0, 1, 3, 64, 200])
+def test_coins_match_default_rng(seed, lengths):
+    """The witness builder's coin stream against numpy: one generator per seed,
+    drawn call after call, every call the coins `random(m) < 0.5` gives."""
+    rng, coins = np.random.default_rng(seed), _coins(seed)
+    for m in lengths:
+        assert [next(coins) for _ in range(m)] == list(rng.random(m) < 0.5), (seed, m)
+
+
+SEEDED = {
+    "build_generic": lambda seed: build_generic(graph_class(), 2, 24, seed),
+    "build_generic_pure_set": lambda seed: build_generic(pure_set_class(), 2, 5, seed),
+    "build_bipartite_deg2": lambda seed: build_bipartite_deg2(3, seed),
+    "build_involution_order": lambda seed: build_involution_order(3, seed),
+    "involution_order_chain": lambda seed: involution_order_chain([1, 3], seed),
+}
+
+
+class TestSeed:
+    @pytest.mark.parametrize("builder", sorted(SEEDED))
+    @pytest.mark.parametrize("seed", [-1, None, 1.0, "1"])
+    def test_bad_seed_rejected(self, builder, seed):
+        # None drew OS entropy, and -1 raised numpy's ValueError
+        with pytest.raises(ValidationError, match="seed"):
+            SEEDED[builder](seed)
+
+    @pytest.mark.parametrize("builder", sorted(SEEDED))
+    def test_index_seed_accepted(self, builder):
+        assert SEEDED[builder](np.int64(3)) == SEEDED[builder](3)
 
 
 class TestPQ:

@@ -402,6 +402,9 @@ BAD_INPUT = {
     "ergodicity_no_sequences": ("test", "--suite", "ergodicity", "--n", "0"),
     "ergodicity_negative_n": ("test", "--suite", "ergodicity", "--n", "-3"),
     "ergodicity_negative_length": ("test", "--suite", "ergodicity", "--length", "-3"),
+    "build_graph_negative_seed": ("build", "--class", "graph", "--seed", "-1"),
+    "build_bipartite_negative_seed": ("build", "--class", "bipartite_deg2", "--seed", "-1"),
+    "build_involution_negative_seed": ("build", "--class", "involution_order", "--seed", "-1"),
     "build_kn_free_param": ("build", "--class", "kn_free_graph:x"),
     "build_f2_param": ("build", "--class", "f2_vector_space:x"),
     "cro_kn_free_param": ("cro", "--class", "kn_free_graph:x", "--n", "3"),
@@ -658,8 +661,9 @@ except SystemExit as done:
 class TestStartup:
     """scipy.stats costs about 1.3 s to import and no command needs it: the
     p-value suites (exchangeability, independence) call scipy.special.
-    numpy is loaded only by the layers that draw random numbers, so the
-    exact commands (cro, orbits, acl, tau-path) skip it."""
+    numpy is loaded only by the layers that draw random numbers with it, so
+    the exact commands (cro, orbits, acl, tau-path) and the witness builds
+    skip it."""
 
     def probe(self, *argv, tmp_path):
         r = subprocess.run(
@@ -705,11 +709,13 @@ class TestStartup:
                      ("acl", "--in", str(chain_file), "--fix", "0", "--b", "1")):
             assert self.probe(*argv, tmp_path=tmp_path) == ["0", "False", "False"], argv
 
-    def test_build_pure_set_skips_numpy(self, tmp_path):
-        """A pure set draws nothing; the graph builder's coin flips need numpy."""
-        assert self.probe("build", "--class", "pure_set", "--cap", "5",
-                          tmp_path=tmp_path) == ["0", "False", "False"]
-        assert self.probe("build", "--class", "graph",
+    def test_witness_builds_skip_numpy(self, tmp_path):
+        """Witness completion draws its coins in pure Python; the bipartite
+        builder's seeded shuffle still needs numpy."""
+        for klass in ("pure_set", "graph", "tournament", "kn_free_graph:4"):
+            assert self.probe("build", "--class", klass, "--cap", "40",
+                              tmp_path=tmp_path) == ["0", "False", "False"], klass
+        assert self.probe("build", "--class", "bipartite_deg2",
                           tmp_path=tmp_path) == ["0", "False", "True"]
 
     def test_sample_loads_numpy(self, chain_file, tmp_path):
