@@ -25,14 +25,13 @@ _MODULES = {
         chain_from_json chain_loads chain_to_json class_by_name
         f2_vector_space_class find_involution_pattern_pair graph_class
         hypercube_chain hypercube_graph involution_m_view involution_order_chain
-        involution_order_class involution_pair_pattern kn_free_graph_class
-        linear_order_class paley_graph pure_set_chain pure_set_class
-        tournament_class two_predicate_class
+        involution_order_class kn_free_graph_class linear_order_class
+        paley_graph pure_set_class tournament_class two_predicate_class
     """,
     "cro": """
         CroReport CroSystem OrderedType build_cro_system dirac_solutions
         enumerate_base_classes enumerate_ordered_types kernel_basis
-        projected_dimension uniform_point uniqueness_report
+        projected_dimension uniqueness_report
     """,
     "errors": """
         ResourceLimitError SaturationInfeasibleError TypeNotRealizedError
@@ -46,19 +45,18 @@ _MODULES = {
         AtomOrderSampler AtomSpec BipartiteMinSampler ConditionedAtomSampler
         DualFunctionalSampler FieldSample FixedOrder InvolutionOrderSampler
         OrderBatch OrderSample PQOrderSampler UniformOrderSampler derive_seed
-        structure_order
     """,
     "stats": """
         BiasedEdgeOrderSampler BrokenCouplingSampler Estimate TestVerdict
         constant_mixture_sequences estimate_eta_covariance estimate_order_event
         iid_bernoulli_sequences iid_uniform_sequences
-        mixture_bernoulli_sequences order_pattern test_exchangeability
+        mixture_bernoulli_sequences test_exchangeability
         test_independence test_monotone_coupling test_shift_ergodicity
     """,
     "structures": """
-        FinStructure Signature TypeCode canonical_type enumerate_types
-        find_isomorphism induced_substructure make_structure structure_dumps
-        structure_from_json structure_to_json type_code_str
+        FinStructure Signature TypeCode canonical_type find_isomorphism
+        induced_substructure make_structure structure_from_json
+        structure_to_json type_code_str
     """,
     "taupaths": """
         DisjointPaths TauIndex TauPath build_tau_index disjoint_tau_paths

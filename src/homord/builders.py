@@ -815,12 +815,6 @@ def involution_m_view(S: FinStructure) -> tuple[FinStructure, tuple[int, ...]]:
     return make_structure(sig, len(carrier), tables), carrier
 
 
-def involution_pair_pattern(S: FinStructure, a: int, b: int) -> str:
-    """Interleaving pattern of f(a), f(b), a, b as a readable string."""
-    involution_order_class().validate(S)
-    return _pair_patterns(S)(a, b)
-
-
 def find_involution_pattern_pair(S: FinStructure, pattern: str) -> tuple[int, int] | None:
     """First M-sort pair (a, b) realizing the given interleaving pattern."""
     involution_order_class().validate(S)
@@ -895,11 +889,3 @@ def hypercube_chain(d_max: int) -> StructureChain:
     """Q_1 through Q_{d_max}; each level is the identity prefix of the next."""
     levels = tuple(hypercube_graph(d) for d in range(1, d_max + 1))
     return StructureChain("graph", levels, tuple(0 for _ in levels))
-
-
-def pure_set_chain(sizes: list[int]) -> StructureChain:
-    if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes or sizes[0] < 1:
-        raise ValidationError("sizes must be strictly increasing and positive")
-    spec = pure_set_class()
-    levels = tuple(make_structure(spec.signature, n, {}) for n in sizes)
-    return StructureChain(spec.name, levels, tuple(0 for _ in levels))

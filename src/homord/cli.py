@@ -409,12 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     # a mode flag is absent unless given; _read_mode fills in its mode's default
     p = sub.add_parser("build", help="build a structure chain, write JSON")
     p.add_argument("--class", dest="klass", required=True)
-    p.add_argument("--sat", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--cap", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--size-p", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--size-q", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--pairs", type=_csv_ints, default=argparse.SUPPRESS)
+    # one option per flag the build classes' specs declare, typed by its default
+    flags = {dest: v for row in _MODES["build"]["klass"].values() for dest, v in row.items()}
+    for dest, v in flags.items():
+        kind = _csv_ints if isinstance(v, tuple) else int
+        p.add_argument(_flag(dest), dest=dest, type=kind, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_build)

@@ -86,16 +86,15 @@ the level-j system's own nullity.
 `build_cro_system` reads Aut B off B's orbit, as the permutations whose
 image is the representative's own mask, and stores the fibres on the
 system.  They are the nullity of the rows as assembled: a system whose rows
-are replaced by hand keeps its assembled `fibres`.  `integer_echelon`, a
-fraction-free forward elimination pivoting at each row's largest column,
-is kept as the oracle the tests compare the fibres against: `CroSystem.rank`
-and `pivots` run it, and no verdict reads them.  Only `kernel_basis` needs
-the reduced row echelon form; it runs the Gauss-Jordan `integer_rref` when
-called.  A class enumerates through its spec's wiring (or has no relation at
-all), so pure sets, linear orders, graphs, K_n-free graphs and tournaments
-all go up to level 6, where graph L=6 (33,867 variables, nullity 12,059)
-assembles in about 0.5-0.6 s on a 2-core Xeon and its report takes 0.08 s;
-its elimination, which no verdict runs, takes about 3 s.
+are replaced by hand keeps its assembled `fibres`.  The rank oracle the
+tests compare the fibres against lives in tests/helpers.py.  The one
+elimination left here is `integer_rref`, fraction-free Gauss-Jordan, run
+only by `kernel_basis`, which no verdict calls; both stay while the
+benchmark's tracer wraps `kernel_basis` by name (ROADMAP item 1).  A class
+enumerates through its spec's wiring (or has no relation at all), so pure
+sets, linear orders, graphs, K_n-free graphs and tournaments all go up to
+level 6, where graph L=6 (33,867 variables, nullity 12,059) assembles in
+about 0.5-0.6 s on a 2-core Xeon and its report takes 0.08 s.
 
 Everything here is exact; no floats."""
 
@@ -106,7 +105,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 
 from .builders import FraisseClassSpec, class_by_name
@@ -147,20 +146,6 @@ class CroSystem:
     rows: tuple[CroRow, ...]
     # the dimension of each level's fibre of the kernel, levels 1..max_level
     fibres: tuple[int, ...]
-
-    def variables_at(self, level: int) -> tuple[OrderedType, ...]:
-        return tuple(v for v in self.variables if v.level == level)
-
-    @cached_property
-    def pivots(self) -> frozenset[int]:
-        """Pivot columns of the row coefficients' echelon, computed once per
-        system: the elimination oracle for the fibres, which no verdict
-        reads."""
-        return frozenset(integer_echelon(row.coeffs for row in self.rows))
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 @dataclass(frozen=True)
@@ -463,10 +448,6 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     return CroSystem(class_name, max_level, base_reps, tuple(variables), rows, tuple(fibres))
 
 
-def uniform_point(system: CroSystem) -> list[Fraction]:
-    return [Fraction(1, math.factorial(v.level)) for v in system.variables]
-
-
 def _uniform_violations(rows: Iterable[CroRow], levels: list[int]) -> list[int]:
     """Indices of the rows that the uniform point violates.
 
@@ -499,27 +480,6 @@ def satisfies(system: CroSystem, x: list[Fraction]) -> bool:
 Row = dict[int, int]
 # a row as given: column -> value, as a mapping or as (column, value) pairs
 Coeffs = Mapping[int, int] | Iterable[tuple[int, int]]
-
-
-def integer_echelon(rows: Iterable[Coeffs]) -> dict[int, Row]:
-    """Fraction-free forward elimination over the integers, as pivot column
-    -> row; the number of pivots is the rank.
-
-    Rows go in shortest first.  Each is cancelled at its largest column
-    against the pivot row there, until its largest column holds no pivot
-    and becomes its own.  A pivot row holds nothing right of its pivot, so
-    every step lowers the row's largest column, and older rows are never
-    touched.  Coefficients must be integers; anything else is rejected,
-    never truncated."""
-    pivots: dict[int, Row] = {}
-    for row in sorted(map(_integer_row, rows), key=len):
-        while row:
-            lead = max(row)
-            if lead not in pivots:
-                pivots[lead] = row
-                break
-            row = _cancel(row, pivots[lead], lead)
-    return pivots
 
 
 def integer_rref(rows: Iterable[Coeffs]) -> dict[int, Row]:

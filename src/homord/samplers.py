@@ -44,9 +44,9 @@ import numpy as np
 
 from .builders import (
     _places,
+    _seed,
     bipartite_m_view,
     involution_m_view,
-    linear_order_class,
     two_predicate_class,
 )
 from .errors import ResourceLimitError, ValidationError
@@ -56,15 +56,14 @@ CHUNK = 4096
 
 
 def _chunk_rngs(seed: int) -> Iterator[np.random.Generator]:
-    if seed < 0:
-        raise ValidationError(f"seed {seed} < 0")
+    seed = _seed(seed)
     for c in itertools.count():
         yield np.random.default_rng(np.random.SeedSequence([seed, c]))
 
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Stable derived stream seed for fan-out (independent substreams)."""
-    ss = np.random.SeedSequence([seed, *tags])
+    ss = np.random.SeedSequence([_seed(seed), *tags])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -145,15 +144,6 @@ class FixedOrder:
         return self.ranking.index(x)
 
 
-def structure_order(S: FinStructure, reverse: bool = False) -> FixedOrder:
-    """The order a linear_order structure carries, or its reverse."""
-    linear_order_class().validate(S)
-    ranking = tuple(sorted(S.elements, key=_places(S).__getitem__))
-    if reverse:
-        return FixedOrder("reverse", tuple(reversed(ranking)))
-    return FixedOrder("identity", ranking)
-
-
 @dataclass(frozen=True)
 class AtomSpec:
     """Atomic locations with masses plus a tie order per atom.
@@ -187,10 +177,6 @@ class AtomSpec:
         for loc in locs:
             if loc not in self.tie_break:
                 raise ValidationError(f"atom {loc} lacks a tie order")
-
-    @property
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
 
 
 def _row(keys: tuple[int, ...], arr: np.ndarray | None, i: int) -> dict | None:

@@ -72,13 +72,6 @@ class TestVerdict:
     details: dict = field(default_factory=dict, compare=False)
 
 
-def order_pattern(order: tuple[int, ...], points: tuple[int, ...]) -> tuple[int, ...]:
-    """Indices of `points` in order of appearance, e.g. (1, 0) when the
-    second listed point comes first."""
-    pos = {a: i for i, a in enumerate(order)}
-    return tuple(sorted(range(len(points)), key=lambda i: pos[points[i]]))
-
-
 # --- batch readers: every reducer reads one OrderBatch (one chunk) at a time.
 # A suite that compares a few points reads `b.ranks(cols)`, which sorts only
 # those columns; only the all-pairs monotone check reads the full `b.order`.
@@ -143,7 +136,9 @@ def estimate_order_event(
 
 
 def _pattern_counts(sampler, points: tuple[int, ...], seed: int, n: int) -> dict:
-    """How often each order_pattern of the points occurs in n samples."""
+    """How often each order pattern of the points occurs in n samples.  A
+    pattern lists the indices of `points` in order of appearance, e.g.
+    (1, 0) when the second listed point comes first."""
     cols = [sampler.column(p) for p in points]
     k = len(cols)
     if k > 15:

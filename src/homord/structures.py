@@ -17,21 +17,16 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
-import math
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 
 # Opaque canonical byte string for a tuple's quantifier-free type.
 TypeCode = bytes
-
-# How many k-tuples enumerate_types is willing to walk.
-_ENUM_CAP = 2_000_000
 
 
 def _check_name(kind: str, name: object) -> None:
@@ -477,20 +472,6 @@ def find_isomorphism(S: FinStructure, T: FinStructure) -> list[int] | None:
     return None if found is None else list(found)
 
 
-def enumerate_types(S: FinStructure, k: int) -> set[TypeCode]:
-    """All type codes of distinct k-tuples.  k=0 gives the singleton empty type."""
-    if k < 0:
-        raise ValidationError(f"k {k} < 0")
-    if k == 0:
-        return {canonical_type(S, ())}
-    if k > S.size:
-        raise ValidationError(f"k {k} exceeds size {S.size}")
-    count = math.perm(S.size, k)
-    if count > _ENUM_CAP:
-        raise ResourceLimitError(f"{count} tuples exceed enumeration cap {_ENUM_CAP}")
-    return {canonical_type(S, tup) for tup in itertools.permutations(range(S.size), k)}
-
-
 # --- JSON form ---------------------------------------------------------------
 #
 # {"sig": [["E", 2], ...], "size": 4, "sorts": ["M", ...] | null,
@@ -524,7 +505,3 @@ def structure_from_json(obj: dict) -> FinStructure:
     if sorts is not None and not isinstance(sorts, list):
         raise ValidationError(f"sorts must be a list or null, got a {type(sorts).__name__}")
     return make_structure(sig, _json_int(obj["size"]), tables, sorts)
-
-
-def structure_dumps(S: FinStructure) -> str:
-    return json.dumps(structure_to_json(S), sort_keys=True)

@@ -1,10 +1,18 @@
 """Reference helpers shared by the test modules."""
 
 import itertools
+import json
+import math
 from collections import Counter, deque
+from fractions import Fraction
 
-from homord.errors import ResourceLimitError
-from homord.structures import canonical_type, make_structure
+from homord.builders import StructureChain, pure_set_class
+from homord.cro import _cancel, _integer_row
+from homord.errors import ResourceLimitError, ValidationError
+from homord.structures import canonical_type, make_structure, structure_to_json
+
+# How many k-tuples enumerate_types is willing to walk.
+_ENUM_CAP = 2_000_000
 
 
 def order_from_latents(
@@ -387,3 +395,68 @@ def cycle_type_representatives(k):
                 g[start + x] = start + (x + 1) % part
             start += part
         yield tuple(g)
+
+
+def enumerate_types(S, k):
+    """All type codes of distinct k-tuples.  k=0 gives the singleton empty type."""
+    if k < 0:
+        raise ValidationError(f"k {k} < 0")
+    if k == 0:
+        return {canonical_type(S, ())}
+    if k > S.size:
+        raise ValidationError(f"k {k} exceeds size {S.size}")
+    count = math.perm(S.size, k)
+    if count > _ENUM_CAP:
+        raise ResourceLimitError(f"{count} tuples exceed enumeration cap {_ENUM_CAP}")
+    return {canonical_type(S, tup) for tup in itertools.permutations(range(S.size), k)}
+
+
+def structure_dumps(S):
+    return json.dumps(structure_to_json(S), sort_keys=True)
+
+
+def pure_set_chain(sizes):
+    if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes or sizes[0] < 1:
+        raise ValidationError("sizes must be strictly increasing and positive")
+    spec = pure_set_class()
+    levels = tuple(make_structure(spec.signature, n, {}) for n in sizes)
+    return StructureChain(spec.name, levels, tuple(0 for _ in levels))
+
+
+def order_pattern(order, points):
+    """Indices of `points` in order of appearance, e.g. (1, 0) when the
+    second listed point comes first."""
+    pos = {a: i for i, a in enumerate(order)}
+    return tuple(sorted(range(len(points)), key=lambda i: pos[points[i]]))
+
+
+def uniform_point(system):
+    """Every order of a size-k member gets 1/k!."""
+    return [Fraction(1, math.factorial(v.level)) for v in system.variables]
+
+
+def integer_echelon(rows):
+    """Fraction-free forward elimination over the integers, as pivot column
+    -> row; the number of pivots is the rank.
+
+    Rows go in shortest first.  Each is cancelled at its largest column
+    against the pivot row there, until its largest column holds no pivot
+    and becomes its own.  A pivot row holds nothing right of its pivot, so
+    every step lowers the row's largest column, and older rows are never
+    touched.  Coefficients must be integers; anything else is rejected,
+    never truncated."""
+    pivots = {}
+    for row in sorted(map(_integer_row, rows), key=len):
+        while row:
+            lead = max(row)
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row = _cancel(row, pivots[lead], lead)
+    return pivots
+
+
+def echelon_pivots(system):
+    """Pivot columns of a CRO system's row coefficients, by integer_echelon:
+    the rank oracle for the fibres, which no verdict runs."""
+    return frozenset(integer_echelon(row.coeffs for row in system.rows))

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import plain_is_member
+from helpers import plain_is_member, pure_set_chain
 from homord.builders import (
     _coins,
+    _pair_patterns,
     StructureChain,
     audit_saturation,
     bipartite_deg2_class,
@@ -31,11 +32,9 @@ from homord.builders import (
     involution_m_view,
     involution_order_chain,
     involution_order_class,
-    involution_pair_pattern,
     kn_free_graph_class,
     linear_order_class,
     paley_graph,
-    pure_set_chain,
     pure_set_class,
     tournament_class,
     two_predicate_class,
@@ -401,7 +400,7 @@ class TestInvolution:
     def test_pattern_scan(self, inv6):
         pair = find_involution_pattern_pair(inv6, "fa<fb<a<b")
         assert pair is not None
-        assert involution_pair_pattern(inv6, *pair) == "fa<fb<a<b"
+        assert _pair_patterns(inv6)(*pair) == "fa<fb<a<b"
 
     def test_pattern_consistency_all_pairs(self, inv6):
         # the reported pattern string must order the four points correctly
@@ -409,8 +408,9 @@ class TestInvolution:
         lt = inv6.table("lt")
         rank = {a: sum(1 for t in lt if t[1] == a) for a in inv6.elements}
         ms = inv6.elements_of_sort("M")
+        pattern_of = _pair_patterns(inv6)
         for a, b in itertools.permutations(ms, 2):
-            pat = involution_pair_pattern(inv6, a, b)
+            pat = pattern_of(a, b)
             vals = {"a": rank[a], "b": rank[b], "fa": rank[f[a]], "fb": rank[f[b]]}
             names = pat.split("<")
             assert [v for v in sorted(vals, key=vals.get)] == names

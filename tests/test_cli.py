@@ -399,6 +399,9 @@ BAD_INPUT = {
                                   "--n", "10", "--pairs", ";"),
     "exchangeability_no_samples": ("test", "--suite", "exchangeability", "--in", "{chain}",
                                    "--n", "0", "--pairs", "0,1;2,3"),
+    # two same-type tuples, so the seed reaches the substream derivation
+    "exchangeability_negative_seed": ("test", "--suite", "exchangeability", "--in", "{chain}",
+                                      "--n", "10", "--pairs", "0,4;0,3", "--seed", "-1"),
     "ergodicity_no_sequences": ("test", "--suite", "ergodicity", "--n", "0"),
     "ergodicity_negative_n": ("test", "--suite", "ergodicity", "--n", "-3"),
     "ergodicity_negative_length": ("test", "--suite", "ergodicity", "--length", "-3"),

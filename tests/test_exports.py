@@ -2,6 +2,8 @@
 submodule defines, and nothing else resolves."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +31,23 @@ def test_unknown_attribute_raises():
         homord.no_such_name
     with pytest.raises(ImportError):
         from homord import no_such_name  # noqa: F401
+
+
+def test_every_export_is_used_outside_the_tests():
+    """A public name is named in the package beyond its own definition and
+    the export map, or in the demos, the benchmark or the README: the
+    package ships no API that only the tests call."""
+    root = Path(__file__).parents[1]
+    outside = "\n".join(p.read_text() for p in [
+        *sorted((root / "demos").glob("*.py")), *sorted((root / "benchmarks").glob("*.py")),
+        root / "README.md"])
+    src = {p.stem: p.read_text() for p in (root / "src" / "homord").glob("*.py")
+           if p.name != "__init__.py"}
+    unused = []
+    for name, mod in homord._EXPORTS.items():
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"^(?:def|class) {name}\b|^{name}\s*[:=]", re.M)
+        uses = sum(len(word.findall(text)) for text in src.values())
+        if not word.search(outside) and uses <= len(own.findall(src[mod])):
+            unused.append(name)
+    assert unused == []

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import disjoint_union
+from helpers import disjoint_union, enumerate_types, structure_dumps
 from homord.builders import (
     build_bipartite_deg2,
     build_f2_vector_space,
@@ -65,11 +65,9 @@ from homord.stats import (
 )
 from homord.structures import (
     canonical_type,
-    enumerate_types,
     find_isomorphism,
     isomorphisms,
     make_structure,
-    structure_dumps,
 )
 from homord.taupaths import build_tau_index, find_tau_path
 

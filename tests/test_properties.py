@@ -63,6 +63,7 @@ from helpers import (
     plain_open_instances,
     reference_tau_path,
     relabel,
+    structure_dumps,
 )
 from homord.builders import (
     _forbid,
@@ -97,7 +98,6 @@ from homord.structures import (
     find_isomorphism,
     isomorphisms,
     make_structure,
-    structure_dumps,
 )
 from homord.taupaths import build_tau_index, find_tau_path
 

@@ -40,13 +40,14 @@ from homord.stats import (
     iid_bernoulli_sequences,
     iid_uniform_sequences,
     mixture_bernoulli_sequences,
-    order_pattern,
     test_exchangeability as exchangeability_verdict,
     test_independence as independence_verdict,
     test_monotone_coupling as monotone_verdict,
     test_shift_ergodicity as ergodicity_verdict,
 )
 from homord.structures import Signature, make_structure
+
+from helpers import order_pattern
 
 GSIG = Signature((("E", 2),))
 K3 = make_structure(GSIG, 3, {"E": {(a, b) for a in range(3) for b in range(3) if a != b}})

@@ -12,15 +12,14 @@ from homord.structures import (
     Signature,
     _view,
     canonical_type,
-    enumerate_types,
     find_isomorphism,
     induced_substructure,
     make_structure,
-    structure_dumps,
     structure_from_json,
     structure_to_json,
     type_code_str,
 )
+from helpers import enumerate_types, structure_dumps
 from test_properties import ONE_WAY, SETTINGS, TWISTED, wide_structures
 
 GSIG = Signature((("E", 2),))
