@@ -20,24 +20,35 @@ rule, which exist for chains (identity and reversal) but are obstructed for
 graphs and pure sets by the 2-point swap.
 
 Assembly works over pair masks: a labelled member on k points is an int
-with one bit per pair.  The base classes are the orbits of the masks under
-the k! permutations, each image read off a per-permutation table, and every
+with one bit per pair.  The base classes are orbits of the masks under the
+k! permutations, each image read off a per-permutation table, and every
 labelled member is a variable, whose code is read off its mask by a
 per-level table of the ordered pairs' bits (`_mask_coder`), with no
 structure built or walked.  The restriction rows are read off the masks
 too: deleting point 0 keeps a mask's low bits, and inserting it back at
 each position is a relabelling by one of k shift permutations, which stays
-in the class.  A restriction row is fixed by the mask of the deleted point
-followed by the rest, so each variable gives one row, built in the same
-pass over levels that numbers the variables (graph level 4 -> 5: 1,024 rows
-for 4,080 choices of deleted point and order of the rest).  A variable's
-mask is the representative's image under a known permutation p, so its
-insertion images are the representative's images under p followed by each
-shift, already listed with the orbit: a composition table of permutation
-indices, built once per level and wiring with the permutation tables, names
-them, and no insertion image is computed.  Every coefficient is an integer,
-and the rows hold them as ints from assembly to the report; the uniform
-point is checked over the integers, scaled by L!.
+in the orbit.  A restriction row is fixed by the mask of the deleted point
+followed by the rest, so each variable gives one row (graph level 4 -> 5:
+1,024 rows for 4,080 choices of deleted point and order of the rest).  A
+variable's mask is the representative's image under a known permutation
+p, so its insertion images are the representative's images under p
+followed by each shift: a composition table of permutation indices, built
+once per level and wiring with the permutation tables, names them, and no
+insertion image is computed.
+
+None of that depends on the class, only on the level k and the wiring, so
+it is tabulated once per level and wiring in a process (`_level_table`):
+each orbit's representative and automorphisms, its masks in code order,
+and each distinct restriction row as a template, the deleted point's low
+mask and the row's (rank in orbit, coefficient) terms.  The class picks
+its orbits, one `is_member` call on each representative, and numbers
+them: a variable's index is its orbit's offset plus its rank, and a build
+only looks up each template's low mask and shifts its ranks.  An orbit's
+codes and templates are filled the first time a member class asks for
+them, so one build pays only for the orbits its class admits, and a later
+build at that level and wiring, of any class, reads them back.  Every
+coefficient is an integer, and the rows hold them as ints from assembly to
+the report; the uniform point is checked over the integers, scaled by L!.
 
 The verdicts need no elimination: the nullity is a sum of fibre
 dimensions in closed form, read off the orbits at assembly.
@@ -94,7 +105,8 @@ benchmark's tracer wraps `kernel_basis` by name (ROADMAP item 1).  A class
 enumerates through its spec's wiring (or has no relation at all), so pure
 sets, linear orders, graphs, K_n-free graphs and tournaments all go up to
 level 6, where graph L=6 (33,867 variables, nullity 12,059) assembles in
-about 0.5-0.6 s on a 2-core Xeon and its report takes 0.08 s.
+0.6-0.8 s on a 2-core Xeon the first time in a process and in 0.24-0.32 s
+once its tables are filled, and its report takes 0.08 s.
 
 Everything here is exact; no floats."""
 
@@ -102,9 +114,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 
@@ -318,47 +329,134 @@ def _characters(k: int) -> list[int]:
     return chars
 
 
-# a base class: representative, its images, each image's code and first index
-_BaseClass = tuple[FinStructure, list[int], dict[int, TypeCode], dict[int, int]]
+@dataclass(eq=False)
+class _Orbit:
+    """One orbit of a level's masks under the k! permutations, with what
+    every class admitting it shares.
+
+    rep is its least mask and fixing the indices of the permutations of
+    `_perm_tables` that fix rep, so |Aut| = len(fixing).  The rest is filled
+    the first time a member class needs it (`_orbit_codes`).  masks are the
+    orbit's distinct masks in code order, a variable's rank in the orbit
+    being its place there, and codes maps a relation name to their codes.
+    The mass row puts |Aut| on every rank.  rows holds one template per
+    distinct restriction row, in order of the first permutation whose image
+    gives it: the deleted point's low mask, then the row's level terms in
+    rank order, each as a slot past the n masks one level down: n + r for
+    the term (r, -1), and n + len(masks) + j for terms[j], a term (r, -c)
+    of a rank that one row hits c > 1 times."""
+
+    rep: int
+    fixing: tuple[int, ...]
+    masks: tuple[int, ...] = ()
+    codes: dict[str | None, tuple[TypeCode, ...]] = field(default_factory=dict)
+    terms: tuple[tuple[int, int], ...] = ()
+    rows: tuple[tuple[int, ...], ...] = ()
 
 
-def _base_classes(spec: FraisseClassSpec, k: int) -> list[_BaseClass]:
-    """Isomorphism classes of the class's size-k members, in order of their
-    least code, each as its representative, the representative's image mask
-    under every permutation of `_perm_tables`, each distinct image's code,
-    and each distinct image's first permutation index.
+@lru_cache(maxsize=None)
+def _level_table(k: int, wiring: str | None) -> tuple[_Orbit, ...]:
+    """The orbits of the masks on k points, in order of their least mask.
 
     Masks are walked in ascending order, and an unvisited mask is the least
     of its orbit, so it stays the representative that the first member in
-    product order always was.  Membership does not change under
-    isomorphism: one `is_member` call decides the whole orbit.  Each
-    distinct image is coded once, straight from its mask by the level's
-    `_mask_coder`: the identity-order code of the image member, which is
-    the representative's code under the image's permutation."""
-    wiring = _check_level(spec, k)
+    product order always was.  Nothing here depends on a class: a class
+    picks its orbits by membership (`_base_classes`), so every class of one
+    wiring reads the same table.  Built once per level and wiring; filled
+    orbits stay for the life of the process (the edge table at level 6,
+    every orbit filled, holds about 11 MB, codes included)."""
     action = _perm_tables(k, wiring)[0]
-    relations = spec.signature.relations
-    encode = _mask_coder(k, wiring, relations[0][0] if relations else None)
     visited = bytearray(1 << _pair_count(k, wiring))
-    classes: dict[TypeCode, _BaseClass] = {}
+    orbits = []
     for mask in range(len(visited)):
         if visited[mask]:
             continue
         images = _mask_images(mask, action)
-        # pairs go in backwards, so each image keeps its first index
-        first = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
-        for image in first:
+        for image in set(images):
             visited[image] = 1
-        rep = _mask_structure(spec, k, mask)
-        if not spec.is_member(rep):
-            continue
-        codes = dict(zip(first, map(encode, first)))
-        classes[min(codes.values())] = (rep, images, codes, first)
-    return [classes[c] for c in sorted(classes)]
+        orbits.append(_Orbit(mask, tuple(i for i, m in enumerate(images) if m == mask)))
+    return tuple(orbits)
+
+
+def _orbit_codes(
+    orbit: _Orbit, k: int, wiring: str | None, relation: str | None
+) -> tuple[TypeCode, ...]:
+    """The orbit's codes for the relation, in code order, filling the
+    orbit's masks, terms and rows the first time any relation asks.
+
+    Each distinct image is coded once, straight from its mask by the
+    level's `_mask_coder`.  Every code of a level starts with the same
+    head k{k}|{relation}=, so the code order of the masks is the same for
+    every relation: a second relation only codes the masks again.
+
+    A restriction row at level k is fixed by the mask m of a member listed
+    as (v, *tau): the deleted-point term is the member on positions
+    1..k-1, the low bits of m, and inserting v back at position pos
+    relabels m by the shift (1, ..., pos, 0, pos + 1, ..., k - 1), which
+    stays in the orbit.  m is the representative's image under some
+    permutation index i, so that relabelling is the image at
+    compose[i][pos].  So each distinct mask gives one row, taken at the
+    first i whose image it is, and rows that repeat are kept once."""
+    codes = orbit.codes.get(relation)
+    if codes is not None:
+        return codes
+    encode = _mask_coder(k, wiring, relation)
+    if orbit.masks:
+        codes = orbit.codes[relation] = tuple(map(encode, orbit.masks))
+        return codes
+    action, compose = _perm_tables(k, wiring)
+    images = _mask_images(orbit.rep, action)
+    # pairs go in backwards, so each image keeps its first index
+    first = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
+    coded = dict(zip(first, map(encode, first)))
+    masks = sorted(coded, key=coded.__getitem__)
+    # the slot of the term (rank of m, -1) in a template, for each image m
+    low_count = 1 << _pair_count(k - 1, wiring)
+    slot = dict(zip(masks, range(low_count, low_count + len(masks))))
+    slots = list(map(slot.__getitem__, images))
+    merged: dict[tuple[int, int], int] = {}
+    rows: dict[tuple[int, ...], None] = {}
+    for m in dict.fromkeys(images):
+        hits = sorted(map(slots.__getitem__, compose[first[m]]))
+        if len(set(hits)) < k:
+            hits = [s if (c := hits.count(s)) == 1 else
+                    merged.setdefault((s - low_count, -c), low_count + len(masks) + len(merged))
+                    for s in dict.fromkeys(hits)]
+        rows[(m & (low_count - 1), *hits)] = None
+    orbit.masks, orbit.terms, orbit.rows = tuple(masks), tuple(merged), tuple(rows)
+    codes = orbit.codes[relation] = tuple(coded[m] for m in masks)
+    return codes
+
+
+# a base class: representative, its orbit and the orbit's codes in code order
+_BaseClass = tuple[FinStructure, _Orbit, tuple[TypeCode, ...]]
+
+
+def _base_classes(spec: FraisseClassSpec, k: int) -> list[_BaseClass]:
+    """Isomorphism classes of the class's size-k members, in order of their
+    least code, each as its representative, its orbit in the level's
+    `_level_table` and the orbit's codes for the class's relation.
+
+    The table fixes the orbits; the class only picks them.  Membership does
+    not change under isomorphism, so one `is_member` call on the
+    representative decides the whole orbit, and only a member orbit is
+    coded (`_orbit_codes`)."""
+    wiring = _check_level(spec, k)
+    relations = spec.signature.relations
+    relation = relations[0][0] if relations else None
+    classes = []
+    for orbit in _level_table(k, wiring):
+        rep = _mask_structure(spec, k, orbit.rep)
+        if spec.is_member(rep):
+            classes.append((rep, orbit, _orbit_codes(orbit, k, wiring, relation)))
+    classes.sort(key=lambda c: c[2][0])
+    return classes
 
 
 def enumerate_base_classes(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
-    """Isomorphism-class representatives of the class's size-k members."""
+    """Isomorphism-class representatives of the class's size-k members, in
+    order of their least code.  Like a build, it fills the member orbits of
+    the level's table (`_base_classes`)."""
     return [S for S, *_ in _base_classes(spec, k)]
 
 
@@ -387,55 +485,41 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     base_reps: dict[int, tuple[FinStructure, ...]] = {}
     variables: list[OrderedType] = []
     fibres: list[int] = []
-    below: dict[int, int] = {}  # the level below's {mask: variable index}
     mass: list[CroRow] = []
     restriction: list[CroRow] = []
-    seen_rows: set[tuple] = set()
-
-    def push(rows: list[CroRow], coeffs: dict[int, int], rhs: int, kind: str) -> None:
-        key = (tuple(sorted(coeffs.items())), rhs)
-        if key not in seen_rows:
-            seen_rows.add(key)
-            rows.append(CroRow(*key, kind))
-
-    # A restriction row at level k is fixed by the mask m of a member listed
-    # as (v, *tau): the deleted-point term is the member on positions 1..k-1,
-    # the low bits of m, and inserting v back at position pos relabels m by
-    # the shift (1, ..., pos, 0, pos + 1, ..., k - 1), which stays in m's
-    # class.  m is the representative's image under its first permutation
-    # index i, so that relabelling is the image at compose[i][pos].  So each
-    # class builds one row per variable, walking its masks in order of first
-    # appearance, as the orders (v, *tau) first meet them.
+    # A variable's index is its orbit's offset plus its rank.  A template
+    # is read through a lookup holding, per mask of the level below, the
+    # (index, 1) term of its variable, then the orbit's terms shifted to
+    # the orbit's offset, so each row is one pass over its template.
+    below: list[tuple[int, int] | None] = []
     for k in range(1, max_level + 1):
         classes = _base_classes(spec, k)
         if not classes:
             raise ValidationError(f"{class_name} has no members of size {k}")
         base_reps[k] = tuple(A for A, *_ in classes)
-        compose = _perm_tables(k, wiring)[1]
         chars = _characters(k)
-        low = (1 << _pair_count(k - 1, wiring)) - 1
-        level: dict[int, int] = {}
+        level = [None] * (1 << _pair_count(k, wiring)) if k < max_level else []
         fibre = 0
-        for bi, (_, images, codes, first) in enumerate(classes):
-            counts = Counter(images)
-            # Aut B: the permutations fixing the representative's own mask
-            aut = counts[images[0]]
-            dim, rest = divmod(sum(c for m, c in zip(images, chars) if m == images[0]), aut)
+        for bi, (_, orbit, codes) in enumerate(classes):
+            aut = len(orbit.fixing)
+            dim, rest = divmod(sum(chars[i] for i in orbit.fixing), aut)
             if rest:
                 raise ValidationError(
                     f"{class_name} level {k}: character sum over |Aut| = {aut} is not a dimension"
                 )
             fibre += dim
-            for mask in sorted(codes, key=codes.__getitem__):
-                level[mask] = len(variables)
-                variables.append(OrderedType(codes[mask], k, bi, counts[mask]))
-            push(mass, {level[m]: n for m, n in counts.items()}, 1, "mass")
-            for m in counts if below else ():
-                coeffs = {below[m & low]: 1}
-                for c in compose[first[m]]:
-                    j = level[images[c]]
-                    coeffs[j] = coeffs.get(j, 0) - 1
-                push(restriction, coeffs, 0, "restriction")
+            base = len(variables)
+            variables.extend(OrderedType(code, k, bi, aut) for code in codes)
+            indices = range(base, len(variables))
+            mass.append(CroRow(tuple(zip(indices, itertools.repeat(aut))), 1, "mass"))
+            if below:
+                lookup = below + [(i, -1) for i in indices]
+                lookup += [(base + r, c) for r, c in orbit.terms]
+                restriction += [CroRow(tuple(map(lookup.__getitem__, row)), 0, "restriction")
+                                for row in orbit.rows]
+            if level:
+                for m, i in zip(orbit.masks, indices):
+                    level[m] = (i, 1)
         fibres.append(fibre)
         below = level
     rows = (*mass, *restriction)

@@ -20,8 +20,10 @@ import homord.cro
 from homord.cro import (
     CroRow,
     OrderedType,
+    _base_classes,
     _characters,
     _dirac_candidates,
+    _level_table,
     _mask_action,
     _mask_coder,
     _mask_images,
@@ -53,6 +55,7 @@ from helpers import (
     integer_echelon,
     uniform_point,
 )
+from test_golden import cro_digest
 
 
 def dense_rref(matrix):
@@ -285,6 +288,53 @@ class TestMaskCoder:
         mask &= (1 << _pair_count(6, spec.wiring)) - 1
         want = _type_code(_mask_structure(spec, 6, mask), tuple(range(6)))
         assert coder_for(spec, 6)(mask) == want
+
+
+class TestLevelTables:
+    """The orbits of a level and wiring are tabulated once and filled as
+    member classes need them; nothing a build reads may depend on which
+    class filled them."""
+
+    @pytest.mark.parametrize("name", MASK_CLASSES)
+    def test_warm_tables_build_the_cold_system(self, name):
+        for level in range(1, 6):
+            _level_table.cache_clear()
+            cold = cro_digest(build_cro_system(name, level))
+            _level_table.cache_clear()
+            for other in MASK_CLASSES:
+                if other != name:
+                    build_cro_system(other, level)
+            assert cro_digest(build_cro_system(name, level)) == cold, level
+
+    def test_edge_classes_share_one_table(self):
+        for k in range(1, 6):
+            graph = {id(orbit) for _, orbit, _ in _base_classes(class_by_name("graph"), k)}
+            k3_free = {id(orbit) for _, orbit, _ in _base_classes(class_by_name("kn_free_graph:3"), k)}
+            # every orbit is a graph; the K3-free ones are the same objects,
+            # all of them below the triangle's level
+            assert graph == {id(orbit) for orbit in _level_table(k, "edge")}
+            assert k3_free < graph if k >= 3 else k3_free == graph
+
+    def test_cold_build_codes_each_member_mask_once(self, monkeypatch):
+        coded = []
+        real = homord.cro._mask_coder
+
+        def counting(k, wiring, relation):
+            encode = real(k, wiring, relation)
+            return lambda mask: coded.append((k, mask)) or encode(mask)
+
+        monkeypatch.setattr(homord.cro, "_mask_coder", counting)
+        _level_table.cache_clear()
+        spec = class_by_name("kn_free_graph:3")
+        build_cro_system("kn_free_graph:3", 5)
+        members = [(k, mask) for k in range(1, 6) for mask in range(1 << _pair_count(k, "edge"))
+                   if spec.is_member(_mask_structure(spec, k, mask))]
+        # one call per labelled triangle-free graph on 1..5 points: 1 + 2 + 7 + 41 + 388
+        assert len(members) == sum(len(all_members(spec, k)) for k in range(1, 6)) == 439
+        assert sorted(coded) == members
+        coded.clear()
+        build_cro_system("kn_free_graph:3", 5)
+        assert coded == []
 
 
 class TestOrderedTypes:
