@@ -12,7 +12,6 @@ from homord import (
     projected_dimension,
     uniqueness_report,
 )
-from homord.structures import type_code_str
 
 
 def banner(name, level):
@@ -35,7 +34,7 @@ for L in (2, 3, 4):
 
 print("\neach 0/1 solution picks one ordered class per level:")
 for sol in r.dirac_solutions:
-    print("   ", " / ".join(type_code_str(c) for c in sorted(sol)))
+    print("   ", " / ".join(c.decode("ascii") for c in sorted(sol)))
 
 print("\ngraphs: a positive-dimensional solution set with no 0/1 points at all")
 g3 = banner("graph", 3)

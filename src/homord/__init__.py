@@ -56,7 +56,7 @@ _MODULES = {
     "structures": """
         FinStructure Signature TypeCode canonical_type find_isomorphism
         induced_substructure make_structure structure_from_json
-        structure_to_json type_code_str
+        structure_to_json
     """,
     "taupaths": """
         DisjointPaths TauIndex TauPath build_tau_index disjoint_tau_paths

@@ -514,16 +514,20 @@ def _apply_config(argv: list[str]) -> list[str]:
         return argv
     if not rest:
         return rest
-    pairs = []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if not value:
-                key, _, value = line.partition(" ")
-            pairs.append((key.strip().replace("_", "-"), value.strip()))
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file is not text: {exc}") from None
+    pairs = []
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        if not value:
+            key, _, value = line.partition(" ")
+        pairs.append((key.strip().replace("_", "-"), value.strip()))
     sub = rest[0]
     tokens = []
     for key, value in pairs:

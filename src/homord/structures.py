@@ -160,9 +160,11 @@ def make_structure(
 
 
 def _check_points(S: FinStructure, points: tuple[int, ...]) -> None:
+    size = S.size
     for p in points:
-        if not (0 <= p < S.size):
-            raise ValidationError(f"point {p} out of range")
+        # make_structure's rule for a tuple entry: an int, not a bool, in range
+        if not (isinstance(p, int) and 0 <= p < size) or isinstance(p, bool):
+            raise ValidationError(f"point {p!r} out of range")
     if len(set(points)) != len(points):
         raise ValidationError(f"repeated point in {points}")
 
@@ -213,11 +215,6 @@ def _type_code(S: FinStructure, points: tuple[int, ...]) -> TypeCode:
 def _index_labels(k: int, arity: int) -> tuple[str, ...]:
     """The "i,j,..." label of every index tuple over range(k), in product order."""
     return tuple(",".join(map(str, idx)) for idx in itertools.product(range(k), repeat=arity))
-
-
-def type_code_str(code: TypeCode) -> str:
-    """Printable form of a type code (used by JSON output)."""
-    return code.decode("ascii")
 
 
 def _members(mask: int) -> Iterator[int]:

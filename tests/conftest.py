@@ -71,3 +71,17 @@ def f2d2():
 @pytest.fixture(scope="session")
 def f2d3():
     return build_f2_vector_space(3)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The (name, args) of each scipy.special call made since the list was
+    last cleared; scipy.stats' own calls land here too."""
+    from scipy import special
+
+    seen = []
+    for name in ("chdtrc", "ndtr"):
+        real = getattr(special, name)
+        monkeypatch.setattr(special, name,
+                            lambda *a, _n=name, _f=real: seen.append((_n, a)) or _f(*a))
+    return seen

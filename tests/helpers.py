@@ -3,13 +3,20 @@
 import itertools
 import json
 import math
+import os
 from collections import Counter, deque
 from fractions import Fraction
+from pathlib import Path
 
+import homord
 from homord.builders import StructureChain, pure_set_class
 from homord.cro import _cancel, _integer_row
 from homord.errors import ResourceLimitError, ValidationError
 from homord.structures import canonical_type, make_structure, structure_to_json
+
+# The environment of a child process: it runs the same homord these tests import.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(homord.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 # How many k-tuples enumerate_types is willing to walk.
 _ENUM_CAP = 2_000_000

@@ -1,17 +1,23 @@
 """Builders: class checkers, witness completion, example structures."""
 
+import ast
 import itertools
 import json
 import math
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import plain_is_member, pure_set_chain
+from helpers import ENV, plain_is_member, pure_set_chain
 from homord.builders import (
     _coins,
     _pair_patterns,
+    CLASSES,
     StructureChain,
     audit_saturation,
     bipartite_deg2_class,
@@ -42,6 +48,7 @@ from homord.builders import (
 from homord.cro import _mask_structure
 from homord.errors import SaturationInfeasibleError, ValidationError
 from homord.structures import FinStructure, Signature, induced_substructure, make_structure
+from test_golden import BUILDS, CHAINS
 
 GSIG = Signature((("E", 2),))
 
@@ -306,6 +313,72 @@ def test_coins_match_default_rng(seed, lengths):
     rng, coins = np.random.default_rng(seed), _coins(seed)
     for m in lengths:
         assert [next(coins) for _ in range(m)] == list(rng.random(m) < 0.5), (seed, m)
+
+
+def test_coins_match_default_rng_on_2000_seeds():
+    # the edge seeds above, then 1,995 seeds of 1 to 300 bits
+    draws = random.Random(0)
+    seeds = [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1,
+             *(draws.getrandbits(draws.randrange(1, 301)) for _ in range(1995))]
+    mismatches = 0
+    for seed in seeds:
+        rng, coins = np.random.default_rng(seed), _coins(seed)
+        for m in (0, 1, 3, 64, 200):
+            mismatches += [next(coins) for _ in range(m)] != list(rng.random(m) < 0.5)
+    assert mismatches == 0
+
+
+# Reads [CHAINS, BUILDS] of test_golden.py on stdin in a process that cannot
+# import numpy; rebuilds each chain and runs `homord build --seed 1` for each
+# class, then prints one line per mismatch and exits 1 if any.
+NUMPY_FREE_BUILDS = """
+import hashlib, json, os, runpy, sys, tempfile
+sys.modules["numpy"] = None
+from homord.builders import build_generic, chain_dumps, class_by_name
+chains, builds = json.load(sys.stdin)
+bad = False
+for cls, t, cap, seed, saturation, digest in chains:
+    chain = build_generic(class_by_name(cls), t, cap, seed)
+    if (list(chain.saturation) != saturation
+            or hashlib.sha256(chain_dumps(chain).encode()).hexdigest() != digest):
+        print(cls, "t", t, "cap", cap, "seed", seed, "MISMATCH")
+        bad = True
+with tempfile.TemporaryDirectory() as tmp:
+    for klass, digest in builds.items():
+        out = os.path.join(tmp, klass)
+        sys.argv = ["homord", "build", "--class", klass, "--seed", "1", "--out", out]
+        try:
+            runpy.run_module("homord", run_name="__main__", alter_sys=True)
+        except SystemExit as done:
+            code = done.code
+        with open(out, "rb") as fh:
+            if code != 0 or hashlib.sha256(fh.read()).hexdigest() != digest:
+                print("homord build --class", klass, "exit", code, "MISMATCH")
+                bad = True
+sys.exit(bad)
+"""
+
+
+def test_witness_builds_without_numpy():
+    """Every pinned chain of test_golden.py, and the graph and tournament
+    chain files of `homord build`, byte for byte with numpy unimportable."""
+    builds = {k: BUILDS[k] for k in ("graph", "tournament")}
+    r = subprocess.run([sys.executable, "-c", NUMPY_FREE_BUILDS],
+                       input=json.dumps([CHAINS, builds]), capture_output=True, text=True,
+                       env=ENV, timeout=300)
+    assert r.returncode == 0, r.stdout + r.stderr
+
+
+def test_class_names_live_in_builders():
+    """No module but builders spells a class's base name as a string constant."""
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "homord").glob("*.py")):
+        if path.name == "builders.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in CLASSES:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
 
 
 SEEDED = {

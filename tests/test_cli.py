@@ -3,19 +3,15 @@
 import argparse
 import csv
 import json
-import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import homord
+from helpers import ENV
 from homord.builders import CLASSES, chain_dumps, chain_loads, class_by_name
-
-# The child process runs the same homord these tests import.
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, [str(Path(homord.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run(*argv, cwd=None):
@@ -321,6 +317,14 @@ def loose_chains(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def binary_config(tmp_path_factory):
+    """A config file that is not UTF-8 text."""
+    path = tmp_path_factory.mktemp("cli6") / "bin.cfg"
+    path.write_bytes(b"\xff\xfe")
+    return path
+
+
 # Flags that only other modes of the command read (another build class, another
 # sampler), each with the error it gets; ignoring them would exit 0.
 STRAY_FLAGS = {
@@ -446,6 +450,7 @@ BAD_INPUT = {
     "exchangeability_tuples": ("test", "--suite", "exchangeability", "--in", "{chain}",
                                "--n", "50", "--pairs", "0,1;2,3", "--tuples", "0,1"),
     "config_prefix": ("--conf", "homord.cfg", "cro", "--class", "graph", "--n", "2"),
+    "config_not_text": ("--config", "{binary_config}", "cro", "--class", "graph", "--n", "2"),
     "tau_path_int_sorts": ("tau-path", "--in", "{int_sorts}", "--a", "0", "--b", "1",
                            "--tau", "edge"),
     "tau_path_non_ascii_sorts": ("tau-path", "--in", "{non_ascii_sorts}", "--a", "0", "--b",
@@ -465,8 +470,10 @@ BAD_INPUT = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_exits_2(case, chain_file, f2_chain, tampered_chain, loose_chains):
-    argv = [a.format(chain=chain_file, f2=f2_chain, tampered=tampered_chain, **loose_chains)
+def test_bad_input_exits_2(case, chain_file, f2_chain, tampered_chain, loose_chains,
+                           binary_config):
+    argv = [a.format(chain=chain_file, f2=f2_chain, tampered=tampered_chain,
+                     binary_config=binary_config, **loose_chains)
             for a in BAD_INPUT[case]]
     r = run(*argv)
     assert r.returncode == 2, (r.returncode, r.stderr)
@@ -737,3 +744,16 @@ class TestStartup:
                           "--in", str(chain_file), "--level", "0", "--n", "200",
                           "--seed", "3", "--pairs", "0,1;1,0",
                           tmp_path=tmp_path) == ["0", "False", "True"]
+
+
+def test_readme_command_line_block(tmp_path):
+    """The fenced block under "## Command line" of the README, run in order
+    in one empty directory; the line whose comment says "exit code 1" must
+    exit 1, and every other line 0."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    for line in block.replace("\\\n", " ").strip().splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "homord", line
+        r = run(*argv[1:], cwd=tmp_path)
+        assert r.returncode == (1 if "exit code 1" in line else 0), (line, r.stderr)

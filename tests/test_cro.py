@@ -259,6 +259,18 @@ class TestPermTables:
             assert [images[c] for c in row] == [_mask_images(image, a)[0] for a in shifts]
 
 
+# (variables, rows, nullity) of each class's level-6 system, in the order
+# TestLevelTables builds them in one process: the K_n-free classes read the
+# edge tables graph filled, and tournament fills its own.  None has a 0/1
+# solution and each admits the uniform point.  tests/slow_checks.py runs
+# `homord cro --n 6` in a fresh process per class against the same numbers.
+LEVEL6 = {
+    "graph": (33867, 34074, 12059),
+    "kn_free_graph:3": (6228, 6292, 2198),
+    "kn_free_graph:4": (28658, 28823, 10251),
+    "tournament": (33867, 33941, 12447),
+}
+
 MASK_CLASSES = ("pure_set", "graph", "kn_free_graph:3", "kn_free_graph:4", "tournament",
                 "linear_order")
 
@@ -289,6 +301,14 @@ class TestMaskCoder:
         want = _type_code(_mask_structure(spec, 6, mask), tuple(range(6)))
         assert coder_for(spec, 6)(mask) == want
 
+    @pytest.mark.parametrize("name", ["graph", "tournament"])
+    def test_every_level6_mask_matches_type_code(self, name):
+        # all 2^15 masks, for the edge wiring and the arc wiring
+        spec = class_by_name(name)
+        points, masks = tuple(range(6)), range(1 << 15)
+        want = [_type_code(_mask_structure(spec, 6, mask), points) for mask in masks]
+        assert list(map(coder_for(spec, 6), masks)) == want
+
 
 class TestLevelTables:
     """The orbits of a level and wiring are tabulated once and filled as
@@ -305,6 +325,13 @@ class TestLevelTables:
                 if other != name:
                     build_cro_system(other, level)
             assert cro_digest(build_cro_system(name, level)) == cold, level
+
+    def test_level6_warm_tables(self):
+        _level_table.cache_clear()
+        for cls, dims in LEVEL6.items():
+            report = uniqueness_report(build_cro_system(cls, 6))
+            assert (report.num_variables, report.num_rows, report.nullspace_dim) == dims, cls
+            assert report.dirac_count == 0 and report.uniform_feasible, cls
 
     def test_edge_classes_share_one_table(self):
         for k in range(1, 6):
@@ -655,24 +682,19 @@ class TestRegressionBaselines:
         assert rep.uniform_feasible
 
     def test_triangle_free_level6(self):
-        system = build_cro_system("kn_free_graph:3", 6)
-        rep = uniqueness_report(system)
-        assert (rep.num_variables, rep.num_rows) == (6228, 6292)
-        assert (rep.nullspace_dim, rep.dirac_count) == (2198, 0)
-        assert rep.uniform_feasible
+        # the sizes and the verdict are LEVEL6's, checked in TestLevelTables;
         # each cut is the level-5 system's nullity list, [..., 16, 149]
+        system = build_cro_system("kn_free_graph:3", 6)
         assert [projected_dimension(system, j) for j in range(1, 6)] == [0, 0, 2, 16, 149]
 
-    @pytest.mark.parametrize("cls,fibres,nullity", [
-        ("kn_free_graph:3", (0, 0, 2, 14, 133, 2049), 2198),
-        ("kn_free_graph:4", (0, 0, 2, 21, 332, 9896), 10251),
+    @pytest.mark.parametrize("cls,fibres", [
+        ("kn_free_graph:3", (0, 0, 2, 14, 133, 2049)),
+        ("kn_free_graph:4", (0, 0, 2, 21, 332, 9896)),
     ])
-    def test_kn_free_level6_fibres(self, cls, fibres, nullity):
+    def test_kn_free_level6_fibres(self, cls, fibres):
         system = build_cro_system(cls, 6)
         assert system.fibres == fibres
-        rep = uniqueness_report(system)
-        assert (rep.nullspace_dim, rep.dirac_count) == (nullity, 0)
-        assert rep.uniform_feasible
+        assert uniqueness_report(system).nullspace_dim == sum(fibres) == LEVEL6[cls][2]
 
 
 class TestFibres:

@@ -5,14 +5,15 @@ sampler that honestly has the property, and it must fire on a planted
 defect whose effect size is known in closed form.
 """
 
+import ast
 import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
 from scipy import stats as sps
 
 from homord.errors import ValidationError
@@ -329,16 +330,21 @@ class TestPValueOracles:
         assert _two_sample_pvalue({(0, 1): 5}, {(0, 1): 7}) == 1.0
         assert float(sps.chi2_contingency(np.array([[5], [7]])).pvalue) == 1.0
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """The (name, args) of each scipy.special call made since the list was
-        last cleared; scipy.stats' own calls land here too."""
-        seen = []
-        for name in ("chdtrc", "ndtr"):
-            real = getattr(special, name)
-            monkeypatch.setattr(special, name,
-                                lambda *a, _n=name, _f=real: seen.append((_n, a)) or _f(*a))
-        return seen
+    def test_no_module_imports_scipy_stats(self):
+        # in any spelling: import scipy.stats, from scipy.stats import x,
+        # from scipy import stats
+        found = []
+        for path in sorted((Path(__file__).parents[1] / "src" / "homord").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [f"{node.module}.{a.name}" for a in node.names] + [node.module]
+                else:
+                    continue
+                if any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
     def test_joint_chi2_matches_chi2_sf(self, calls):
         rng = np.random.default_rng(7)

@@ -17,7 +17,6 @@ from homord.structures import (
     make_structure,
     structure_from_json,
     structure_to_json,
-    type_code_str,
 )
 from helpers import enumerate_types, structure_dumps
 from test_properties import ONE_WAY, SETTINGS, TWISTED, wide_structures
@@ -136,6 +135,15 @@ class TestInduced:
         with pytest.raises(ValidationError):
             induced_substructure(S, (1, 1))
 
+    @pytest.mark.parametrize("points", [(0.5, 1), (True, 2), (np.int64(0), 1), ("0", 1)])
+    def test_non_int_points_rejected(self, points):
+        # make_structure's rule for tuple entries; 0.5 passed the range check
+        # and read as a point in no tuple
+        S = graph(3, [(0, 1)])
+        for read in (induced_substructure, canonical_type):
+            with pytest.raises(ValidationError, match="point .* out of range"):
+                read(S, points)
+
 
 class TestCanonicalType:
     def test_positions_are_named(self):
@@ -160,7 +168,7 @@ class TestCanonicalType:
 
     def test_code_str_roundtrip_label(self):
         S = graph(2, [(0, 1)])
-        text = type_code_str(canonical_type(S, (0, 1)))
+        text = canonical_type(S, (0, 1)).decode("ascii")
         assert "E" in text and text.startswith("k2")
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 
 from helpers import plain_tau_index
-from homord.builders import build_f2_vector_space, hypercube_graph
+from homord.builders import build_f2_vector_space, build_generic, class_by_name, hypercube_graph
 from homord.errors import ResourceLimitError, TypeNotRealizedError, ValidationError
 from homord.structures import Signature, canonical_type, make_structure
 from homord.taupaths import (
@@ -102,6 +102,17 @@ def test_index_matches_per_pair_types(S):
         first, second = plain_tau_index(T)
         assert repr(index.first) == repr(first)
         assert repr(index.second) == repr(second)
+
+
+def test_depth3_index_matches_per_pair_types(graph_chain_t3):
+    """The same check on the tops of the two depth-3 chains the golden
+    digests pin: graph (83 vertices) and tournament cap 400, build seed 1."""
+    tournament = build_generic(class_by_name("tournament"), 3, 400, 1)
+    for top in (graph_chain_t3.top, tournament.top):
+        index = build_tau_index(top)
+        first, second = plain_tau_index(top)
+        assert repr(index.first) == repr(first), top.size
+        assert repr(index.second) == repr(second), top.size
 
 
 class TestVerify:
