@@ -46,9 +46,21 @@ them: a variable's index is its orbit's offset plus its rank, and a build
 only looks up each template's low mask and shifts its ranks.  An orbit's
 codes and templates are filled the first time a member class asks for
 them, so one build pays only for the orbits its class admits, and a later
-build at that level and wiring, of any class, reads them back.  Every
-coefficient is an integer, and the rows hold them as ints from assembly to
-the report; the uniform point is checked over the integers, scaled by L!.
+build at that level and wiring, of any class, reads them back.  So does
+each orbit's tuple of `OrderedType`s, kept per relation and base index.
+Every coefficient is an integer, and the rows hold them as ints from
+assembly to the report.
+
+*The uniform point* gives every variable of one level the same value, so
+whether it solves a row depends only on the row's shape, which is its
+orbit's template: a mass row holds exactly when |masks| * |Aut| = k!, and
+a restriction row exactly when its one +1 term is one level down and its
+level-k coefficients sum to -k.  The fill checks both, once per orbit and
+template (`_orbit_codes`); what a class adds, that every low mask of its
+orbits' templates is a member one level down, each build checks once per
+distinct low mask.  `uniqueness_report` still checks the point row by row,
+over the integers scaled by L!, on the rows as given, since a system's
+rows can be replaced by hand.
 
 The verdicts need no elimination: the nullity is a sum of fibre
 dimensions in closed form, read off the orbits at assembly.
@@ -105,8 +117,8 @@ benchmark's tracer wraps `kernel_basis` by name (ROADMAP item 1).  A class
 enumerates through its spec's wiring (or has no relation at all), so pure
 sets, linear orders, graphs, K_n-free graphs and tournaments all go up to
 level 6, where graph L=6 (33,867 variables, nullity 12,059) assembles in
-0.6-0.8 s on a 2-core Xeon the first time in a process and in 0.24-0.32 s
-once its tables are filled, and its report takes 0.08 s.
+0.37-0.45 s on a 2-core Xeon the first time in a process and in 0.10-0.15 s
+once its tables are filled, and its report takes 0.06 s.
 
 Everything here is exact; no floats."""
 
@@ -190,13 +202,15 @@ class CroReport:
 _LEVEL_CAP = 6  # how far the enumeration may run
 
 
-def _check_level(spec: FraisseClassSpec, k: int) -> str | None:
-    """The class's wiring, once k is checked against the level cap."""
-    if spec.wiring is None and spec.signature.relations:
+def _check_level(spec: FraisseClassSpec, k: int) -> tuple[str | None, str | None]:
+    """The class's wiring and the name of its relation (None for a class
+    with none), once k is checked against the level cap."""
+    relations = spec.signature.relations
+    if spec.wiring is None and relations:
         raise ValidationError(f"class {spec.name!r} has no member enumerator")
     if type(k) is not int or not 1 <= k <= _LEVEL_CAP:
         raise ValidationError(f"level {k!r} outside [1, {_LEVEL_CAP}] for {spec.name}")
-    return spec.wiring
+    return spec.wiring, relations[0][0] if relations else None
 
 
 def _pair_count(k: int, wiring: str | None) -> int:
@@ -344,7 +358,10 @@ class _Orbit:
     gives it: the deleted point's low mask, then the row's level terms in
     rank order, each as a slot past the n masks one level down: n + r for
     the term (r, -1), and n + len(masks) + j for terms[j], a term (r, -c)
-    of a rank that one row hits c > 1 times."""
+    of a rank that one row hits c > 1 times.  lows are the templates'
+    distinct low masks, ascending.  variables maps (relation, base index)
+    to the orbit's `OrderedType`s in rank order, made by the first build
+    that numbers the orbit at that base index."""
 
     rep: int
     fixing: tuple[int, ...]
@@ -352,6 +369,8 @@ class _Orbit:
     codes: dict[str | None, tuple[TypeCode, ...]] = field(default_factory=dict)
     terms: tuple[tuple[int, int], ...] = ()
     rows: tuple[tuple[int, ...], ...] = ()
+    lows: tuple[int, ...] = ()
+    variables: dict[tuple[str | None, int], tuple[OrderedType, ...]] = field(default_factory=dict)
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +401,7 @@ def _orbit_codes(
     orbit: _Orbit, k: int, wiring: str | None, relation: str | None
 ) -> tuple[TypeCode, ...]:
     """The orbit's codes for the relation, in code order, filling the
-    orbit's masks, terms and rows the first time any relation asks.
+    orbit's masks, terms, rows and lows the first time any relation asks.
 
     Each distinct image is coded once, straight from its mask by the
     level's `_mask_coder`.  Every code of a level starts with the same
@@ -396,7 +415,17 @@ def _orbit_codes(
     stays in the orbit.  m is the representative's image under some
     permutation index i, so that relabelling is the image at
     compose[i][pos].  So each distinct mask gives one row, taken at the
-    first i whose image it is, and rows that repeat are kept once."""
+    first i whose image it is, and rows that repeat are kept once.
+
+    The fill also certifies the uniform point (module docstring) on the
+    orbit's rows, for every class that admits it: the mass row holds
+    exactly when |masks| * |Aut| = k!, and a restriction row when its
+    template has k hits counted with multiplicity, its level-k
+    coefficients summing to -k.  The low mask keeps the bits of the pairs
+    among points 1..k-1, so it is a mask one level down; whether it is a
+    member's is the class's to say, and each build checks that
+    (`build_cro_system`).  A failure raises `ValidationError` naming the
+    orbit's representative, before anything is stored."""
     codes = orbit.codes.get(relation)
     if codes is not None:
         return codes
@@ -410,20 +439,34 @@ def _orbit_codes(
     first = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
     coded = dict(zip(first, map(encode, first)))
     masks = sorted(coded, key=coded.__getitem__)
+    if len(masks) * len(orbit.fixing) != math.factorial(k):
+        raise ValidationError(
+            f"level {k} orbit of mask {orbit.rep}: {len(masks)} masks times "
+            f"|Aut| = {len(orbit.fixing)} is not {k}!, so its mass row fails the uniform point"
+        )
     # the slot of the term (rank of m, -1) in a template, for each image m
     low_count = 1 << _pair_count(k - 1, wiring)
     slot = dict(zip(masks, range(low_count, low_count + len(masks))))
     slots = list(map(slot.__getitem__, images))
     merged: dict[tuple[int, int], int] = {}
     rows: dict[tuple[int, ...], None] = {}
+    lows: set[int] = set()
     for m in dict.fromkeys(images):
         hits = sorted(map(slots.__getitem__, compose[first[m]]))
+        if len(hits) != k:
+            raise ValidationError(
+                f"level {k} orbit of mask {orbit.rep}: the row deleting point 0 of mask {m} "
+                f"has {len(hits)} level-{k} hits, so it fails the uniform point"
+            )
         if len(set(hits)) < k:
             hits = [s if (c := hits.count(s)) == 1 else
                     merged.setdefault((s - low_count, -c), low_count + len(masks) + len(merged))
                     for s in dict.fromkeys(hits)]
-        rows[(m & (low_count - 1), *hits)] = None
+        low = m & (low_count - 1)
+        rows[(low, *hits)] = None
+        lows.add(low)
     orbit.masks, orbit.terms, orbit.rows = tuple(masks), tuple(merged), tuple(rows)
+    orbit.lows = tuple(sorted(lows))
     codes = orbit.codes[relation] = tuple(coded[m] for m in masks)
     return codes
 
@@ -441,9 +484,7 @@ def _base_classes(spec: FraisseClassSpec, k: int) -> list[_BaseClass]:
     not change under isomorphism, so one `is_member` call on the
     representative decides the whole orbit, and only a member orbit is
     coded (`_orbit_codes`)."""
-    wiring = _check_level(spec, k)
-    relations = spec.signature.relations
-    relation = relations[0][0] if relations else None
+    wiring, relation = _check_level(spec, k)
     classes = []
     for orbit in _level_table(k, wiring):
         rep = _mask_structure(spec, k, orbit.rep)
@@ -477,11 +518,15 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     each level's fibre dimension from the automorphism groups of its base
     classes.
 
-    Raises if the uniform point fails any row, or if a character sum is
-    not a multiple of its group's order; either would mean the assembly
-    itself is wrong, so both are checked on every build."""
+    The uniform point solves every row: each orbit's templates are
+    certified once, when it is filled (`_orbit_codes`), and every build
+    checks what the class adds, that each low mask of an orbit's templates
+    is a member one level down, so its +1 term is a variable there.  A
+    class whose deletions leave it raises `ValidationError`, as does a
+    character sum that is not a multiple of its group's order; either
+    would mean the assembly itself is wrong."""
     spec = class_by_name(class_name)
-    wiring = _check_level(spec, max_level)
+    wiring, relation = _check_level(spec, max_level)
     base_reps: dict[int, tuple[FinStructure, ...]] = {}
     variables: list[OrderedType] = []
     fibres: list[int] = []
@@ -509,10 +554,19 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
                 )
             fibre += dim
             base = len(variables)
-            variables.extend(OrderedType(code, k, bi, aut) for code in codes)
+            ordered = orbit.variables.get((relation, bi))
+            if ordered is None:
+                ordered = orbit.variables[relation, bi] = tuple(
+                    OrderedType(code, k, bi, aut) for code in codes)
+            variables += ordered
             indices = range(base, len(variables))
             mass.append(CroRow(tuple(zip(indices, itertools.repeat(aut))), 1, "mass"))
             if below:
+                if orbit.lows[-1] >= len(below) or not all(map(below.__getitem__, orbit.lows)):
+                    raise ValidationError(
+                        f"{class_name} level {k}: a row of the orbit of mask {orbit.rep} "
+                        f"deletes a point to no member of size {k - 1}"
+                    )
                 lookup = below + [(i, -1) for i in indices]
                 lookup += [(base + r, c) for r, c in orbit.terms]
                 restriction += [CroRow(tuple(map(lookup.__getitem__, row)), 0, "restriction")
@@ -523,12 +577,6 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
         fibres.append(fibre)
         below = level
     rows = (*mass, *restriction)
-
-    bad = _uniform_violations(rows, [v.level for v in variables])
-    if bad:
-        raise ValidationError(
-            f"uniform point violates {len(bad)} rows; assembly is inconsistent"
-        )
     return CroSystem(class_name, max_level, base_reps, tuple(variables), rows, tuple(fibres))
 
 

@@ -5,9 +5,9 @@
 pytest collects this module only when it is named on the command line: its
 name does not match test_*.py.  The checks here pin the same kind of facts
 as the default run at a larger scale: level 6 of the exact layer in fresh
-processes and against the rank oracle, every level of two depth-3 witness
-chains against the plain enumeration, the p-value helpers on 5,000 tables,
-and automorphism search on structures of up to 101 points.
+processes, on warm tables and against the rank oracle, every level of two
+depth-3 witness chains against the plain enumeration, the p-value helpers
+on 5,000 tables, and automorphism search on structures of up to 101 points.
 """
 
 import json
@@ -30,11 +30,12 @@ from homord.builders import (
     hypercube_graph,
     paley_graph,
 )
-from homord.cro import build_cro_system, projected_dimension
+from homord.cro import _level_table, build_cro_system, projected_dimension
 from homord.groups import automorphisms
 from homord.stats import _corr_pvalue, _joint_chi2_pvalue, _two_sample_pvalue
 from homord.structures import find_isomorphism, make_structure
 from test_cro import LEVEL6
+from test_golden import CRO_SYSTEMS, cro_digest
 import test_stats
 
 
@@ -48,6 +49,19 @@ def test_cold_cro_level6(cls):
     got = (len(d["variables"]), d["equalityCount"], d["nullspaceDim"], d["diracSolutions"],
            d["uniformFeasible"])
     assert got == (*LEVEL6[cls], [], True)
+
+
+def test_level6_digests_on_warm_tables():
+    """Each pinned level-6 system built twice in one process, K4-free (an
+    edge class pinned at no level-6 digest) built in between: the second
+    build reads filled tables and reuses the variables, and both match the
+    pinned digest byte for byte."""
+    _level_table.cache_clear()
+    for cls, level in sorted(CRO_SYSTEMS):
+        if level == 6:
+            first = cro_digest(build_cro_system(cls, 6))
+            build_cro_system("kn_free_graph:4", 6)
+            assert (first, cro_digest(build_cro_system(cls, 6))) == (CRO_SYSTEMS[cls, 6],) * 2, cls
 
 
 @pytest.mark.parametrize("cls,cuts", [

@@ -28,6 +28,8 @@ from homord.cro import (
     _mask_coder,
     _mask_images,
     _mask_structure,
+    _Orbit,
+    _orbit_codes,
     _pair_count,
     _perm_tables,
     _uniform_violations,
@@ -43,7 +45,7 @@ from homord.cro import (
 )
 from homord.errors import ResourceLimitError, ValidationError
 from homord.groups import automorphisms
-from homord.builders import class_by_name
+from homord.builders import class_by_name, graph_class
 from homord.structures import _type_code, canonical_type, find_isomorphism, induced_substructure
 
 import helpers
@@ -55,7 +57,7 @@ from helpers import (
     integer_echelon,
     uniform_point,
 )
-from test_golden import cro_digest
+from test_golden import CRO_SYSTEMS, cro_digest
 
 
 def dense_rref(matrix):
@@ -363,6 +365,30 @@ class TestLevelTables:
         build_cro_system("kn_free_graph:3", 5)
         assert coded == []
 
+    def test_warm_build_reuses_ordered_types(self):
+        _level_table.cache_clear()
+        cold = build_cro_system("graph", 4)
+        warm = build_cro_system("graph", 4)
+        assert len(cold.variables) == len(warm.variables) == 75
+        assert all(a is b for a, b in zip(cold.variables, warm.variables))
+
+    def test_shared_orbits_keep_each_class_base_index(self):
+        # graph and K3-free number some shared level-4 orbits differently;
+        # built in turn, cold and warm, each keeps its own base indices
+        _level_table.cache_clear()
+        names = ("graph", "kn_free_graph:3")
+        cold = {name: build_cro_system(name, 4) for name in names}
+        numbering = {}
+        for name in names:
+            warm = build_cro_system(name, 4)
+            assert cro_digest(warm) == cro_digest(cold[name]), name
+            classes = _base_classes(class_by_name(name), 4)
+            numbering[name] = {id(orbit): bi for bi, (_, orbit, _) in enumerate(classes)}
+            want = [bi for bi, (_, _, codes) in enumerate(classes) for _ in codes]
+            assert [v.base_index for v in warm.variables if v.level == 4] == want, name
+        shared = numbering["kn_free_graph:3"].items()
+        assert any(numbering["graph"][orbit] != bi for orbit, bi in shared)
+
 
 class TestOrderedTypes:
     def test_counts_are_stabilizer_orders(self):
@@ -468,6 +494,83 @@ class TestUniformPoint:
         tampered = replace(cro_graph3, rows=(*cro_graph3.rows[:-1], row))
         with pytest.raises(ValidationError, match="not an integer"):
             uniqueness_report(tampered)
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty level tables, emptied again afterwards so no tampered orbit stays."""
+    _level_table.cache_clear()
+    yield
+    _level_table.cache_clear()
+
+
+class TestUniformCertificate:
+    """A build no longer checks the uniform point row by row: the fill
+    certifies each orbit's templates, and the build checks that every low
+    mask resolves one level down.  The row check stays the oracle."""
+
+    @pytest.mark.parametrize("cls,level", sorted(CRO_SYSTEMS), ids=str)
+    def test_golden_systems_admit_the_uniform_point(self, cls, level, fresh_tables):
+        for system in (build_cro_system(cls, level), build_cro_system(cls, level)):
+            assert _uniform_violations(system.rows, [v.level for v in system.variables]) == []
+
+    @pytest.mark.parametrize("wiring,relation", [("edge", "E"), ("arc", "A")])
+    def test_dropped_hit_rejected(self, monkeypatch, fresh_tables, wiring, relation):
+        real = homord.cro._perm_tables
+
+        def short(k, wiring):
+            action, compose = real(k, wiring)
+            return action, [row[:-1] for row in compose]
+
+        monkeypatch.setattr(homord.cro, "_perm_tables", short)
+        for orbit in _level_table(4, wiring):
+            with pytest.raises(ValidationError, match=f"orbit of mask {orbit.rep}: .* 3 level-4 hits"):
+                _orbit_codes(orbit, 4, wiring, relation)
+            assert orbit.masks == orbit.rows == () and orbit.codes == {}
+
+    @pytest.mark.parametrize("wiring,relation", [("edge", "E"), ("arc", "A")])
+    def test_wrong_aut_rejected(self, fresh_tables, wiring, relation):
+        for orbit in _level_table(4, wiring):
+            for fixing in (orbit.fixing[1:], (*orbit.fixing, orbit.fixing[0])):
+                tampered = _Orbit(orbit.rep, fixing)
+                with pytest.raises(ValidationError, match=f"orbit of mask {orbit.rep}: .* not 4!"):
+                    _orbit_codes(tampered, 4, wiring, relation)
+            assert _orbit_codes(orbit, 4, wiring, relation)
+
+    def test_low_mask_from_wrong_level_rejected(self, fresh_tables):
+        # a template whose deleted-point term reads a level-4 mask, with the
+        # orbit's lows taken from its templates as the fill takes them,
+        # fails the next build
+        build_cro_system("graph", 4)
+        tampered = 0
+        for orbit in _level_table(4, "edge"):
+            rows, lows = orbit.rows, orbit.lows
+            wrong = max(orbit.masks)
+            if wrong < 1 << _pair_count(3, "edge"):
+                continue
+            orbit.rows = ((wrong, *rows[0][1:]), *rows[1:])
+            orbit.lows = tuple(sorted({row[0] for row in orbit.rows}))
+            with pytest.raises(ValidationError, match=f"orbit of mask {orbit.rep} deletes"):
+                build_cro_system("graph", 4)
+            orbit.rows, orbit.lows = rows, lows
+            tampered += 1
+        assert tampered == 10  # every orbit but the empty graph's
+        assert cro_digest(build_cro_system("graph", 4)) == CRO_SYSTEMS["graph", 4]
+
+    def test_non_hereditary_class_rejected(self, monkeypatch):
+        # a "graph" class without the 3-point graphs with two edges: some
+        # 4-point member deletes a point to one of them
+        spec = graph_class()
+        member = replace(spec, is_member=lambda S: spec.is_member(S)
+                         and not (S.size == 3 and len(S.table("E")) == 4))
+        monkeypatch.setattr(homord.cro, "class_by_name", lambda name: member)
+        with pytest.raises(ValidationError, match="no member of size 3") as err:
+            build_cro_system("graph", 4)
+        rep = int(err.value.args[0].split("orbit of mask ")[1].split()[0])
+        S = _mask_structure(spec, 4, rep)
+        assert member.is_member(S)
+        assert not all(member.is_member(induced_substructure(S, tuple(p for p in range(4) if p != v)))
+                       for v in range(4))
 
 
 class TestKernel:
