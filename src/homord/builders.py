@@ -490,6 +490,8 @@ def audit_saturation(S: FinStructure, spec: FraisseClassSpec, t: int) -> int:
     depth past the true one costs one walk that ends at its first open
     instance.  S must be in spec.
     """
+    if type(t) is not int:
+        raise ValidationError(f"depth {t!r} is not an int")
     if t < 0:
         raise ValidationError(f"depth {t} < 0")
     bits = next((into for _, into in S.bits.values()), [0] * S.size)
@@ -574,6 +576,8 @@ def build_generic(spec: FraisseClassSpec, t: int, cap: int, seed: int) -> Struct
     SaturationInfeasibleError when the cap would be exceeded before
     saturation.
     """
+    if type(t) is not int or type(cap) is not int:
+        raise ValidationError(f"depth {t!r} and cap {cap!r} must be ints")
     if t < 0:
         raise ValidationError(f"depth {t} < 0")
     if cap < 1:

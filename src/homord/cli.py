@@ -3,15 +3,19 @@
     homord [--config FILE | --config=FILE] SUBCOMMAND [flags]
 
 Subcommands: build, orbits, acl, tau-path, sample, estimate, test, cro.
-The optional config file holds `key = value` lines mirroring the subcommand's
-long flags (no leading dashes, dashes may be written as underscores); flags
-given on the command line win.  Exit status: 0 on success and all requested
-verdicts passing, 1 when a verdict fails or no path exists, 2 on bad input.
-Every subcommand takes `--out`; `build`, `sample`, `estimate` and `test` also
-take `--seed` (default 0), and the others refuse it.  In those four, the class,
-sampler or suite picks a mode, which reads its own flags and refuses the rest.
-The build modes are the classes in `builders.CLASSES` that have a builder,
-each with its spec's flag defaults, so this module names no class.
+The optional config file, named before or after the subcommand, holds one
+flag a line, as `key = value` or `key value`, mirroring the subcommand's long
+flags (no leading dashes, dashes may be written as underscores); `#` starts a
+comment, blank lines are skipped, and flags given on the command line win.
+Output goes to stdout, or to the `--out` file every subcommand takes: `sample`
+writes CSV, the others JSON, and each JSON one but `build` prints `wrote FILE`.
+`build` also prints a summary line on stderr, and `test` its verdict line.
+Exit status: 0 on success and a passing verdict, 1 when the verdict fails or
+no path exists, 2 on bad input.  `build`, `sample`, `estimate` and `test`
+also take `--seed` (default 0), and the others refuse it.  In those four, the
+class, sampler or suite picks a mode, which reads its own flags and refuses
+the rest.  The build modes are the classes in `builders.CLASSES` that have a
+builder, each with its spec's flag defaults, so this module names no class.
 A reader that closes the output early (`| head`) ends the run quietly with 0.
 
 Each subcommand imports the layers it uses, so `cro`, `orbits`, `acl`,
@@ -39,7 +43,7 @@ from .errors import (
 from .structures import FinStructure, canonical_type
 
 if TYPE_CHECKING:
-    from . import samplers, stats
+    from . import samplers
 
 # each --sampler's class in `samplers`, fetched on use: importing cli loads no numpy
 _SAMPLERS = {"uniform": "UniformOrderSampler", "atoms": "AtomOrderSampler",
@@ -104,21 +108,22 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _load_chain(path: str) -> builders.StructureChain:
+def _read_text(path: str, what: str) -> str:
     with open(path) as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
-            raise ValidationError(f"chain file is not text: {exc}") from None
-    return builders.chain_loads(text)
+            raise ValidationError(f"{what} file is not text: {exc}") from None
 
 
-def _pick_level(chain: builders.StructureChain, level: int) -> FinStructure:
+def _structure(args) -> FinStructure:
+    """The level of the --in chain that --level names."""
+    chain = builders.chain_loads(_read_text(args.infile, "chain"))
     try:
-        return chain.levels[level]
+        return chain.levels[args.level]
     except IndexError:
         raise ValidationError(
-            f"level {level} outside the chain's {len(chain.levels)} levels"
+            f"level {args.level} outside the chain's {len(chain.levels)} levels"
         ) from None
 
 
@@ -139,9 +144,10 @@ def _parse_atoms(text: str, S: FinStructure) -> samplers.AtomSpec:
     return samplers.AtomSpec(atoms=tuple(atoms), tie_break=ties)
 
 
-def _make_sampler(args, S: FinStructure):
+def _make_sampler(args):
     from . import samplers
 
+    S = _structure(args)
     make = getattr(samplers, _SAMPLERS[args.sampler])
     if args.sampler == "atoms":
         return make(S, _parse_atoms(args.atoms, S))
@@ -165,20 +171,18 @@ def _resolve_tau(S: FinStructure, name: str) -> bytes:
     raise TypeNotRealizedError(f"no {name} pair exists in the structure")
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+def _write(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.out}")
     else:
         print(text)
 
 
-def _verdict_payload(v: stats.TestVerdict) -> dict:
-    d = dataclasses.asdict(v)
-    d["pass"] = d.pop("passed")
-    return d
+def _emit(payload: dict, args) -> None:
+    _write(json.dumps(payload, indent=1, sort_keys=True), args.out)
+    if args.out:
+        print(f"wrote {args.out}")
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -191,12 +195,7 @@ def cmd_build(args) -> int:
     chain = spec.build(spec, args.seed, **{dest: getattr(args, dest) for dest in spec.flags})
     if isinstance(chain, FinStructure):
         chain = builders.StructureChain(args.klass, (chain,), (0,))
-    text = builders.chain_dumps(chain)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(builders.chain_dumps(chain), args.out)
     print(f"built {args.klass}: {len(chain.levels)} level(s), top size {chain.top.size}, "
           f"saturation {chain.saturation[-1]}", file=sys.stderr)
     return 0
@@ -205,8 +204,7 @@ def cmd_build(args) -> int:
 def cmd_orbits(args) -> int:
     from . import groups
 
-    chain = _load_chain(args.infile)
-    S = _pick_level(chain, args.level)
+    S = _structure(args)
     fixed = frozenset(_csv_ints(args.fix))
     part = groups.orbits(S, args.k, fixed=fixed)
     payload = {
@@ -222,7 +220,7 @@ def cmd_orbits(args) -> int:
 def cmd_acl(args) -> int:
     from . import groups
 
-    chain = _load_chain(args.infile)
+    chain = builders.chain_loads(_read_text(args.infile, "chain"))
     prof = groups.acl_profile(chain, frozenset(_csv_ints(args.fix)), args.b)
     payload = {
         "verdict": prof.verdict,
@@ -236,12 +234,9 @@ def cmd_acl(args) -> int:
 def cmd_tau_path(args) -> int:
     from . import taupaths
 
-    chain = _load_chain(args.infile)
-    S = _pick_level(chain, args.level)
+    S = _structure(args)
     tau = _resolve_tau(S, args.tau)
-    path = taupaths.find_tau_path(
-        S, args.a, args.b, tau, avoid=frozenset(_csv_ints(args.avoid))
-    )
+    path = taupaths.find_tau_path(S, args.a, args.b, tau, avoid=frozenset(_csv_ints(args.avoid)))
     if path is None:
         _emit({"found": False}, args)
         return 1
@@ -254,10 +249,8 @@ def cmd_sample(args) -> int:
 
     if args.n < 1:
         raise ValidationError("n must be positive")
-    chain = _load_chain(args.infile)
-    S = _pick_level(chain, args.level)
-    sampler = _make_sampler(args, S)
-    points = _csv_ints(args.points) if args.points else tuple(sampler.elements)
+    sampler = _make_sampler(args)
+    points = _csv_ints(args.points) or tuple(sampler.elements)
     if len(set(points)) != len(points):
         raise ValidationError("points repeat")
     cols = [sampler.column(p) for p in points]
@@ -289,73 +282,44 @@ def cmd_sample(args) -> int:
 def cmd_estimate(args) -> int:
     from . import stats
 
-    chain = _load_chain(args.infile)
-    S = _pick_level(chain, args.level)
-    sampler = _make_sampler(args, S)
+    sampler = _make_sampler(args)
     points = _csv_ints(args.points)
     target = _csv_ints(args.target) if args.target is not None else points
     est = stats.estimate_order_event(sampler, points, target, args.n, args.seed)
-    _emit(
-        {
-            "value": est.value,
-            "stderr": est.stderr,
-            "n": est.n,
-            "ci99": list(est.ci99),
-        },
-        args,
-    )
+    _emit({"value": est.value, "stderr": est.stderr, "n": est.n, "ci99": list(est.ci99)}, args)
     return 0
 
 
 def cmd_test(args) -> int:
     from . import stats
 
-    verdicts: list[stats.TestVerdict] = []
     if args.suite == "ergodicity":
         sources = {
             "iid_uniform": lambda: stats.iid_uniform_sequences(args.length),
             "iid_bernoulli": lambda: stats.iid_bernoulli_sequences(0.5, args.length),
-            "mixture": lambda: stats.mixture_bernoulli_sequences(
-                0.25, 0.75, args.length
-            ),
+            "mixture": lambda: stats.mixture_bernoulli_sequences(0.25, 0.75, args.length),
             "constant": lambda: stats.constant_mixture_sequences(args.length),
         }
         if args.source not in sources:
             raise ValidationError(f"unknown source {args.source!r}")
-        verdicts.append(
-            stats.test_shift_ergodicity(
-                sources[args.source](), args.block, args.seed, args.n
-            )
-        )
+        v = stats.test_shift_ergodicity(sources[args.source](), args.block, args.seed, args.n)
     else:
-        chain = _load_chain(args.infile)
-        S = _pick_level(chain, args.level)
-        sampler = _make_sampler(args, S)
+        sampler = _make_sampler(args)
         if args.suite == "monotone":
-            verdicts.append(stats.test_monotone_coupling(sampler, args.seed, args.n))
+            v = stats.test_monotone_coupling(sampler, args.seed, args.n)
         elif args.suite == "exchangeability":
-            tuple_pairs = []
-            for spec_text in args.pairs:
-                left, _, right = spec_text.partition(";")
-                tuple_pairs.append((_csv_ints(left), _csv_ints(right)))
-            verdicts.append(
-                stats.test_exchangeability(sampler, tuple_pairs, args.seed, args.n, args.alpha)
-            )
+            halves = (text.partition(";") for text in args.pairs)
+            pairs = [(_csv_ints(left), _csv_ints(right)) for left, _, right in halves]
+            v = stats.test_exchangeability(sampler, pairs, args.seed, args.n, args.alpha)
         else:
             tuples = [_csv_ints(t) for t in args.tuples]
-            verdicts.append(
-                stats.test_independence(sampler, tuples, args.seed, args.n, args.alpha)
-            )
-    payload = {"verdicts": [_verdict_payload(v) for v in verdicts]}
-    _emit(payload, args)
-    for v in verdicts:
-        marker = "PASS" if v.passed else "FAIL"
-        print(
-            f"{marker} {v.name}: statistic={v.statistic:.6g} "
-            f"threshold={v.threshold:.6g} ({v.comparison})",
-            file=sys.stderr,
-        )
-    return 0 if all(v.passed for v in verdicts) else 1
+            v = stats.test_independence(sampler, tuples, args.seed, args.n, args.alpha)
+    verdict = dataclasses.asdict(v)
+    verdict["pass"] = verdict.pop("passed")
+    _emit({"verdicts": [verdict]}, args)
+    print(f"{'PASS' if v.passed else 'FAIL'} {v.name}: statistic={v.statistic:.6g} "
+          f"threshold={v.threshold:.6g} ({v.comparison})", file=sys.stderr)
+    return 0 if v.passed else 1
 
 
 def cmd_cro(args) -> int:
@@ -389,9 +353,33 @@ def cmd_cro(args) -> int:
 
 # --- parser --------------------------------------------------------------------
 
+# the options several subcommands take, each declared once
+_SHARED = {
+    "--class": {"dest": "klass", "required": True},
+    "--sampler": {"choices": _SAMPLERS, "required": True},
+    "--in": {"dest": "infile", "required": True},
+    "--level": {"type": int, "default": -1},
+    "--fix": {"default": ""},
+    "--atoms": {"default": argparse.SUPPRESS, "help": "loc:mass[,loc:mass...]"},
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str, mode: bool = False) -> None:
+    """Add the shared flags; as mode flags (test's suite reads them) they are
+    absent unless given and carry no help."""
+    for flag in flags:
+        kw = _SHARED[flag]
+        if mode:
+            kw = {k: v for k, v in kw.items() if k in ("dest", "type", "choices")}
+        p.add_argument(flag, **kw)
+
+
+def _finish(p: argparse.ArgumentParser, func, seed: bool = False) -> None:
+    """The options that close every subcommand, and the function it runs."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write output to this file")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,99 +389,72 @@ def build_parser() -> argparse.ArgumentParser:
         # _apply_config reads --config; a prefix of it would go unread
         allow_abbrev=False,
     )
-    root.add_argument(
-        "--config", default=None, help="key = value file of default flags"
-    )
+    root.add_argument("--config", default=None, help="key = value file of default flags")
     sub = root.add_subparsers(dest="command", required=True)
 
     # a mode flag is absent unless given; _read_mode fills in its mode's default
     p = sub.add_parser("build", help="build a structure chain, write JSON")
-    p.add_argument("--class", dest="klass", required=True)
+    _add_shared(p, "--class")
     # one option per flag the build classes' specs declare, typed by its default
     flags = {dest: v for row in _MODES["build"]["klass"].values() for dest, v in row.items()}
     for dest, v in flags.items():
         kind = _csv_ints if isinstance(v, tuple) else int
         p.add_argument(_flag(dest), dest=dest, type=kind, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_build)
+    _finish(p, cmd_build, seed=True)
 
     p = sub.add_parser("orbits", help="k-tuple orbit partition at a chain level")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--level", type=int, default=-1)
+    _add_shared(p, "--in", "--level")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--fix", default="")
-    _add_common(p)
-    p.set_defaults(func=cmd_orbits)
+    _add_shared(p, "--fix")
+    _finish(p, cmd_orbits)
 
     p = sub.add_parser("acl", help="orbit-growth profile of b over a fixed set")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--fix", default="")
+    _add_shared(p, "--in", "--fix")
     p.add_argument("--b", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_acl)
+    _finish(p, cmd_acl)
 
     p = sub.add_parser("tau-path", help="alternating 2-type path search")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--level", type=int, default=-1)
+    _add_shared(p, "--in", "--level")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--tau", required=True, help="edge or nonedge")
     p.add_argument("--avoid", default="")
-    _add_common(p)
-    p.set_defaults(func=cmd_tau_path)
+    _finish(p, cmd_tau_path)
 
     p = sub.add_parser("sample", help="stream order samples to CSV")
-    p.add_argument("--sampler", choices=_SAMPLERS, required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--level", type=int, default=-1)
+    _add_shared(p, "--sampler", "--in", "--level")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--points", default="")
-    p.add_argument("--atoms", default=argparse.SUPPRESS, help="loc:mass[,loc:mass...]")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_sample)
+    _add_shared(p, "--atoms")
+    _finish(p, cmd_sample, seed=True)
 
     p = sub.add_parser("estimate", help="frequency of an order event, with CI")
-    p.add_argument("--sampler", choices=_SAMPLERS, required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--level", type=int, default=-1)
+    _add_shared(p, "--sampler", "--in", "--level")
     p.add_argument("--points", required=True)
     p.add_argument("--target", default=None, help="event order; default = points")
     p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--atoms", default=argparse.SUPPRESS, help="loc:mass[,loc:mass...]")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_estimate)
+    _add_shared(p, "--atoms")
+    _finish(p, cmd_estimate, seed=True)
 
-    p = sub.add_parser(
-        "test", help="hypothesis-test suites; exit 0 iff pass", argument_default=argparse.SUPPRESS
-    )
-    p.add_argument(
-        "--suite",
-        choices=("exchangeability", "independence", "monotone", "ergodicity"),
-        required=True,
-    )
-    p.add_argument("--sampler", choices=_SAMPLERS)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--level", type=int)
+    p = sub.add_parser("test", help="hypothesis-test suites; exit 0 iff pass",
+                       argument_default=argparse.SUPPRESS)
+    suites = ("exchangeability", "independence", "monotone", "ergodicity")
+    p.add_argument("--suite", choices=suites, required=True)
+    _add_shared(p, "--sampler", "--in", "--level", mode=True)
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--alpha", type=float, help="exchangeability and independence")
     p.add_argument("--pairs", action="append", help='"a0,a1;b0,b1"')
     p.add_argument("--tuples", action="append", help='"p0,p1[,p2]"')
-    p.add_argument("--atoms")
+    _add_shared(p, "--atoms", mode=True)
     p.add_argument("--source")
     p.add_argument("--length", type=int)
     p.add_argument("--block", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_test)
+    _finish(p, cmd_test, seed=True)
 
     p = sub.add_parser("cro", help="exact ordering-consistency report")
-    p.add_argument("--class", dest="klass", required=True)
+    _add_shared(p, "--class")
     p.add_argument("--n", type=int, required=True, help="truncation level")
-    _add_common(p)
-    p.set_defaults(func=cmd_cro)
+    _finish(p, cmd_cro)
 
     return root
 
@@ -514,25 +475,16 @@ def _apply_config(argv: list[str]) -> list[str]:
         return argv
     if not rest:
         return rest
-    with open(path) as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"config file is not text: {exc}") from None
-    pairs = []
-    for line in lines:
+    tokens = []
+    for line in _read_text(path, "config").split("\n"):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, value = line.partition("=")
         if not value:
             key, _, value = line.partition(" ")
-        pairs.append((key.strip().replace("_", "-"), value.strip()))
-    sub = rest[0]
-    tokens = []
-    for key, value in pairs:
-        tokens += [f"--{key}", value]
-    return [sub] + tokens + rest[1:]
+        tokens += [f"--{key.strip().replace('_', '-')}", value.strip()]
+    return [rest[0], *tokens, *rest[1:]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -549,13 +501,8 @@ def main(argv: list[str] | None = None) -> int:
         # the rest goes nowhere, so the flush at exit has nothing to report
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (
-        ValidationError,
-        TypeNotRealizedError,
-        ResourceLimitError,
-        SaturationInfeasibleError,
-        OSError,
-    ) as exc:
+    except (ValidationError, TypeNotRealizedError, ResourceLimitError,
+            SaturationInfeasibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -208,6 +208,19 @@ class TestBuildGeneric:
         with pytest.raises(ValidationError, match="depth -1 < 0"):
             audit_saturation(graph_chain.top, graph_class(), -1)
 
+    @pytest.mark.parametrize("t", [True, 1.5, 2.0])
+    def test_audit_depth_must_be_int(self, graph_chain, t):
+        with pytest.raises(ValidationError, match="is not an int"):
+            audit_saturation(graph_chain.top, graph_class(), t)
+
+    @pytest.mark.parametrize("t,cap", [(True, 30), (1.5, 30), (2, 30.5), (2, False)])
+    @pytest.mark.parametrize("cls", ["graph", "pure_set"])
+    def test_depth_and_cap_must_be_ints(self, cls, t, cap):
+        # a bool depth once reached the chain as saturation true, which
+        # chain_loads then refused
+        with pytest.raises(ValidationError, match="must be ints"):
+            build_generic(class_by_name(cls), t, cap, 0)
+
     def test_depth1_witnesses(self):
         # depth 1: every vertex has both a neighbor and a non-neighbor
         chain = build_generic(graph_class(), 1, 24, seed=3)

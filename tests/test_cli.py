@@ -183,6 +183,14 @@ class TestSample:
         for row in rows[1:]:
             assert {row[1], row[2]} == {"0", "1"}
 
+    def test_blank_points_mean_every_point(self, chain_file):
+        argv = ("sample", "--sampler", "uniform", "--in", str(chain_file),
+                "--level", "0", "--n", "3", "--seed", "3")
+        every = run(*argv)
+        assert every.returncode == 0, every.stderr
+        assert "eta_0" in every.stdout.splitlines()[0]
+        assert run(*argv, "--points", " ").stdout == every.stdout
+
     def test_reader_closing_early_exits_0(self, chain_file):
         # like `homord sample ... | head -1`: megabytes of CSV, one line read
         p = subprocess.Popen(
@@ -650,6 +658,28 @@ class TestConfig:
         assert run("orbits", "--in", "/nonexistent.json", "--k", "2").returncode == 2
         r = run("--config", "/nonexistent.cfg", "cro", "--class", "graph", "--n", "2")
         assert r.returncode == 2
+
+    # each line form the reader accepts: two_predicate_PQ with 3 P and 2 Q points
+    LINE_FORMS = {
+        "key_space_value": b"size_p 3\nsize_q 2\n",
+        "comment_after_value": b"size-p = 3  # the P points\nsize-q 2 # and Q\n",
+        "underscore_key": b"size_p = 3\nsize_q = 2\n",
+        "crlf": b"size_p = 3\r\nsize_q = 2\r\n",
+    }
+
+    @pytest.mark.parametrize("form", sorted(LINE_FORMS))
+    @pytest.mark.parametrize("at", [0, 1], ids=["before_subcommand", "after_subcommand"])
+    def test_line_forms(self, form, at, tmp_path, capsys):
+        from homord.cli import main
+
+        cfg = tmp_path / "homord.cfg"
+        cfg.write_bytes(self.LINE_FORMS[form])
+        argv = ["build", "--class", "two_predicate_PQ"]
+        assert main([*argv, "--size-p", "3", "--size-q", "2"]) == 0
+        direct = capsys.readouterr()
+        assert "top size 5" in direct.err  # the defaults give 4
+        assert main([*argv[:at], "--config", str(cfg), *argv[at:]]) == 0
+        assert capsys.readouterr() == direct
 
     def test_config_without_value_exits_2(self):
         r = run("cro", "--class", "graph", "--n", "2", "--config")

@@ -133,6 +133,31 @@ def test_cli_build_digest(klass, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILDS[klass]
 
 
+# `homord [SUBCOMMAND] --help` at 80 columns: each option, its order, metavar,
+# choices and help string, as argparse 3.10-3.12 lays them out (3.13 words
+# some of its help differently).
+HELP = {
+    "": "a8e90e9ae81d77484ec108eab9b63a3fab75918d5651858fab2abc31ad1f948a",
+    "build": "8e2df21ba01868f63a35cfefcc35e1af053cf6f2e59e25e9b68dac6d68676351",
+    "orbits": "63b56ea9be4f0a96b8dbf1319d8769993368b4036964c0517abcd6677cd0c871",
+    "acl": "4fcd12e48e2d29211d38b81848c6dc1e521399e9dfc54be8f93da04800aeee3f",
+    "tau-path": "baf0d8ff5af80a07c5fc491ebbd8387591768ff30cdbaa99cc32f07bfb4b8d47",
+    "sample": "bdaa41587edec9e936df01c249aa55ea46ddc3632afc431cf401683c2c747951",
+    "estimate": "0144e5328d91ea29208de915879d26ba00cb1750d4840d9da15ecac0e1c977af",
+    "test": "3dcfbbd19920ad4aee554b5dac427016dfb5d11a83505deda6decacd7e44e828",
+    "cro": "4af963b41cc35fe480a3d52259b001d4080f89ee3bd836360a67a1b7cad60bf1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: c or "root")
+def test_cli_help_digest(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"] if command else ["--help"])
+    assert done.value.code == 0
+    assert sha256(capsys.readouterr().out) == HELP[command]
+
+
 GROUPS = {
     "paley13": (lambda: paley_graph(13), 78,
                 "4d27c5aeb18a82ef69c8f4aa1ba1800d6e4178d73b55e14a50fa5e7704e17d79"),
