@@ -4,7 +4,8 @@
 
 Subcommands: build, orbits, acl, tau-path, sample, estimate, test, cro.
 The optional config file, named before or after the subcommand, holds one
-flag a line, as `key = value` or `key value`, mirroring the subcommand's long
+flag a line, as `key = value` (split at the first `=`, the value possibly
+empty) or, with no `=`, `key value`, mirroring the subcommand's long
 flags (no leading dashes, dashes may be written as underscores); `#` starts a
 comment, blank lines are skipped, and flags given on the command line win.
 Output goes to stdout, or to the `--out` file every subcommand takes: `sample`
@@ -480,8 +481,8 @@ def _apply_config(argv: list[str]) -> list[str]:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, value = line.partition("=")
-        if not value:
+        key, eq, value = line.partition("=")
+        if not eq:
             key, _, value = line.partition(" ")
         tokens += [f"--{key.strip().replace('_', '-')}", value.strip()]
     return [rest[0], *tokens, *rest[1:]]

@@ -40,16 +40,15 @@ None of that depends on the class, only on the level k and the wiring, so
 it is tabulated once per level and wiring in a process (`_level_table`):
 each orbit's representative and automorphisms, its masks in code order,
 and each distinct restriction row as a template, the deleted point's low
-mask and the row's (rank in orbit, coefficient) terms.  The class picks
-its orbits, one `is_member` call on each representative, and numbers
-them: a variable's index is its orbit's offset plus its rank, and a build
-only looks up each template's low mask and shifts its ranks.  An orbit's
-codes and templates are filled the first time a member class asks for
-them, so one build pays only for the orbits its class admits, and a later
-build at that level and wiring, of any class, reads them back.  So does
-each orbit's tuple of `OrderedType`s, kept per relation and base index.
-Every coefficient is an integer, and the rows hold them as ints from
-assembly to the report.
+mask and the row's (rank in orbit, coefficient) terms.  An orbit's codes
+and templates are filled the first time a member class asks for them, so
+a build pays only for the orbits its class admits.  The class picks its
+orbits, one `is_member` call on each representative, and numbers them: a
+variable's index is its orbit's offset plus its rank, and a row is a
+template with its low mask looked up and its ranks shifted.  That class
+level is assembled once per process and kept with the level's table, so
+a later build of the class at any level joins its kept levels.  Every
+coefficient is an integer, and the rows hold them as ints to the report.
 
 *The uniform point* gives every variable of one level the same value, so
 whether it solves a row depends only on the row's shape, which is its
@@ -57,10 +56,10 @@ orbit's template: a mass row holds exactly when |masks| * |Aut| = k!, and
 a restriction row exactly when its one +1 term is one level down and its
 level-k coefficients sum to -k.  The fill checks both, once per orbit and
 template (`_orbit_codes`); what a class adds, that every low mask of its
-orbits' templates is a member one level down, each build checks once per
-distinct low mask.  `uniqueness_report` still checks the point row by row,
-over the integers scaled by L!, on the rows as given, since a system's
-rows can be replaced by hand.
+orbits' templates is a member one level down, is checked once per class
+level and distinct low mask.  `uniqueness_report` still checks the point
+row by row, over the integers scaled by L!, on the rows as given, since a
+system's rows can be replaced by hand.
 
 The verdicts need no elimination: the nullity is a sum of fibre
 dimensions in closed form, read off the orbits at assembly.
@@ -117,8 +116,8 @@ benchmark's tracer wraps `kernel_basis` by name (ROADMAP item 1).  A class
 enumerates through its spec's wiring (or has no relation at all), so pure
 sets, linear orders, graphs, K_n-free graphs and tournaments all go up to
 level 6, where graph L=6 (33,867 variables, nullity 12,059) assembles in
-0.37-0.45 s on a 2-core Xeon the first time in a process and in 0.10-0.15 s
-once its tables are filled, and its report takes 0.06 s.
+0.38-0.59 s on a 2-core Xeon the first time in a process, a later build
+joins its kept levels in 1.3-1.5 ms, and its report takes 0.06 s.
 
 Everything here is exact; no floats."""
 
@@ -359,9 +358,7 @@ class _Orbit:
     rank order, each as a slot past the n masks one level down: n + r for
     the term (r, -1), and n + len(masks) + j for terms[j], a term (r, -c)
     of a rank that one row hits c > 1 times.  lows are the templates'
-    distinct low masks, ascending.  variables maps (relation, base index)
-    to the orbit's `OrderedType`s in rank order, made by the first build
-    that numbers the orbit at that base index."""
+    distinct low masks, ascending."""
 
     rep: int
     fixing: tuple[int, ...]
@@ -370,11 +367,27 @@ class _Orbit:
     terms: tuple[tuple[int, int], ...] = ()
     rows: tuple[tuple[int, ...], ...] = ()
     lows: tuple[int, ...] = ()
-    variables: dict[tuple[str | None, int], tuple[OrderedType, ...]] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _ClassLevel:
+    """One class's level k; lookup holds, per level-k mask, its variable's
+    (index, 1) term or None for level k + 1's rows (empty at the cap)."""
+
+    base_reps: tuple[FinStructure, ...]
+    variables: tuple[OrderedType, ...]
+    mass: tuple[CroRow, ...]
+    restriction: tuple[CroRow, ...]
+    fibre: int
+    lookup: list[tuple[int, int] | None]
+
+
+class _Orbits(tuple):
+    classes: dict[str, _ClassLevel]  # the class levels at these orbits, by spec name
 
 
 @lru_cache(maxsize=None)
-def _level_table(k: int, wiring: str | None) -> tuple[_Orbit, ...]:
+def _level_table(k: int, wiring: str | None) -> _Orbits:
     """The orbits of the masks on k points, in order of their least mask.
 
     Masks are walked in ascending order, and an unvisited mask is the least
@@ -382,8 +395,8 @@ def _level_table(k: int, wiring: str | None) -> tuple[_Orbit, ...]:
     product order always was.  Nothing here depends on a class: a class
     picks its orbits by membership (`_base_classes`), so every class of one
     wiring reads the same table.  Built once per level and wiring; filled
-    orbits stay for the life of the process (the edge table at level 6,
-    every orbit filled, holds about 11 MB, codes included)."""
+    orbits and kept class levels live as long as the table (at level 6 the
+    edge table, every orbit filled, holds about 11 MB, codes included)."""
     action = _perm_tables(k, wiring)[0]
     visited = bytearray(1 << _pair_count(k, wiring))
     orbits = []
@@ -394,7 +407,9 @@ def _level_table(k: int, wiring: str | None) -> tuple[_Orbit, ...]:
         for image in set(images):
             visited[image] = 1
         orbits.append(_Orbit(mask, tuple(i for i, m in enumerate(images) if m == mask)))
-    return tuple(orbits)
+    table = _Orbits(orbits)
+    table.classes = {}
+    return table
 
 
 def _orbit_codes(
@@ -423,8 +438,8 @@ def _orbit_codes(
     template has k hits counted with multiplicity, its level-k
     coefficients summing to -k.  The low mask keeps the bits of the pairs
     among points 1..k-1, so it is a mask one level down; whether it is a
-    member's is the class's to say, and each build checks that
-    (`build_cro_system`).  A failure raises `ValidationError` naming the
+    member's is the class's to say, and each class level checks that
+    (`_class_level`).  A failure raises `ValidationError` naming the
     orbit's representative, before anything is stored."""
     codes = orbit.codes.get(relation)
     if codes is not None:
@@ -513,71 +528,71 @@ def enumerate_ordered_types(A: FinStructure) -> dict[TypeCode, int]:
 # --- system assembly ----------------------------------------------------------
 
 
+def _class_level(spec: FraisseClassSpec, k: int, below: list[_ClassLevel]) -> _ClassLevel:
+    """The class's level k on top of its levels 1..k-1.
+
+    A variable's index is its orbit's offset plus its rank.  A template is
+    read through the level below's lookup, then the orbit's terms shifted
+    to the orbit's offset, so each row is one pass over its template.  A
+    class with no members of size k, a character sum that is not a
+    multiple of |Aut|, or a low mask that is no member one level down
+    raises `ValidationError`; each means the assembly itself is wrong."""
+    classes = _base_classes(spec, k)
+    if not classes:
+        raise ValidationError(f"{spec.name} has no members of size {k}")
+    chars = _characters(k)
+    end = sum(len(level.variables) for level in below)
+    lookup = [None] * (1 << _pair_count(k, spec.wiring)) if k < _LEVEL_CAP else []
+    variables, mass, restriction, fibre = [], [], [], 0
+    for bi, (_, orbit, codes) in enumerate(classes):
+        aut = len(orbit.fixing)
+        dim, rest = divmod(sum(chars[i] for i in orbit.fixing), aut)
+        if rest:
+            raise ValidationError(f"{spec.name} level {k}: character sum over |Aut| = {aut} "
+                                  "is not a dimension")
+        fibre += dim
+        base, end = end, end + len(codes)
+        variables += [OrderedType(code, k, bi, aut) for code in codes]
+        indices = range(base, end)
+        mass.append(CroRow(tuple(zip(indices, itertools.repeat(aut))), 1, "mass"))
+        if below:
+            low = below[-1].lookup
+            if orbit.lows[-1] >= len(low) or not all(map(low.__getitem__, orbit.lows)):
+                raise ValidationError(f"{spec.name} level {k}: a row of the orbit of mask "
+                                      f"{orbit.rep} deletes a point to no member of size {k - 1}")
+            terms = low + [(i, -1) for i in indices] + [(base + r, c) for r, c in orbit.terms]
+            restriction += [CroRow(tuple(map(terms.__getitem__, row)), 0, "restriction")
+                            for row in orbit.rows]
+        for m, i in zip(orbit.masks, indices) if lookup else ():
+            lookup[m] = (i, 1)
+    return _ClassLevel(tuple(A for A, *_ in classes), tuple(variables), tuple(mass),
+                       tuple(restriction), fibre, lookup)
+
+
 def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     """Assemble mass and restriction rows for levels 1..max_level, and
     each level's fibre dimension from the automorphism groups of its base
     classes.
 
-    The uniform point solves every row: each orbit's templates are
-    certified once, when it is filled (`_orbit_codes`), and every build
-    checks what the class adds, that each low mask of an orbit's templates
-    is a member one level down, so its +1 term is a variable there.  A
-    class whose deletions leave it raises `ValidationError`, as does a
-    character sum that is not a multiple of its group's order; either
-    would mean the assembly itself is wrong."""
+    Each class level is assembled once in a process (`_class_level`) and
+    kept with the level's table under the spec's name; a build joins them,
+    every mass row, then every restriction row.  The uniform point solves
+    every row: the fill certifies each orbit's templates (`_orbit_codes`),
+    and a class level checks that each low mask is a member one level down."""
     spec = class_by_name(class_name)
-    wiring, relation = _check_level(spec, max_level)
-    base_reps: dict[int, tuple[FinStructure, ...]] = {}
-    variables: list[OrderedType] = []
-    fibres: list[int] = []
-    mass: list[CroRow] = []
-    restriction: list[CroRow] = []
-    # A variable's index is its orbit's offset plus its rank.  A template
-    # is read through a lookup holding, per mask of the level below, the
-    # (index, 1) term of its variable, then the orbit's terms shifted to
-    # the orbit's offset, so each row is one pass over its template.
-    below: list[tuple[int, int] | None] = []
+    wiring, _ = _check_level(spec, max_level)
+    levels: list[_ClassLevel] = []
     for k in range(1, max_level + 1):
-        classes = _base_classes(spec, k)
-        if not classes:
-            raise ValidationError(f"{class_name} has no members of size {k}")
-        base_reps[k] = tuple(A for A, *_ in classes)
-        chars = _characters(k)
-        level = [None] * (1 << _pair_count(k, wiring)) if k < max_level else []
-        fibre = 0
-        for bi, (_, orbit, codes) in enumerate(classes):
-            aut = len(orbit.fixing)
-            dim, rest = divmod(sum(chars[i] for i in orbit.fixing), aut)
-            if rest:
-                raise ValidationError(
-                    f"{class_name} level {k}: character sum over |Aut| = {aut} is not a dimension"
-                )
-            fibre += dim
-            base = len(variables)
-            ordered = orbit.variables.get((relation, bi))
-            if ordered is None:
-                ordered = orbit.variables[relation, bi] = tuple(
-                    OrderedType(code, k, bi, aut) for code in codes)
-            variables += ordered
-            indices = range(base, len(variables))
-            mass.append(CroRow(tuple(zip(indices, itertools.repeat(aut))), 1, "mass"))
-            if below:
-                if orbit.lows[-1] >= len(below) or not all(map(below.__getitem__, orbit.lows)):
-                    raise ValidationError(
-                        f"{class_name} level {k}: a row of the orbit of mask {orbit.rep} "
-                        f"deletes a point to no member of size {k - 1}"
-                    )
-                lookup = below + [(i, -1) for i in indices]
-                lookup += [(base + r, c) for r, c in orbit.terms]
-                restriction += [CroRow(tuple(map(lookup.__getitem__, row)), 0, "restriction")
-                                for row in orbit.rows]
-            if level:
-                for m, i in zip(orbit.masks, indices):
-                    level[m] = (i, 1)
-        fibres.append(fibre)
-        below = level
-    rows = (*mass, *restriction)
-    return CroSystem(class_name, max_level, base_reps, tuple(variables), rows, tuple(fibres))
+        kept = _level_table(k, wiring).classes
+        if spec.name not in kept:
+            kept[spec.name] = _class_level(spec, k, levels)
+        levels.append(kept[spec.name])
+    joined = itertools.chain.from_iterable
+    return CroSystem(
+        class_name, max_level, {k: level.base_reps for k, level in enumerate(levels, 1)},
+        tuple(joined(level.variables for level in levels)),
+        (*joined(level.mass for level in levels), *joined(level.restriction for level in levels)),
+        tuple(level.fibre for level in levels))
 
 
 def _uniform_violations(rows: Iterable[CroRow], levels: list[int]) -> list[int]:

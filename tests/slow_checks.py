@@ -5,9 +5,10 @@
 pytest collects this module only when it is named on the command line: its
 name does not match test_*.py.  The checks here pin the same kind of facts
 as the default run at a larger scale: level 6 of the exact layer in fresh
-processes, on warm tables and against the rank oracle, every level of two
-depth-3 witness chains against the plain enumeration, the p-value helpers
-on 5,000 tables, and automorphism search on structures of up to 101 points.
+processes, on warm tables, on kept lower levels and against the rank
+oracle, every level of two depth-3 witness chains against the plain
+enumeration, the p-value helpers on 5,000 tables, and automorphism search
+on structures of up to 101 points.
 """
 
 import json
@@ -62,6 +63,21 @@ def test_level6_digests_on_warm_tables():
             first = cro_digest(build_cro_system(cls, 6))
             build_cro_system("kn_free_graph:4", 6)
             assert (first, cro_digest(build_cro_system(cls, 6))) == (CRO_SYSTEMS[cls, 6],) * 2, cls
+
+
+@pytest.mark.parametrize("cls", ["graph", "tournament"])
+def test_level6_on_kept_level5(cls):
+    """Level 6 assembled on top of the class's kept levels 1-5 in one
+    process: the lower levels' variables and rows are the level-5 build's
+    own objects, and the system matches the pinned level-6 digest."""
+    _level_table.cache_clear()
+    five = build_cro_system(cls, 5)
+    six = build_cro_system(cls, 6)
+    assert all(a is b for a, b in zip(five.variables, six.variables))
+    mass5, mass6 = (sum(r.kind == "mass" for r in s.rows) for s in (five, six))
+    assert all(a is b for a, b in zip(five.rows[:mass5], six.rows))
+    assert all(a is b for a, b in zip(five.rows[mass5:], six.rows[mass6:]))
+    assert cro_digest(six) == CRO_SYSTEMS[cls, 6]
 
 
 @pytest.mark.parametrize("cls,cuts", [

@@ -681,6 +681,29 @@ class TestConfig:
         assert main([*argv[:at], "--config", str(cfg), *argv[at:]]) == 0
         assert capsys.readouterr() == direct
 
+    @pytest.mark.parametrize("line", ["points =", "points=", "points = # every point"])
+    def test_empty_value_after_equals(self, line, chain_file, tmp_path):
+        # an empty value is passed as "", as --points "" passes it: every point
+        cfg = tmp_path / "homord.cfg"
+        cfg.write_text(f"n = 5\n{line}\n")
+        argv = ("sample", "--sampler", "uniform", "--in", str(chain_file), "--level", "0")
+        direct = run(*argv, "--n", "5", "--points", "")
+        via_cfg = run("--config", str(cfg), *argv)
+        assert direct.returncode == via_cfg.returncode == 0, via_cfg.stderr
+        assert via_cfg.stdout == direct.stdout
+
+    def test_key_with_empty_value_names_its_flag(self, tmp_path, capsys):
+        from homord.cli import _apply_config, main
+
+        cfg = tmp_path / "homord.cfg"
+        cfg.write_text("seed=\nn = 5\n")
+        assert _apply_config(["--config", str(cfg), "sample"]) == [
+            "sample", "--seed", "", "--n", "5"]
+        with pytest.raises(SystemExit) as done:
+            main(["--config", str(cfg), "build", "--class", "graph"])
+        assert done.value.code == 2
+        assert "argument --seed: invalid int value: ''" in capsys.readouterr().err
+
     def test_config_without_value_exits_2(self):
         r = run("cro", "--class", "graph", "--n", "2", "--config")
         assert r.returncode == 2

@@ -389,6 +389,76 @@ class TestLevelTables:
         shared = numbering["kn_free_graph:3"].items()
         assert any(numbering["graph"][orbit] != bi for orbit, bi in shared)
 
+    def test_warm_build_makes_no_structure_membership_call_or_row(self, monkeypatch):
+        # a warm build joins kept class levels: no representative is built,
+        # no membership asked and no row made; a cold build does all three
+        calls = []
+        spec = class_by_name("graph")
+        spied = replace(spec, is_member=lambda S: calls.append("is_member") or spec.is_member(S))
+        monkeypatch.setattr(homord.cro, "class_by_name", lambda name: spied)
+        for name in ("_mask_structure", "CroRow"):
+            real = getattr(homord.cro, name)
+            monkeypatch.setattr(homord.cro, name,
+                                lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        _level_table.cache_clear()
+        assert cro_digest(build_cro_system("graph", 5)) == CRO_SYSTEMS["graph", 5]
+        assert set(calls) == {"is_member", "_mask_structure", "CroRow"}
+        calls.clear()
+        assert cro_digest(build_cro_system("graph", 5)) == CRO_SYSTEMS["graph", 5]
+        assert calls == []
+
+    @pytest.mark.parametrize("name", MASK_CLASSES)
+    def test_ascending_and_descending_builds_match_pins(self, name):
+        # ascending, each level is assembled on kept levels below it;
+        # descending, the first build assembles them all and the rest join
+        digests = {}
+        for order in (range(1, 6), range(5, 0, -1)):
+            _level_table.cache_clear()
+            for level in order:
+                digests.setdefault(level, set()).add(cro_digest(build_cro_system(name, level)))
+        for level, got in digests.items():
+            assert len(got) == 1, level
+            assert got == {CRO_SYSTEMS.get((name, level), *got)}, level
+
+    def test_higher_build_reuses_lower_levels(self):
+        _level_table.cache_clear()
+        four = build_cro_system("graph", 4)
+        five = build_cro_system("graph", 5)
+        assert cro_digest(five) == CRO_SYSTEMS["graph", 5]
+        assert all(four.base_reps[k] is five.base_reps[k] for k in range(1, 5))
+        assert all(a is b for a, b in zip(four.variables, five.variables))
+        # both list every mass row, then every restriction row, in level order
+        mass4, mass5 = (sum(r.kind == "mass" for r in s.rows) for s in (four, five))
+        assert all(a is b for a, b in zip(four.rows[:mass4], five.rows))
+        assert all(a is b for a, b in zip(four.rows[mass4:], five.rows[mass5:]))
+
+    def test_cache_clear_makes_the_next_build_cold(self, monkeypatch):
+        picked = []
+        real = homord.cro._base_classes
+        monkeypatch.setattr(homord.cro, "_base_classes",
+                            lambda spec, k: picked.append(k) or real(spec, k))
+        _level_table.cache_clear()
+        first = build_cro_system("graph", 4)
+        assert picked == [1, 2, 3, 4]
+        picked.clear()
+        build_cro_system("graph", 4)
+        assert picked == []
+        _level_table.cache_clear()
+        again = build_cro_system("graph", 4)
+        assert picked == [1, 2, 3, 4]
+        assert cro_digest(again) == cro_digest(first)
+        assert not any(a is b for a, b in zip(first.rows, again.rows))
+
+    def test_spellings_share_one_class_level(self):
+        _level_table.cache_clear()
+        padded = build_cro_system("kn_free_graph:03", 4)
+        plain = build_cro_system("kn_free_graph:3", 4)
+        assert (padded.class_name, plain.class_name) == ("kn_free_graph:03", "kn_free_graph:3")
+        assert list(_level_table(4, "edge").classes) == ["kn_free_graph:3"]
+        assert len(padded.rows) == len(plain.rows)
+        assert all(a is b for a, b in zip(padded.rows, plain.rows))
+        assert cro_digest(padded) == cro_digest(plain) == CRO_SYSTEMS["kn_free_graph:3", 4]
+
 
 class TestOrderedTypes:
     def test_counts_are_stabilizer_orders(self):
@@ -550,14 +620,17 @@ class TestUniformCertificate:
                 continue
             orbit.rows = ((wrong, *rows[0][1:]), *rows[1:])
             orbit.lows = tuple(sorted({row[0] for row in orbit.rows}))
+            # the check runs when a class level is assembled, so drop the kept one
+            _level_table(4, "edge").classes.pop("graph", None)
             with pytest.raises(ValidationError, match=f"orbit of mask {orbit.rep} deletes"):
                 build_cro_system("graph", 4)
             orbit.rows, orbit.lows = rows, lows
+            _level_table(4, "edge").classes.pop("graph", None)
             tampered += 1
         assert tampered == 10  # every orbit but the empty graph's
         assert cro_digest(build_cro_system("graph", 4)) == CRO_SYSTEMS["graph", 4]
 
-    def test_non_hereditary_class_rejected(self, monkeypatch):
+    def test_non_hereditary_class_rejected(self, monkeypatch, fresh_tables):
         # a "graph" class without the 3-point graphs with two edges: some
         # 4-point member deletes a point to one of them
         spec = graph_class()
@@ -817,7 +890,7 @@ class TestFibres:
                 h = tuple(g[x] for x in h)
             assert dim == Fraction(sum(chars[index[h]] for h in group), len(group)), g
 
-    def test_inexact_character_sum_rejected(self, monkeypatch):
+    def test_inexact_character_sum_rejected(self, monkeypatch, fresh_tables):
         # a character summing to 1 over the edge's Aut of order 2 is no dimension
         monkeypatch.setattr(homord.cro, "_characters",
                             lambda k: [1] + [0] * (math.factorial(k) - 1))
