@@ -37,25 +37,26 @@ once per level and wiring with the permutation tables, names them, and no
 insertion image is computed.
 
 None of that depends on the class, only on the level k and the wiring, so
-it is tabulated once per level and wiring in a process (`_level_table`):
-each orbit's representative and automorphisms, its masks in code order,
-and each distinct restriction row as a template, the deleted point's low
-mask and the row's (rank in orbit, coefficient) terms.  An orbit's codes
-and templates are filled the first time a member class asks for them, so
-a build pays only for the orbits its class admits.  The class picks its
-orbits, one `is_member` call on each representative, and numbers them: a
-variable's index is its orbit's offset plus its rank, and a row is a
-template with its low mask looked up and its ranks shifted.  That class
-level is assembled once per process and kept with the level's table, so
-a later build of the class at any level joins its kept levels.  Every
+the orbits are tabulated once per level and wiring in a process
+(`_level_table`), each as its representative and automorphisms, and the
+table never changes.  A class picks its orbits, one `is_member` call on
+each representative, and fills each orbit it admits (`_orbit_fill`): its
+masks in code order, their codes, and each distinct restriction row as a
+template, the deleted point's low mask and the row's (rank in orbit,
+coefficient) terms.  It numbers them: a variable's index is its orbit's
+offset plus its rank, and a row is a template with its low mask looked up
+and its ranks shifted.  That class level is the one record kept, once per
+class and level in a process (`_class_level`); its fills are dropped once
+it is assembled, so a later build of the class at any level joins its
+kept levels, and two classes that admit one orbit each fill it.  Every
 coefficient is an integer, and the rows hold them as ints to the report.
 
 *The uniform point* gives every variable of one level the same value, so
 whether it solves a row depends only on the row's shape, which is its
 orbit's template: a mass row holds exactly when |masks| * |Aut| = k!, and
 a restriction row exactly when its one +1 term is one level down and its
-level-k coefficients sum to -k.  The fill checks both, once per orbit and
-template (`_orbit_codes`); what a class adds, that every low mask of its
+level-k coefficients sum to -k.  Each fill checks both on its orbit's
+templates (`_orbit_fill`); what a class adds, that every low mask of its
 orbits' templates is a member one level down, is checked once per class
 level and distinct low mask.  `uniqueness_report` still checks the point
 row by row, over the integers scaled by L!, on the rows as given, since a
@@ -126,9 +127,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
 from .builders import FraisseClassSpec, class_by_name
 from .errors import ResourceLimitError, ValidationError
@@ -342,61 +344,60 @@ def _characters(k: int) -> list[int]:
     return chars
 
 
-@dataclass(eq=False)
-class _Orbit:
-    """One orbit of a level's masks under the k! permutations, with what
-    every class admitting it shares.
-
-    rep is its least mask and fixing the indices of the permutations of
-    `_perm_tables` that fix rep, so |Aut| = len(fixing).  The rest is filled
-    the first time a member class needs it (`_orbit_codes`).  masks are the
-    orbit's distinct masks in code order, a variable's rank in the orbit
-    being its place there, and codes maps a relation name to their codes.
-    The mass row puts |Aut| on every rank.  rows holds one template per
-    distinct restriction row, in order of the first permutation whose image
-    gives it: the deleted point's low mask, then the row's level terms in
-    rank order, each as a slot past the n masks one level down: n + r for
-    the term (r, -1), and n + len(masks) + j for terms[j], a term (r, -c)
-    of a rank that one row hits c > 1 times.  lows are the templates'
-    distinct low masks, ascending."""
+class _Orbit(NamedTuple):
+    """One orbit of a level's masks under the k! permutations: rep is its
+    least mask and fixing the indices of the permutations of
+    `_perm_tables` that fix rep, so |Aut| = len(fixing)."""
 
     rep: int
     fixing: tuple[int, ...]
-    masks: tuple[int, ...] = ()
-    codes: dict[str | None, tuple[TypeCode, ...]] = field(default_factory=dict)
-    terms: tuple[tuple[int, int], ...] = ()
-    rows: tuple[tuple[int, ...], ...] = ()
-    lows: tuple[int, ...] = ()
+
+
+class _Fill(NamedTuple):
+    """What a class admitting an orbit reads off it (`_orbit_fill`).
+
+    masks are the orbit's distinct masks in code order, a variable's rank
+    in the orbit being its place there, and codes their codes.  The mass
+    row puts |Aut| on every rank.  rows holds one template per distinct
+    restriction row, in order of the first permutation whose image gives
+    it: the deleted point's low mask, then the row's level terms in rank
+    order, each as a slot past the n masks one level down: n + r for the
+    term (r, -1), and n + len(masks) + j for terms[j], a term (r, -c) of a
+    rank that one row hits c > 1 times.  lows are the templates' distinct
+    low masks, ascending."""
+
+    masks: tuple[int, ...]
+    codes: tuple[TypeCode, ...]
+    terms: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
+    lows: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class _ClassLevel:
-    """One class's level k; lookup holds, per level-k mask, its variable's
-    (index, 1) term or None for level k + 1's rows (empty at the cap)."""
+    """One class's level k; end counts the variables of levels 1..k, and
+    lookup holds, per level-k mask, its variable's (index, 1) term or None
+    for level k + 1's rows (empty at the cap)."""
 
     base_reps: tuple[FinStructure, ...]
     variables: tuple[OrderedType, ...]
     mass: tuple[CroRow, ...]
     restriction: tuple[CroRow, ...]
     fibre: int
+    end: int
     lookup: list[tuple[int, int] | None]
 
 
-class _Orbits(tuple):
-    classes: dict[str, _ClassLevel]  # the class levels at these orbits, by spec name
-
-
 @lru_cache(maxsize=None)
-def _level_table(k: int, wiring: str | None) -> _Orbits:
+def _level_table(k: int, wiring: str | None) -> tuple[_Orbit, ...]:
     """The orbits of the masks on k points, in order of their least mask.
 
     Masks are walked in ascending order, and an unvisited mask is the least
     of its orbit, so it stays the representative that the first member in
     product order always was.  Nothing here depends on a class: a class
     picks its orbits by membership (`_base_classes`), so every class of one
-    wiring reads the same table.  Built once per level and wiring; filled
-    orbits and kept class levels live as long as the table (at level 6 the
-    edge table, every orbit filled, holds about 11 MB, codes included)."""
+    wiring reads the same table.  Built once per level and wiring, and never
+    changed after."""
     action = _perm_tables(k, wiring)[0]
     visited = bytearray(1 << _pair_count(k, wiring))
     orbits = []
@@ -407,21 +408,15 @@ def _level_table(k: int, wiring: str | None) -> _Orbits:
         for image in set(images):
             visited[image] = 1
         orbits.append(_Orbit(mask, tuple(i for i, m in enumerate(images) if m == mask)))
-    table = _Orbits(orbits)
-    table.classes = {}
-    return table
+    return tuple(orbits)
 
 
-def _orbit_codes(
-    orbit: _Orbit, k: int, wiring: str | None, relation: str | None
-) -> tuple[TypeCode, ...]:
-    """The orbit's codes for the relation, in code order, filling the
-    orbit's masks, terms, rows and lows the first time any relation asks.
+def _orbit_fill(orbit: _Orbit, k: int, wiring: str | None, relation: str | None) -> _Fill:
+    """The orbit's masks, codes, templates, merged terms and lows for the
+    relation; nothing is stored.
 
     Each distinct image is coded once, straight from its mask by the
-    level's `_mask_coder`.  Every code of a level starts with the same
-    head k{k}|{relation}=, so the code order of the masks is the same for
-    every relation: a second relation only codes the masks again.
+    level's `_mask_coder`.
 
     A restriction row at level k is fixed by the mask m of a member listed
     as (v, *tau): the deleted-point term is the member on positions
@@ -433,26 +428,18 @@ def _orbit_codes(
     first i whose image it is, and rows that repeat are kept once.
 
     The fill also certifies the uniform point (module docstring) on the
-    orbit's rows, for every class that admits it: the mass row holds
-    exactly when |masks| * |Aut| = k!, and a restriction row when its
-    template has k hits counted with multiplicity, its level-k
-    coefficients summing to -k.  The low mask keeps the bits of the pairs
-    among points 1..k-1, so it is a mask one level down; whether it is a
-    member's is the class's to say, and each class level checks that
-    (`_class_level`).  A failure raises `ValidationError` naming the
-    orbit's representative, before anything is stored."""
-    codes = orbit.codes.get(relation)
-    if codes is not None:
-        return codes
-    encode = _mask_coder(k, wiring, relation)
-    if orbit.masks:
-        codes = orbit.codes[relation] = tuple(map(encode, orbit.masks))
-        return codes
+    orbit's rows: the mass row holds exactly when |masks| * |Aut| = k!, and
+    a restriction row when its template has k hits counted with
+    multiplicity, its level-k coefficients summing to -k.  The low mask
+    keeps the bits of the pairs among points 1..k-1, so it is a mask one
+    level down; whether it is a member's is the class's to say, and each
+    class level checks that (`_class_level`).  A failure raises
+    `ValidationError` naming the orbit's representative."""
     action, compose = _perm_tables(k, wiring)
     images = _mask_images(orbit.rep, action)
     # pairs go in backwards, so each image keeps its first index
     first = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
-    coded = dict(zip(first, map(encode, first)))
+    coded = dict(zip(first, map(_mask_coder(k, wiring, relation), first)))
     masks = sorted(coded, key=coded.__getitem__)
     if len(masks) * len(orbit.fixing) != math.factorial(k):
         raise ValidationError(
@@ -480,39 +467,35 @@ def _orbit_codes(
         low = m & (low_count - 1)
         rows[(low, *hits)] = None
         lows.add(low)
-    orbit.masks, orbit.terms, orbit.rows = tuple(masks), tuple(merged), tuple(rows)
-    orbit.lows = tuple(sorted(lows))
-    codes = orbit.codes[relation] = tuple(coded[m] for m in masks)
-    return codes
+    return _Fill(tuple(masks), tuple(coded[m] for m in masks), tuple(merged), tuple(rows),
+                 tuple(sorted(lows)))
 
 
-# a base class: representative, its orbit and the orbit's codes in code order
-_BaseClass = tuple[FinStructure, _Orbit, tuple[TypeCode, ...]]
-
-
-def _base_classes(spec: FraisseClassSpec, k: int) -> list[_BaseClass]:
+def _base_classes(
+    spec: FraisseClassSpec, k: int
+) -> list[tuple[FinStructure, _Orbit, _Fill]]:
     """Isomorphism classes of the class's size-k members, in order of their
     least code, each as its representative, its orbit in the level's
-    `_level_table` and the orbit's codes for the class's relation.
+    `_level_table` and the orbit's fill for the class's relation.
 
     The table fixes the orbits; the class only picks them.  Membership does
     not change under isomorphism, so one `is_member` call on the
     representative decides the whole orbit, and only a member orbit is
-    coded (`_orbit_codes`)."""
+    filled (`_orbit_fill`)."""
     wiring, relation = _check_level(spec, k)
     classes = []
     for orbit in _level_table(k, wiring):
         rep = _mask_structure(spec, k, orbit.rep)
         if spec.is_member(rep):
-            classes.append((rep, orbit, _orbit_codes(orbit, k, wiring, relation)))
-    classes.sort(key=lambda c: c[2][0])
+            classes.append((rep, orbit, _orbit_fill(orbit, k, wiring, relation)))
+    classes.sort(key=lambda c: c[2].codes[0])
     return classes
 
 
 def enumerate_base_classes(spec: FraisseClassSpec, k: int) -> list[FinStructure]:
     """Isomorphism-class representatives of the class's size-k members, in
-    order of their least code.  Like a build, it fills the member orbits of
-    the level's table (`_base_classes`)."""
+    order of their least code.  Like a class level, it fills each member
+    orbit (`_base_classes`), and keeps nothing."""
     return [S for S, *_ in _base_classes(spec, k)]
 
 
@@ -528,45 +511,50 @@ def enumerate_ordered_types(A: FinStructure) -> dict[TypeCode, int]:
 # --- system assembly ----------------------------------------------------------
 
 
-def _class_level(spec: FraisseClassSpec, k: int, below: list[_ClassLevel]) -> _ClassLevel:
-    """The class's level k on top of its levels 1..k-1.
+@lru_cache(maxsize=None)
+def _class_level(spec: FraisseClassSpec, k: int) -> _ClassLevel:
+    """The class's level k, on top of its level k - 1, which is fetched
+    first, so levels are assembled in ascending order.  Kept once per
+    class and level in a process: specs that differ only in spelling share
+    it, since a spec compares by name, signature, params and wiring.
 
     A variable's index is its orbit's offset plus its rank.  A template is
-    read through the level below's lookup, then the orbit's terms shifted
+    read through the level below's lookup, then the fill's terms shifted
     to the orbit's offset, so each row is one pass over its template.  A
     class with no members of size k, a character sum that is not a
     multiple of |Aut|, or a low mask that is no member one level down
     raises `ValidationError`; each means the assembly itself is wrong."""
+    below = _class_level(spec, k - 1) if k > 1 else None
     classes = _base_classes(spec, k)
     if not classes:
         raise ValidationError(f"{spec.name} has no members of size {k}")
     chars = _characters(k)
-    end = sum(len(level.variables) for level in below)
+    end = below.end if below else 0
     lookup = [None] * (1 << _pair_count(k, spec.wiring)) if k < _LEVEL_CAP else []
     variables, mass, restriction, fibre = [], [], [], 0
-    for bi, (_, orbit, codes) in enumerate(classes):
+    for bi, (_, orbit, fill) in enumerate(classes):
         aut = len(orbit.fixing)
         dim, rest = divmod(sum(chars[i] for i in orbit.fixing), aut)
         if rest:
             raise ValidationError(f"{spec.name} level {k}: character sum over |Aut| = {aut} "
                                   "is not a dimension")
         fibre += dim
-        base, end = end, end + len(codes)
-        variables += [OrderedType(code, k, bi, aut) for code in codes]
+        base, end = end, end + len(fill.codes)
+        variables += [OrderedType(code, k, bi, aut) for code in fill.codes]
         indices = range(base, end)
         mass.append(CroRow(tuple(zip(indices, itertools.repeat(aut))), 1, "mass"))
         if below:
-            low = below[-1].lookup
-            if orbit.lows[-1] >= len(low) or not all(map(low.__getitem__, orbit.lows)):
+            low = below.lookup
+            if fill.lows[-1] >= len(low) or not all(map(low.__getitem__, fill.lows)):
                 raise ValidationError(f"{spec.name} level {k}: a row of the orbit of mask "
                                       f"{orbit.rep} deletes a point to no member of size {k - 1}")
-            terms = low + [(i, -1) for i in indices] + [(base + r, c) for r, c in orbit.terms]
+            terms = low + [(i, -1) for i in indices] + [(base + r, c) for r, c in fill.terms]
             restriction += [CroRow(tuple(map(terms.__getitem__, row)), 0, "restriction")
-                            for row in orbit.rows]
-        for m, i in zip(orbit.masks, indices) if lookup else ():
+                            for row in fill.rows]
+        for m, i in zip(fill.masks, indices) if lookup else ():
             lookup[m] = (i, 1)
     return _ClassLevel(tuple(A for A, *_ in classes), tuple(variables), tuple(mass),
-                       tuple(restriction), fibre, lookup)
+                       tuple(restriction), fibre, end, lookup)
 
 
 def build_cro_system(class_name: str, max_level: int) -> CroSystem:
@@ -574,19 +562,13 @@ def build_cro_system(class_name: str, max_level: int) -> CroSystem:
     each level's fibre dimension from the automorphism groups of its base
     classes.
 
-    Each class level is assembled once in a process (`_class_level`) and
-    kept with the level's table under the spec's name; a build joins them,
-    every mass row, then every restriction row.  The uniform point solves
-    every row: the fill certifies each orbit's templates (`_orbit_codes`),
-    and a class level checks that each low mask is a member one level down."""
+    A build joins the class's kept levels (`_class_level`), every mass
+    row, then every restriction row.  The uniform point solves every row:
+    each fill certifies its orbit's templates (`_orbit_fill`), and a class
+    level checks that each low mask is a member one level down."""
     spec = class_by_name(class_name)
-    wiring, _ = _check_level(spec, max_level)
-    levels: list[_ClassLevel] = []
-    for k in range(1, max_level + 1):
-        kept = _level_table(k, wiring).classes
-        if spec.name not in kept:
-            kept[spec.name] = _class_level(spec, k, levels)
-        levels.append(kept[spec.name])
+    _check_level(spec, max_level)
+    levels = [_class_level(spec, k) for k in range(1, max_level + 1)]
     joined = itertools.chain.from_iterable
     return CroSystem(
         class_name, max_level, {k: level.base_reps for k, level in enumerate(levels, 1)},

@@ -80,9 +80,6 @@ class FinStructure:
         except KeyError:
             raise ValidationError(f"unknown relation {name!r}") from None
 
-    def holds(self, name: str, points: tuple[int, ...]) -> bool:
-        return points in self.table(name)
-
     def sort_of(self, element: int) -> str | None:
         if self.sorts is None:
             return None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import homord
 from homord.builders import StructureChain, pure_set_class
-from homord.cro import _cancel, _integer_row
+from homord.cro import _cancel, _class_level, _integer_row, _level_table
 from homord.errors import ResourceLimitError, ValidationError
 from homord.structures import canonical_type, make_structure, structure_to_json
 
@@ -20,6 +20,13 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 # How many k-tuples enumerate_types is willing to walk.
 _ENUM_CAP = 2_000_000
+
+
+def clear_cro_caches():
+    """Drop every level table and kept class level, so the next CRO build
+    is cold."""
+    _level_table.cache_clear()
+    _class_level.cache_clear()
 
 
 def order_from_latents(

@@ -5,7 +5,7 @@
 pytest collects this module only when it is named on the command line: its
 name does not match test_*.py.  The checks here pin the same kind of facts
 as the default run at a larger scale: level 6 of the exact layer in fresh
-processes, on warm tables, on kept lower levels and against the rank
+processes, built again in one process, on kept lower levels and against the rank
 oracle, every level of two depth-3 witness chains against the plain
 enumeration, the p-value helpers on 5,000 tables, and automorphism search
 on structures of up to 101 points.
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from helpers import ENV, echelon_pivots, plain_open_instances
+from helpers import ENV, clear_cro_caches, echelon_pivots, plain_open_instances
 from homord.builders import (
     _forbid,
     _open_instances,
@@ -31,7 +31,7 @@ from homord.builders import (
     hypercube_graph,
     paley_graph,
 )
-from homord.cro import _level_table, build_cro_system, projected_dimension
+from homord.cro import build_cro_system, projected_dimension
 from homord.groups import automorphisms
 from homord.stats import _corr_pvalue, _joint_chi2_pvalue, _two_sample_pvalue
 from homord.structures import find_isomorphism, make_structure
@@ -55,9 +55,9 @@ def test_cold_cro_level6(cls):
 def test_level6_digests_on_warm_tables():
     """Each pinned level-6 system built twice in one process, K4-free (an
     edge class pinned at no level-6 digest) built in between: the second
-    build reads filled tables and reuses the variables, and both match the
-    pinned digest byte for byte."""
-    _level_table.cache_clear()
+    build joins the class's kept levels, and both match the pinned digest
+    byte for byte."""
+    clear_cro_caches()
     for cls, level in sorted(CRO_SYSTEMS):
         if level == 6:
             first = cro_digest(build_cro_system(cls, 6))
@@ -70,7 +70,7 @@ def test_level6_on_kept_level5(cls):
     """Level 6 assembled on top of the class's kept levels 1-5 in one
     process: the lower levels' variables and rows are the level-5 build's
     own objects, and the system matches the pinned level-6 digest."""
-    _level_table.cache_clear()
+    clear_cro_caches()
     five = build_cro_system(cls, 5)
     six = build_cro_system(cls, 6)
     assert all(a is b for a, b in zip(five.variables, six.variables))

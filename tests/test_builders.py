@@ -460,7 +460,7 @@ class TestBipartite:
                 if i == j:
                     continue
                 k = len(nbrs[a] & nbrs[b])
-                assert view.holds(f"share{k}", (i, j))
+                assert (i, j) in view.table(f"share{k}")
 
     def test_some_pair_shares_exactly_one(self, bip5):
         view, carrier = bipartite_m_view(bip5)
@@ -516,9 +516,9 @@ class TestInvolution:
             for j, b in enumerate(carrier):
                 if i == j:
                     continue
-                assert view.holds("lt", (i, j)) == ((a, b) in lt)
-                assert view.holds("flt", (i, j)) == ((f[a], b) in lt)
-                assert view.holds("fltf", (i, j)) == ((f[a], f[b]) in lt)
+                assert ((i, j) in view.table("lt")) == ((a, b) in lt)
+                assert ((i, j) in view.table("flt")) == ((f[a], b) in lt)
+                assert ((i, j) in view.table("fltf")) == ((f[a], f[b]) in lt)
 
 
 class TestF2:

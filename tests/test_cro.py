@@ -22,6 +22,7 @@ from homord.cro import (
     OrderedType,
     _base_classes,
     _characters,
+    _class_level,
     _dirac_candidates,
     _level_table,
     _mask_action,
@@ -29,7 +30,7 @@ from homord.cro import (
     _mask_images,
     _mask_structure,
     _Orbit,
-    _orbit_codes,
+    _orbit_fill,
     _pair_count,
     _perm_tables,
     _uniform_violations,
@@ -51,6 +52,7 @@ from homord.structures import _type_code, canonical_type, find_isomorphism, indu
 import helpers
 from helpers import (
     all_members,
+    clear_cro_caches,
     cycle_type_representatives,
     deletion_marginal_rows,
     echelon_pivots,
@@ -313,23 +315,23 @@ class TestMaskCoder:
 
 
 class TestLevelTables:
-    """The orbits of a level and wiring are tabulated once and filled as
-    member classes need them; nothing a build reads may depend on which
-    class filled them."""
+    """The orbits of a level and wiring are tabulated once and never
+    changed; each class level is assembled once and kept, and nothing a
+    build reads may depend on which class was built before it."""
 
     @pytest.mark.parametrize("name", MASK_CLASSES)
     def test_warm_tables_build_the_cold_system(self, name):
         for level in range(1, 6):
-            _level_table.cache_clear()
+            clear_cro_caches()
             cold = cro_digest(build_cro_system(name, level))
-            _level_table.cache_clear()
+            clear_cro_caches()
             for other in MASK_CLASSES:
                 if other != name:
                     build_cro_system(other, level)
             assert cro_digest(build_cro_system(name, level)) == cold, level
 
     def test_level6_warm_tables(self):
-        _level_table.cache_clear()
+        clear_cro_caches()
         for cls, dims in LEVEL6.items():
             report = uniqueness_report(build_cro_system(cls, 6))
             assert (report.num_variables, report.num_rows, report.nullspace_dim) == dims, cls
@@ -353,7 +355,7 @@ class TestLevelTables:
             return lambda mask: coded.append((k, mask)) or encode(mask)
 
         monkeypatch.setattr(homord.cro, "_mask_coder", counting)
-        _level_table.cache_clear()
+        clear_cro_caches()
         spec = class_by_name("kn_free_graph:3")
         build_cro_system("kn_free_graph:3", 5)
         members = [(k, mask) for k in range(1, 6) for mask in range(1 << _pair_count(k, "edge"))
@@ -366,7 +368,7 @@ class TestLevelTables:
         assert coded == []
 
     def test_warm_build_reuses_ordered_types(self):
-        _level_table.cache_clear()
+        clear_cro_caches()
         cold = build_cro_system("graph", 4)
         warm = build_cro_system("graph", 4)
         assert len(cold.variables) == len(warm.variables) == 75
@@ -375,7 +377,7 @@ class TestLevelTables:
     def test_shared_orbits_keep_each_class_base_index(self):
         # graph and K3-free number some shared level-4 orbits differently;
         # built in turn, cold and warm, each keeps its own base indices
-        _level_table.cache_clear()
+        clear_cro_caches()
         names = ("graph", "kn_free_graph:3")
         cold = {name: build_cro_system(name, 4) for name in names}
         numbering = {}
@@ -384,7 +386,7 @@ class TestLevelTables:
             assert cro_digest(warm) == cro_digest(cold[name]), name
             classes = _base_classes(class_by_name(name), 4)
             numbering[name] = {id(orbit): bi for bi, (_, orbit, _) in enumerate(classes)}
-            want = [bi for bi, (_, _, codes) in enumerate(classes) for _ in codes]
+            want = [bi for bi, (_, _, fill) in enumerate(classes) for _ in fill.codes]
             assert [v.base_index for v in warm.variables if v.level == 4] == want, name
         shared = numbering["kn_free_graph:3"].items()
         assert any(numbering["graph"][orbit] != bi for orbit, bi in shared)
@@ -400,7 +402,7 @@ class TestLevelTables:
             real = getattr(homord.cro, name)
             monkeypatch.setattr(homord.cro, name,
                                 lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
-        _level_table.cache_clear()
+        clear_cro_caches()
         assert cro_digest(build_cro_system("graph", 5)) == CRO_SYSTEMS["graph", 5]
         assert set(calls) == {"is_member", "_mask_structure", "CroRow"}
         calls.clear()
@@ -413,7 +415,7 @@ class TestLevelTables:
         # descending, the first build assembles them all and the rest join
         digests = {}
         for order in (range(1, 6), range(5, 0, -1)):
-            _level_table.cache_clear()
+            clear_cro_caches()
             for level in order:
                 digests.setdefault(level, set()).add(cro_digest(build_cro_system(name, level)))
         for level, got in digests.items():
@@ -421,7 +423,7 @@ class TestLevelTables:
             assert got == {CRO_SYSTEMS.get((name, level), *got)}, level
 
     def test_higher_build_reuses_lower_levels(self):
-        _level_table.cache_clear()
+        clear_cro_caches()
         four = build_cro_system("graph", 4)
         five = build_cro_system("graph", 5)
         assert cro_digest(five) == CRO_SYSTEMS["graph", 5]
@@ -437,24 +439,38 @@ class TestLevelTables:
         real = homord.cro._base_classes
         monkeypatch.setattr(homord.cro, "_base_classes",
                             lambda spec, k: picked.append(k) or real(spec, k))
-        _level_table.cache_clear()
+        clear_cro_caches()
         first = build_cro_system("graph", 4)
         assert picked == [1, 2, 3, 4]
         picked.clear()
         build_cro_system("graph", 4)
         assert picked == []
-        _level_table.cache_clear()
+        clear_cro_caches()
         again = build_cro_system("graph", 4)
         assert picked == [1, 2, 3, 4]
         assert cro_digest(again) == cro_digest(first)
         assert not any(a is b for a, b in zip(first.rows, again.rows))
 
+    def test_builds_leave_tables_as_made_and_keep_each_level_once(self):
+        # every class, cold then warm: no build changes an orbit of a
+        # table, and each (class, level) is kept once, both K3-free
+        # spellings under one key
+        clear_cro_caches()
+        names = (*MASK_CLASSES, "kn_free_graph:03")
+        cold = {(name, level): cro_digest(build_cro_system(name, level))
+                for name in names for level in range(1, 6)}
+        assert {key: cro_digest(build_cro_system(*key)) for key in cold} == cold
+        for k in range(1, 6):
+            for wiring in (None, "edge", "arc"):
+                assert _level_table(k, wiring) == _level_table.__wrapped__(k, wiring), (k, wiring)
+        assert _class_level.cache_info().currsize == len(MASK_CLASSES) * 5
+
     def test_spellings_share_one_class_level(self):
-        _level_table.cache_clear()
+        clear_cro_caches()
         padded = build_cro_system("kn_free_graph:03", 4)
         plain = build_cro_system("kn_free_graph:3", 4)
         assert (padded.class_name, plain.class_name) == ("kn_free_graph:03", "kn_free_graph:3")
-        assert list(_level_table(4, "edge").classes) == ["kn_free_graph:3"]
+        assert _class_level.cache_info().currsize == 4
         assert len(padded.rows) == len(plain.rows)
         assert all(a is b for a, b in zip(padded.rows, plain.rows))
         assert cro_digest(padded) == cro_digest(plain) == CRO_SYSTEMS["kn_free_graph:3", 4]
@@ -568,10 +584,11 @@ class TestUniformPoint:
 
 @pytest.fixture
 def fresh_tables():
-    """Empty level tables, emptied again afterwards so no tampered orbit stays."""
-    _level_table.cache_clear()
+    """No level table or kept class level, before or after, so nothing a
+    doctored build made stays."""
+    clear_cro_caches()
     yield
-    _level_table.cache_clear()
+    clear_cro_caches()
 
 
 class TestUniformCertificate:
@@ -595,8 +612,8 @@ class TestUniformCertificate:
         monkeypatch.setattr(homord.cro, "_perm_tables", short)
         for orbit in _level_table(4, wiring):
             with pytest.raises(ValidationError, match=f"orbit of mask {orbit.rep}: .* 3 level-4 hits"):
-                _orbit_codes(orbit, 4, wiring, relation)
-            assert orbit.masks == orbit.rows == () and orbit.codes == {}
+                _orbit_fill(orbit, 4, wiring, relation)
+        assert _level_table(4, wiring) == _level_table.__wrapped__(4, wiring)
 
     @pytest.mark.parametrize("wiring,relation", [("edge", "E"), ("arc", "A")])
     def test_wrong_aut_rejected(self, fresh_tables, wiring, relation):
@@ -604,30 +621,32 @@ class TestUniformCertificate:
             for fixing in (orbit.fixing[1:], (*orbit.fixing, orbit.fixing[0])):
                 tampered = _Orbit(orbit.rep, fixing)
                 with pytest.raises(ValidationError, match=f"orbit of mask {orbit.rep}: .* not 4!"):
-                    _orbit_codes(tampered, 4, wiring, relation)
-            assert _orbit_codes(orbit, 4, wiring, relation)
+                    _orbit_fill(tampered, 4, wiring, relation)
+            assert _orbit_fill(orbit, 4, wiring, relation)
 
-    def test_low_mask_from_wrong_level_rejected(self, fresh_tables):
+    def test_low_mask_from_wrong_level_rejected(self, monkeypatch, fresh_tables):
         # a template whose deleted-point term reads a level-4 mask, with the
         # orbit's lows taken from its templates as the fill takes them,
-        # fails the next build
-        build_cro_system("graph", 4)
+        # fails the build
+        real = homord.cro._orbit_fill
         tampered = 0
         for orbit in _level_table(4, "edge"):
-            rows, lows = orbit.rows, orbit.lows
-            wrong = max(orbit.masks)
+            fill = real(orbit, 4, "edge", "E")
+            wrong = max(fill.masks)
             if wrong < 1 << _pair_count(3, "edge"):
                 continue
-            orbit.rows = ((wrong, *rows[0][1:]), *rows[1:])
-            orbit.lows = tuple(sorted({row[0] for row in orbit.rows}))
-            # the check runs when a class level is assembled, so drop the kept one
-            _level_table(4, "edge").classes.pop("graph", None)
-            with pytest.raises(ValidationError, match=f"orbit of mask {orbit.rep} deletes"):
-                build_cro_system("graph", 4)
-            orbit.rows, orbit.lows = rows, lows
-            _level_table(4, "edge").classes.pop("graph", None)
+            rows = ((wrong, *fill.rows[0][1:]), *fill.rows[1:])
+            bad = fill._replace(rows=rows, lows=tuple(sorted({row[0] for row in rows})))
+            with monkeypatch.context() as m:
+                m.setattr(homord.cro, "_orbit_fill", lambda o, k, *a, _o=orbit, _bad=bad:
+                          _bad if (o, k) == (_o, 4) else real(o, k, *a))
+                # the check runs when a class level is assembled, so drop the kept ones
+                clear_cro_caches()
+                with pytest.raises(ValidationError, match=f"orbit of mask {orbit.rep} deletes"):
+                    build_cro_system("graph", 4)
             tampered += 1
         assert tampered == 10  # every orbit but the empty graph's
+        clear_cro_caches()
         assert cro_digest(build_cro_system("graph", 4)) == CRO_SYSTEMS["graph", 4]
 
     def test_non_hereditary_class_rejected(self, monkeypatch, fresh_tables):
